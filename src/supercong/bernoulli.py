@@ -1,8 +1,8 @@
-"""Bernoulli numbers mod p**N, Bernoulli polynomials, Fermat quotients, X.
+"""Bernoulli numbers mod p**N, Fermat quotients, and the constant X.
 
 Bernoulli numbers are produced by one Akiyama-Tanigawa pass per (p, N),
 scaled by p so the triangle stays integral mod p**(N+1); this yields the
-whole table B_0..B_nmax in O(nmax^2) kernel operations.  Indices with
+whole table B_0..B_2p in O(p^2) kernel operations.  Indices with
 (p-1) | n are rejected (von Staudt-Clausen: not p-integral), odd n > 1
 give the exact zero.
 
@@ -26,7 +26,6 @@ from .padic import PAdic, congruent_mod
 __all__ = [
     "BernoulliTable",
     "bernoulli",
-    "bernoulli_poly",
     "fermat_quotient",
     "x_constant",
 ]
@@ -76,7 +75,7 @@ class BernoulliTable:
         value = scaled.shift(-1)
         if n <= _EXACT_WITNESS_LIMIT:
             # cheap exact value doubles as a consistency check on the table
-            # and as a cancellation witness for polynomial evaluation
+            # and as a cancellation witness in later arithmetic
             exact = PAdic.from_rational(_exact_bernoulli(n), p=p, digits=self.digits)
             if not congruent_mod(exact, value, self.digits):
                 raise AssertionError(f"Bernoulli table disagrees with exact B_{n}")
@@ -87,46 +86,18 @@ class BernoulliTable:
 _table_cache: dict[tuple[int, int], BernoulliTable] = {}
 
 
-def _table(p: int, N: int, nmax: int) -> BernoulliTable:
-    key = (p, N)
-    tab = _table_cache.get(key)
-    if tab is None or tab.nmax < nmax:
-        tab = BernoulliTable(p, N, nmax)
-        _table_cache[key] = tab
+def _table(p: int, N: int) -> BernoulliTable:
+    """The one table per (p, N), sized for every index bernoulli() accepts."""
+    tab = _table_cache.get((p, N))
+    if tab is None:
+        tab = BernoulliTable(p, N, 2 * p)
+        _table_cache[(p, N)] = tab
     return tab
 
 
 def bernoulli(n: int, p: int, N: int) -> PAdic:
-    """B_n mod p**N; rejects (p-1) | n for n > 0."""
-    if n < 0:
-        raise BadParameter("n must be >= 0")
-    if n > 0 and n % (p - 1) == 0:
-        raise BadParameter(f"B_{n} is not p-integral for p={p}")
-    if n > 2 * p:
-        raise BadParameter("bernoulli restricted to n <= 2p")
-    if n > 1 and n % 2 == 1:
-        return PAdic.zero(p)
-    # size the table generously so nearby indices share one pass
-    nmax = min(max(n, 16), 2 * p - 2 if p > 8 else n)
-    nmax = max(nmax, n)
-    return _table(p, N, nmax).get(n)
-
-
-def bernoulli_poly(n: int, x: Fraction, p: int, N: int) -> PAdic:
-    """B_n(x) = sum_k binom(n,k) B_k x^(n-k) for small n."""
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise BadParameter("p divides the denominator of x")
-    total = PAdic.zero(p)
-    for k in range(n + 1):
-        bk = bernoulli(k, p, N)
-        if bk.zero_flag:
-            continue
-        coeff = Fraction(math.comb(n, k)) * x ** (n - k)
-        if coeff == 0:
-            continue
-        total = total + bk.scale(coeff)
-    return total
+    """B_n mod p**N for 0 <= n <= 2p; rejects (p-1) | n for n > 0."""
+    return _table(p, N).get(n)
 
 
 def fermat_quotient(a: int, p: int, N: int) -> PAdic:
@@ -147,12 +118,13 @@ def x_constant(p: int, N: int, method: str = "bernoulli") -> PAdic:
     if p <= 5:
         raise BadParameter("X requires p > 5")
     if method == "bernoulli":
-        tab = _table(p, N, 2 * p - 4)
+        tab = _table(p, N)
         return tab.get(p - 3).scale(Fraction(1, p - 3)) - tab.get(2 * p - 4).scale(
             Fraction(1, 4 * p - 8)
         )
     if method == "harmonic":
-        h2 = mhs((2,), p - 1, p, N=_X_APREC_HARMONIC + 2)
+        N_h = _X_APREC_HARMONIC + 2
+        h2 = mhs((2,), p - 1, p, N_h, kernels.inverse_table(p - 1, p, p**N_h))
         x = h2.scale(Fraction(-1, 4)).shift(-1)
         # valid only mod p^2: truncate the window so callers cannot over-trust it
         return _truncate(x, _X_APREC_HARMONIC)

@@ -1,13 +1,12 @@
-"""Factorials, central and generalized binomial coefficients, S_n(a).
+"""The incremental binomial sum S_n(a) and the split a = p*t + <a>_p.
 
-Generalized binomials binom(a, k) for p-adic a use the falling-factorial
-product a(a-1)...(a-k+1)/k!; since k < p the denominator is always a unit
-and p-divisible factors in the numerator are absorbed by valuations.
+S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k carries both generalized
+binomials from k-1 to k; since n < p every division is by a unit, so the
+kernel sums exactly modulo a power of p.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,24 +14,7 @@ from . import kernels
 from .errors import BadParameter
 from .padic import PAdic
 
-__all__ = [
-    "ValUnit",
-    "ReducedPoint",
-    "factorial",
-    "central_binom",
-    "binom_padic",
-    "s_sum",
-    "reduce_point",
-    "lemma23_lhs",
-]
-
-
-@dataclass(frozen=True)
-class ValUnit:
-    """n! split as p**valuation * unit, unit reduced mod p**digits."""
-
-    valuation: int
-    unit: int
+__all__ = ["ReducedPoint", "s_sum", "reduce_point"]
 
 
 @dataclass(frozen=True)
@@ -43,49 +25,13 @@ class ReducedPoint:
     t: PAdic
 
 
-def factorial(n: int, p: int, N: int) -> ValUnit:
-    """n! with the p-power extracted; requires n < p**2."""
-    if n >= p * p:
-        raise BadParameter("factorial requires n < p^2")
-    m = p**N
-    v = 0
-    u = 1
-    for k in range(2, n + 1):
-        while k % p == 0:
-            k //= p
-            v += 1
-        u = u * k % m
-    return ValUnit(v, u)
+def s_sum(a: PAdic, n: int, p: int, N: int, inv: list[int]) -> PAdic:
+    """S_n(a) = sum_{k=1}^{n} binom(a,k) binom(-1-a,k) / k, n <= p-1.
 
-
-def central_binom(k: int, p: int, N: int) -> PAdic:
-    """binom(2k, k) as a PAdic (valuation 1 exactly for (p+1)/2 <= k <= p-1)."""
-    if k < 0 or k > p - 1:
-        raise BadParameter("central_binom requires 0 <= k <= p-1")
-    if k == 0:
-        return PAdic.from_rational(1, p=p, digits=N)
-    top = factorial(2 * k, p, N)
-    bot = factorial(k, p, N)
-    m = p**N
-    v = top.valuation - 2 * bot.valuation
-    unit = top.unit * pow(bot.unit * bot.unit % m, -1, m) % m
-    return PAdic(p, v, unit, N)
-
-
-def binom_padic(a: PAdic, k: int) -> PAdic:
-    """binom(a, k) = a(a-1)...(a-k+1)/k! for p-adic a, k < p."""
-    p = a.prime
-    if k < 0 or k >= p:
-        raise BadParameter("binom_padic requires 0 <= k < p")
-    digits = max(a.digits, 1)
-    out = PAdic.from_rational(1, p=p, digits=digits)
-    for j in range(k):
-        out = out * (a - PAdic.from_rational(j, p=p, digits=digits))
-    return out.scale(Fraction(1, math.factorial(k)))
-
-
-def s_sum(a: PAdic, n: int, p: int, N: int) -> PAdic:
-    """S_n(a) = sum_{k=1}^{n} binom(a,k) binom(-1-a,k) / k, n <= p-1."""
+    inv is an inverse table mod p**N covering 1..n.  The result is known
+    mod p**min(N, aprec of a); a shorter modulus gets its own reduced copy
+    of the table, as the kernels expect entries below their modulus.
+    """
     if n > p - 1:
         raise BadParameter("s_sum requires n <= p-1")
     if a.prime != p:
@@ -96,9 +42,10 @@ def s_sum(a: PAdic, n: int, p: int, N: int) -> PAdic:
         return PAdic.zero(p)
     if a.valuation < 0:
         raise BadParameter("s_sum requires a in Z_p")
-    aprec = N if a.aprec is None else min(N, a.aprec)
+    aprec = min(N, a.aprec)
     m = p**aprec
-    inv = kernels.inverse_table(n, p, m)
+    if aprec < N:
+        inv = [x % m for x in inv[: n + 1]]
     return PAdic.from_int_exact(
         kernels.s_sum(a.lift(aprec), n, p, m, inv), p=p, aprec=aprec
     )
@@ -114,17 +61,3 @@ def reduce_point(a: Fraction, p: int, N: int) -> ReducedPoint:
     if t == 0:
         return ReducedPoint(residue, PAdic.zero(p))
     return ReducedPoint(residue, PAdic.from_rational(t, p=p, digits=N))
-
-
-def lemma23_lhs(t: PAdic, k: int, half: bool, p: int, N: int) -> PAdic:
-    """binom(pt+k-1, top) * binom(-pt-k-1, top) with top = (p-1)/2 or p-1."""
-    top = (p - 1) // 2 if half else p - 1
-    if not (1 <= k <= top):
-        raise BadParameter("k out of range for lemma23_lhs")
-    digits = max(t.digits, N)
-    pt = t.shift(1)
-    km1 = PAdic.from_rational(k - 1, p=p, digits=digits)
-    kp1 = PAdic.from_rational(k + 1, p=p, digits=digits)
-    x = pt + km1
-    y = -(pt + kp1)
-    return binom_padic(x, top) * binom_padic(y, top)

@@ -6,8 +6,9 @@ congruent_mod.  Checks are pure functions of (prime, params); the sweep
 evaluates a set of checks over a prime range with an optional process
 pool and emits results deterministically ordered by (prime, id, params).
 
-Shared per-prime quantities (inverse tables, the constant X, Fermat
-quotients, B_{p-3}, H(3,1;(p-1)/2)) are cached on a PrimeContext.
+Shared per-prime quantities (the inverse table every sum reads, the
+constant X, Fermat quotients, B_{p-3}, H(3,1;(p-1)/2)) are cached on a
+PrimeContext.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def render_padic(x: PAdic, p: int, e: int) -> str:
 
 
 class PrimeContext:
-    """Per-prime cache of inverse tables and recurring constants."""
+    """Per-prime cache of the inverse table and recurring constants."""
 
     def __init__(self, p: int, digits: int = 6, t_sign: str = "minus"):
         if p < MIN_PRIME:
@@ -123,6 +124,7 @@ class PrimeContext:
     # -- kernel-backed primitives -------------------------------------------
 
     def inv(self) -> list[int]:
+        """inv[k] = 1/k mod p**digits for k < p: the table every sum reads."""
         return self._cached(
             "inv", lambda: kernels.inverse_table(self.p - 1, self.p, self.m)
         )
@@ -133,38 +135,38 @@ class PrimeContext:
 
     def mhs(self, exps: tuple[int, ...], n: int) -> PAdic:
         return self._cached(
-            ("mhs", exps, n), lambda: mhs(exps, n, self.p, self.digits)
+            ("mhs", exps, n),
+            lambda: mhs(exps, n, self.p, self.digits, self.inv()),
         )
+
+    def _kernel_sum(self, key, kernel, *args) -> PAdic:
+        """kernel(*args, p, m, inv) as a PAdic known mod p**digits, cached."""
+
+        def make():
+            val = kernel(*args, self.p, self.m, self.inv())
+            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
+
+        return self._cached(key, make)
 
     def nested(self, outer: int, factors: tuple, n: int) -> PAdic:
         """sum_{k<=n} k^-outer * prod of prefix factors (kind, r, power)."""
-
-        def make():
-            val = kernels.weighted_sum(
-                outer, False, None, factors, n, self.p, self.m, self.inv()
-            )
-            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
-
-        return self._cached(("nested", outer, factors, n), make)
+        return self._kernel_sum(
+            ("nested", outer, factors, n),
+            kernels.weighted_sum, outer, False, None, factors, n,
+        )
 
     def central(self, lo: int, hi: int, denom: int) -> PAdic:
         """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * denom^k)."""
-
-        def make():
-            cinv = pow(denom, -1, self.m)
-            val = kernels.central_sum(lo, hi, cinv, self.p, self.m, self.inv())
-            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
-
-        return self._cached(("central", lo, hi, denom), make)
+        cinv = pow(denom, -1, self.m)
+        return self._kernel_sum(
+            ("central", lo, hi, denom), kernels.central_sum, lo, hi, cinv
+        )
 
     def geom(self, c: int, outer: int, n: int) -> PAdic:
-        def make():
-            val = kernels.geom_power_sum(
-                c % self.m, outer, n, self.p, self.m, self.inv()
-            )
-            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
-
-        return self._cached(("geom", c, outer, n), make)
+        """sum_{k<=n} c^k / k^outer."""
+        return self._kernel_sum(
+            ("geom", c, outer, n), kernels.geom_power_sum, c % self.m, outer, n
+        )
 
     # -- constants -----------------------------------------------------------
 
@@ -428,7 +430,7 @@ def _ev_sun_6k_tail(ctx):
 def _ev_tauraso_param(ctx, a):
     rp = ctx.reduce(a)
     n, t = rp.residue, rp.t
-    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits)
+    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits, ctx.inv())
     rhs = ctx.mhs((1,), n).scale(-2) + (t.shift(1) * ctx.mhs((2,), n)).scale(2)
     return lhs, rhs, 2
 
@@ -436,7 +438,7 @@ def _ev_tauraso_param(ctx, a):
 def _ev_sun_param(ctx, a):
     rp = ctx.reduce(a)
     n, t = rp.residue, rp.t
-    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits)
+    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits, ctx.inv())
     rhs = (
         ctx.mhs((1,), n).scale(-2)
         + (t.shift(1) * ctx.mhs((2,), n)).scale(2)
@@ -448,7 +450,7 @@ def _ev_sun_param(ctx, a):
 
 def _ev_thm11_full(ctx, a):
     n, t, note = ctx.theorem_t(a)
-    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits)
+    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits, ctx.inv())
     one = ctx.one()
     poly = (t * t).scale(2) + t.scale(4) + one
     hk3 = ctx.nested(3, (_HARM_FACTOR,), n)
@@ -467,7 +469,7 @@ def _ev_thm11_half(ctx, a):
     n, t, note = ctx.theorem_t(a)
     if n > ctx.half:
         raise _Skip(f"<a>_p = {n} exceeds (p-1)/2")
-    lhs = s_sum(ctx.embed(a), ctx.half, ctx.p, ctx.digits)
+    lhs = s_sum(ctx.embed(a), ctx.half, ctx.p, ctx.digits, ctx.inv())
     t2 = t * t
     x = ctx.x()
     rhs = (
@@ -512,14 +514,10 @@ def _lem23_scan(ctx, t: PAdic, half_range: bool):
     T = 0 if t.zero_flag else p * t.lift(3) % m4
     inv4 = ctx.inv4()
 
-    num = 1
+    num = fact = 1
     for j in range(top):
-        num = num * (T - j) % m4
-    for j in range(top):
-        num = num * (-T - 2 - j) % m4
-    fact = 1
-    for j in range(2, top + 1):
-        fact = fact * j % m4
+        num = num * (T - j) % m4 * (-T - 2 - j) % m4
+        fact = fact * (j + 1) % m4
     b = num * pow(fact * fact % m4, -1, m4) % m4
 
     h = o1 = o2 = 0
@@ -545,18 +543,11 @@ def _lem23_scan(ctx, t: PAdic, half_range: bool):
         if b != rhs_k and first_bad is None:
             first_bad = last
         if k < top:
-            if half_range:
-                ratio = (
-                    (T + k) % m4 * ((T + k + 1 + ctx.half) % m4) % m4
-                    * pow((T + k - ctx.half) % m4, -1, m4) % m4
-                    * pow((T + k + 1) % m4, -1, m4) % m4
-                )
-            else:
-                ratio = (
-                    (T + k) % m4 * ((T + k + p) % m4) % m4
-                    * pow((T + k - p + 1) % m4, -1, m4) % m4
-                    * pow((T + k + 1) % m4, -1, m4) % m4
-                )
+            ratio = (
+                (T + k) % m4 * ((T + k + 1 + top) % m4) % m4
+                * pow((T + k - top) % m4, -1, m4) % m4
+                * pow((T + k + 1) % m4, -1, m4) % m4
+            )
             b = b * ratio % m4
 
     k, bval, rval = first_bad if first_bad is not None else last
@@ -578,14 +569,14 @@ def _ev_lem23_half(ctx, a):
 
 def _ev_lem24_full(ctx, a):
     t = ctx.reduce(a).t
-    lhs = s_sum(t.shift(1), ctx.p - 1, ctx.p, ctx.digits)
+    lhs = s_sum(t.shift(1), ctx.p - 1, ctx.p, ctx.digits, ctx.inv())
     rhs = (t.shift(2) * ctx.x()).scale(4)
     return lhs, rhs, 4
 
 
 def _ev_lem24_half(ctx, a):
     t = ctx.reduce(a).t
-    lhs = s_sum(t.shift(1), ctx.half, ctx.p, ctx.digits)
+    lhs = s_sum(t.shift(1), ctx.half, ctx.p, ctx.digits, ctx.inv())
     x = ctx.x()
     rhs = -((t * t).shift(2) * x).scale(12) + (t.shift(2) * x).scale(14)
     return lhs, rhs, 4
@@ -912,10 +903,7 @@ def _evaluate(ctx: PrimeContext, defn: CheckDefinition, params: dict) -> CheckRe
         )
     lhs, rhs, e = out[0], out[1], out[2]
     note = out[3] if len(out) > 3 else ""
-    e_eff = e
-    for z in (lhs, rhs):
-        if z.aprec is not None:
-            e_eff = min(e_eff, z.aprec)
+    e_eff = min([e] + [z.aprec for z in (lhs, rhs) if z.aprec is not None])
     ok = congruent_mod(lhs, rhs, e_eff)
     if not ok:
         status = "fail"

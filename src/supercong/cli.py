@@ -133,8 +133,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         cfg.stats = ns.stats
         if cfg.jobs < 1:
             raise UsageError("--jobs must be >= 1")
-        by_id = {d.id: d for d in registry()}
-        need = max(by_id[i].modulus_exponent for i in cfg.check_ids)
+        need = max(d.modulus_exponent for d in registry() if d.id in cfg.check_ids)
         if cfg.digits < max(4, need):
             raise UsageError(
                 f"--digits {cfg.digits} too small for checks needing p^{need}"
@@ -184,19 +183,19 @@ def _emit(results: list[CheckResult], fmt: str, out) -> None:
         out.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + body + "\n")
 
 
-def _cache_key(r: CheckResult, digits: int, t_sign: str) -> str:
-    return "|".join([r.check, str(r.prime), ",".join(r.params), str(digits), t_sign])
-
-
 def _triple_key(check: str, p: int, params: tuple[str, ...], digits: int, t_sign: str) -> str:
     return "|".join([check, str(p), ",".join(params), str(digits), t_sign])
 
 
-def _load_cache(path: str) -> dict:
+def _load_cache(path: str) -> dict[str, CheckResult]:
+    """Cached rows by key; a file that does not parse is an I/O error."""
     if not os.path.exists(path):
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return {key: _result_from_cached(d) for key, d in json.load(fh).items()}
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise OSError(f"corrupt cache file {path}: {exc!r}") from exc
 
 
 def _result_from_cached(d: dict) -> CheckResult:
@@ -207,11 +206,15 @@ def _result_from_cached(d: dict) -> CheckResult:
 
 
 def _cached_dict(r: CheckResult) -> dict:
-    return {
-        "check": r.check, "p": r.prime, "params": list(r.params),
-        "status": r.status, "lhs": r.lhs, "rhs": r.rhs,
-        "modulus": r.modulus, "note": r.note,
-    }
+    """The on-disk cache row: params as a list, note always present."""
+    return {**_row_dict(r), "params": list(r.params), "note": r.note}
+
+
+def _expected_params(defn, p: int, a_samples) -> list[tuple[str, ...]]:
+    """Rendered params of the rows a sweep emits for (defn, p)."""
+    if p < defn.min_prime:
+        return [()]
+    return [checks_mod._render_params(ps) for ps in defn.param_space(p, a_samples)]
 
 
 def _run_verify(cfg: RunConfig, out) -> int:
@@ -221,35 +224,18 @@ def _run_verify(cfg: RunConfig, out) -> int:
 
     cached_results: list[CheckResult] = []
     wanted: list[int] = []
-    by_id = {d.id: d for d in registry()}
     # a prime can be served fully from cache only if every expected row is there
     for p in primes:
-        rows = []
-        complete = True
-        for check_id in cfg.check_ids:
-            defn = by_id[check_id]
-            if p < defn.min_prime:
-                expected = [()]
-            else:
-                expected = [
-                    checks_mod._render_params(ps)
-                    for ps in defn.param_space(p, cfg.a_samples)
-                ]
-            for params in expected:
-                key = _triple_key(check_id, p, params, cfg.digits, t_sign)
-                hit = cache.get(key)
-                if hit is None:
-                    complete = False
-                    break
-                rows.append(_result_from_cached(hit))
-            if not complete:
-                break
-        if complete:
-            cached_results.extend(rows)
+        keys = [
+            _triple_key(check_id, p, params, cfg.digits, t_sign)
+            for check_id in cfg.check_ids
+            for params in _expected_params(checks_mod._BY_ID[check_id], p, cfg.a_samples)
+        ]
+        if cache and all(key in cache for key in keys):
+            cached_results.extend(cache[key] for key in keys)
         else:
             wanted.append(p)
 
-    evaluations = 0
     computed: list[CheckResult] = []
     if cfg.fail_fast:
         for p in wanted:
@@ -258,7 +244,6 @@ def _run_verify(cfg: RunConfig, out) -> int:
                 a_samples=cfg.a_samples, t_sign=t_sign,
             )
             computed.extend(chunk)
-            evaluations += len(chunk)
             if any(r.status in ("fail", "precision_error") for r in chunk):
                 break
     elif wanted:
@@ -266,22 +251,24 @@ def _run_verify(cfg: RunConfig, out) -> int:
             cfg.check_ids, wanted, jobs=cfg.jobs, digits=cfg.digits,
             a_samples=cfg.a_samples, t_sign=t_sign,
         )
-        evaluations = len(computed)
 
     if cfg.cache:
         for r in computed:
-            cache[_cache_key(r, cfg.digits, t_sign)] = _cached_dict(r)
+            cache[_triple_key(r.check, r.prime, r.params, cfg.digits, t_sign)] = r
         tmp = cfg.cache + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(cache, fh, sort_keys=True)
+            json.dump(
+                {key: _cached_dict(r) for key, r in cache.items()}, fh, sort_keys=True
+            )
         os.replace(tmp, cfg.cache)
 
     results = cached_results + computed
     results.sort(key=lambda r: (r.prime, r.check, r.params))
     _emit(results, cfg.format, out)
     if cfg.stats:
-        out.write(f"# evaluations: {evaluations}\n")
-        out.write(f"# cached rows reused: {len(cached_results)}\n")
+        # stderr, so that stdout stays nothing but rows
+        print(f"# evaluations: {len(computed)}", file=sys.stderr)
+        print(f"# cached rows reused: {len(cached_results)}", file=sys.stderr)
     bad = sum(r.status in ("fail", "precision_error") for r in results)
     return 1 if bad else 0
 

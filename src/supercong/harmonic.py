@@ -1,189 +1,47 @@
-"""Alternating multiple harmonic sums and weighted nested sums as PAdic values.
+"""Alternating multiple harmonic sums as PAdic values.
 
 All production ranges have every summation index below p, so the kernel
-path computes exactly modulo p**N in one pass.  Larger n (still below p**2)
-fall back to exact rational summation before embedding.
+path computes exactly modulo p**N in one pass over the caller's inverse
+table.  Larger n (still below p**2) fall back to exact rational summation
+before embedding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
 from .errors import BadParameter
 from .padic import PAdic
 
-__all__ = ["MhsSignature", "PrefixKind", "WeightSpec", "mhs", "nested_sum", "odd_harmonic"]
+__all__ = ["mhs"]
 
 
-@dataclass(frozen=True)
-class MhsSignature:
-    """Exponent tuple (a_1,...,a_m); negative entries alternate in sign."""
+def mhs(exps: tuple[int, ...], n: int, p: int, N: int, inv: list[int]) -> PAdic:
+    """H(a_1,...,a_m; n) reduced to a PAdic, O(n * depth).
 
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.exponents:
-            raise BadParameter("signature must be nonempty")
-        if any(a == 0 for a in self.exponents):
-            raise BadParameter("signature exponents must be nonzero")
-
-    @property
-    def depth(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def weight(self) -> int:
-        return sum(abs(a) for a in self.exponents)
-
-
-@dataclass(frozen=True)
-class PrefixKind:
-    """One incremental prefix accumulator appearing inside a weighted sum.
-
-    kind "harmonic": sum_{j<=k} 1/j^r
-    kind "odd":      sum_{j<=k} 1/(2j-1)^r
-    kind "signed":   sum_{j<=k} (-1)^j / j^r
-    kind "h2k":      H_{2k}
+    Negative exponents alternate in sign.  inv is an inverse table mod p**N
+    covering 1..n; it is only read when n < p.
     """
-
-    kind: str
-    r: int = 1
-
-    _KINDS = ("harmonic", "odd", "signed", "h2k")
-
-    def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise BadParameter(f"unknown prefix kind {self.kind!r}")
-        if self.r < 1:
-            raise BadParameter("prefix exponent must be >= 1")
-
-    @classmethod
-    def harmonic(cls, r: int = 1) -> "PrefixKind":
-        return cls("harmonic", r)
-
-    @classmethod
-    def odd(cls, r: int = 1) -> "PrefixKind":
-        return cls("odd", r)
-
-    @classmethod
-    def signed(cls, r: int = 1) -> "PrefixKind":
-        return cls("signed", r)
-
-    @classmethod
-    def h2k(cls) -> "PrefixKind":
-        return cls("h2k")
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Summand description: [(-1)^k] * c^k * k^(-outer_exponent) * prod(prefix^power)."""
-
-    outer_exponent: int
-    sign: bool = False
-    geometric: Fraction = Fraction(1)
-    factors: tuple[tuple[PrefixKind, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.outer_exponent < 0:
-            raise BadParameter("outer exponent must be >= 0")
-        if any(power < 1 for _, power in self.factors):
-            raise BadParameter("factor powers must be >= 1")
-
-    def max_index(self, n: int) -> int:
-        need = n
-        for pk, _ in self.factors:
-            if pk.kind in ("odd", "h2k"):
-                need = max(need, 2 * n)
-        return need
-
-
-def _prefix_value(pk: PrefixKind, k: int) -> Fraction:
-    if pk.kind == "harmonic":
-        return sum((Fraction(1, j**pk.r) for j in range(1, k + 1)), Fraction(0))
-    if pk.kind == "odd":
-        return sum((Fraction(1, (2 * j - 1) ** pk.r) for j in range(1, k + 1)), Fraction(0))
-    if pk.kind == "signed":
-        return sum(((-1) ** j * Fraction(1, j**pk.r) for j in range(1, k + 1)), Fraction(0))
-    return sum((Fraction(1, j) for j in range(1, 2 * k + 1)), Fraction(0))
-
-
-def mhs(sig: MhsSignature | tuple[int, ...], n: int, p: int, N: int) -> PAdic:
-    """H(a_1,...,a_m; n) reduced to a PAdic, O(n * depth)."""
-    if isinstance(sig, tuple):
-        sig = MhsSignature(sig)
+    if not exps or 0 in exps:
+        raise BadParameter("signature must be nonempty with nonzero exponents")
     if n >= p * p:
         raise BadParameter("mhs requires n < p^2")
-    if n < sig.depth:
+    depth = len(exps)
+    if n < depth:
         return PAdic.zero(p)
     if n < p:
-        m = p**N
-        inv = kernels.inverse_table(n, p, m)
         return PAdic.from_int_exact(
-            kernels.mhs_sum(sig.exponents, n, p, m, inv), p=p, aprec=N
+            kernels.mhs_sum(exps, n, p, p**N, inv), p=p, aprec=N
         )
     # indices divisible by p occur: exact rational prefix recursion, then embed
-    state: list[Fraction] = [Fraction(1)] + [Fraction(0)] * sig.depth
+    state: list[Fraction] = [Fraction(1)] + [Fraction(0)] * depth
     for k in range(1, n + 1):
-        for i in range(sig.depth, 0, -1):
-            a = sig.exponents[i - 1]
+        for i in range(depth, 0, -1):
+            a = exps[i - 1]
             w = Fraction((-1) ** k if a < 0 else 1, k ** abs(a))
             state[i] += w * state[i - 1]
-    val = state[sig.depth]
+    val = state[depth]
     if val == 0:
         return PAdic.zero(p)
     return PAdic.from_rational(val, p=p, digits=N)
-
-
-def nested_sum(w: WeightSpec, n: int, p: int, N: int) -> PAdic:
-    """Evaluate the weighted nested sum described by w up to n."""
-    if n >= p * p:
-        raise BadParameter("nested_sum requires n < p^2")
-    if n < 1:
-        return PAdic.zero(p)
-    c = Fraction(w.geometric)
-    if c == 0 or c.numerator % p == 0 or c.denominator % p == 0:
-        raise BadParameter("geometric ratio must be a unit mod p")
-    maxidx = w.max_index(n)
-    if maxidx < p:
-        m = p**N
-        inv = kernels.inverse_table(maxidx, p, m)
-        cnum = None
-        if c != 1:
-            cnum = c.numerator % m * pow(c.denominator, -1, m) % m
-        factors = tuple((pk.kind, pk.r, power) for pk, power in w.factors)
-        return PAdic.from_int_exact(
-            kernels.weighted_sum(w.outer_exponent, w.sign, cnum, factors, n, p, m, inv),
-            p=p,
-            aprec=N,
-        )
-    # exact rational fallback (slow; only test-scale n)
-    total = Fraction(0)
-    for k in range(1, n + 1):
-        term = c**k / Fraction(k**w.outer_exponent)
-        if w.sign:
-            term *= (-1) ** k
-        for pk, power in w.factors:
-            term *= _prefix_value(pk, k) ** power
-        total += term
-    if total == 0:
-        return PAdic.zero(p)
-    return PAdic.from_rational(total, p=p, digits=N)
-
-
-def odd_harmonic(r: int, k: int, p: int, N: int) -> PAdic:
-    """sum_{j=1}^{k} 1/(2j-1)^r as a PAdic; requires 2k-1 < p^2."""
-    if 2 * k - 1 >= p * p:
-        raise BadParameter("odd_harmonic requires 2k-1 < p^2")
-    if k < 1:
-        return PAdic.zero(p)
-    if 2 * k - 1 < p:
-        m = p**N
-        inv = kernels.inverse_table(2 * k - 1, p, m)
-        total = 0
-        for j in range(1, k + 1):
-            total = (total + pow(inv[2 * j - 1], r, m)) % m
-        return PAdic.from_int_exact(total, p=p, aprec=N)
-    total_q = _prefix_value(PrefixKind.odd(r), k)
-    return PAdic.from_rational(total_q, p=p, digits=N)

@@ -23,6 +23,7 @@ __all__ = [
     "mhs_exact",
     "harmonic_exact",
     "odd_harmonic_exact",
+    "weighted_sum_exact",
     "binom_exact",
     "s_sum_exact",
     "sigma_identity",
@@ -37,10 +38,6 @@ class IdentityReport:
     lhs: Fraction
     rhs: Fraction
     equal: bool
-
-    @property
-    def difference(self) -> Fraction:
-        return self.lhs - self.rhs
 
 
 def _frac(q) -> Fraction:
@@ -67,6 +64,30 @@ def harmonic_exact(n: int) -> Fraction:
 
 def odd_harmonic_exact(r: int, k: int) -> Fraction:
     return _frac(sum((_Q(1, (2 * j - 1) ** r) for j in range(1, k + 1)), _Q(0)))
+
+
+# the weighted-sum kernel's prefix factors (kind, r) at k, summed from scratch
+_PREFIX = {
+    "harmonic": lambda r, k: mhs_exact((r,), k),
+    "odd": odd_harmonic_exact,
+    "signed": lambda r, k: mhs_exact((-r,), k),
+    "h2k": lambda r, k: harmonic_exact(2 * k),
+}
+
+
+def weighted_sum_exact(outer: int, signed: bool, c: int, factors, n: int) -> Fraction:
+    """sum_{k<=n} [(-1)^k] c^k / k^outer * prod(prefix^power), term by term.
+
+    factors holds the kernel's (kind, r, power) tuples; each prefix is
+    recomputed for every k, independently of the kernel's running sums.
+    """
+    total = Fraction(0)
+    for k in range(1, n + 1):
+        term = Fraction((-c) ** k if signed else c**k, k**outer)
+        for kind, r, power in factors:
+            term *= _PREFIX[kind](r, k) ** power
+        total += term
+    return total
 
 
 def binom_exact(a: Fraction, k: int) -> Fraction:

@@ -253,17 +253,6 @@ class PAdic:
         return f"{self.prime}^{self.valuation} * {self.unit} mod {self.prime}^{self.aprec}"
 
 
-def arith(kind: str, x: PAdic, y: PAdic) -> PAdic:
-    """Ring operation dispatch; kind in {'add', 'sub', 'mul'}."""
-    if kind == "add":
-        return x + y
-    if kind == "sub":
-        return x - y
-    if kind == "mul":
-        return x * y
-    raise ValueError(f"unknown arith kind {kind!r}")
-
-
 def congruent_mod(x: PAdic, y: PAdic, e: int) -> bool:
     """True iff v_p(x - y) >= e.
 

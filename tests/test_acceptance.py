@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from supercong import oracle
+from supercong import kernels, oracle
 from supercong.bernoulli import x_constant
 from supercong.checks import DEFAULT_A_SAMPLES, registry, sweep
 from supercong.cli import RunConfig, main
@@ -103,7 +103,7 @@ def test_criterion_4_spot_values_p7():
             assert x_constant(7, 6, method).lift(2) % 49 == 38
         # H_6 = 49/20, valuation 2
         assert oracle.harmonic_exact(6) == Fraction(49, 20)
-        h6 = mhs((1,), 6, 7, 6)
+        h6 = mhs((1,), 6, 7, 6, kernels.inverse_table(6, 7, 7**6))
         assert h6.valuation == 2
         # H_6 = 2 p^2 X mod 7^4
         rhs = x_constant(7, 6, "bernoulli").shift(2).scale(2)
@@ -140,9 +140,10 @@ def test_criterion_6_oracle_equivalence_grid():
         for p in (7, 11, 13):
             # the modular path's precondition is n < p^2, so p = 7 caps at 48
             n_hi = min(50, p * p - 1)
+            inv = kernels.inverse_table(p - 1, p, p**4)
             for sig in _signatures():
                 for n in range(1, n_hi + 1):
-                    got = mhs(sig, n, p, 4)
+                    got = mhs(sig, n, p, 4, inv)
                     exact = oracle.mhs_exact(sig, n)
                     if exact == 0:
                         want = PAdic.zero(p)

@@ -1,5 +1,6 @@
-"""Bernoulli numbers/polynomials, Fermat quotients, and the constant X."""
+"""Bernoulli numbers, Fermat quotients, and the constant X."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from supercong.bernoulli import (
     BernoulliTable,
     _exact_bernoulli,
     bernoulli,
-    bernoulli_poly,
     fermat_quotient,
     x_constant,
 )
@@ -33,6 +33,16 @@ def _embed(q, p, digits=8):
     if q == 0:
         return PAdic.zero(p)
     return PAdic.from_rational(q, p=p, digits=digits)
+
+
+def bernoulli_poly(n, x, p, N):
+    """B_n(x) = sum_k binom(n,k) B_k x^(n-k), from the table's B_k."""
+    total = PAdic.zero(p)
+    for k in range(n + 1):
+        coeff = Fraction(math.comb(n, k)) * Fraction(x) ** (n - k)
+        if coeff != 0:
+            total = total + bernoulli(k, p, N).scale(coeff)
+    return total
 
 
 class TestExactRecurrence:

@@ -1,21 +1,13 @@
-"""Factorials, generalized binomials, S_n(a), and the product-scan cross-check."""
+"""S_n(a), the split a = p*t + <a>_p, central-binomial sums, and the
+product-scan cross-check."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from supercong import oracle
-from supercong.binomial import (
-    binom_padic,
-    central_binom,
-    factorial,
-    lemma23_lhs,
-    reduce_point,
-    s_sum,
-)
+from supercong import kernels, oracle
+from supercong.binomial import reduce_point, s_sum
 from supercong.checks import PrimeContext, _lem23_scan
 from supercong.errors import BadParameter
 from supercong.padic import PAdic, congruent_mod
@@ -28,81 +20,56 @@ def _embed(q, p, digits=8):
     return PAdic.from_rational(q, p=p, digits=digits)
 
 
-class TestFactorial:
-    @pytest.mark.parametrize("n", [0, 1, 6, 7, 13, 20, 48])
-    def test_matches_math_factorial(self, n):
-        p, N = 7, 6
-        vu = factorial(n, p, N)
-        exact = math.factorial(n)
-        v = 0
-        while exact % p == 0:
-            exact //= p
-            v += 1
-        assert vu.valuation == v
-        assert vu.unit == exact % p**N
+def _inv(p, N):
+    return kernels.inverse_table(p - 1, p, p**N)
 
-    def test_range_cap(self):
-        with pytest.raises(BadParameter):
-            factorial(49, 7, 4)
+
+def _central_exact(lo, hi, denom):
+    return sum(
+        (Fraction(math.comb(2 * k, k) ** 2, k * denom**k) for k in range(lo, hi + 1)),
+        Fraction(0),
+    )
 
 
 class TestCentralBinom:
+    """binom(2k,k) as it enters PrimeContext.central, term by term and summed."""
+
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_matches_comb(self, p):
-        for k in range(p):
-            got = central_binom(k, p, 6)
-            want = _embed(math.comb(2 * k, k), p)
-            assert congruent_mod(got, want, 6)
+        ctx = PrimeContext(p, digits=6)
+        for k in range(1, p):
+            got = ctx.central(k, k, 16)
+            assert congruent_mod(got, _embed(_central_exact(k, k, 16), p), 6)
+        for lo in (1, (p + 1) // 2):
+            got = ctx.central(lo, p - 1, 16)
+            assert congruent_mod(got, _embed(_central_exact(lo, p - 1, 16), p), 6)
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_valuation_one_in_upper_half(self, p):
-        # binom(2k,k) picks up exactly one factor of p for (p+1)/2 <= k <= p-1
+        # binom(2k,k) picks up exactly one factor of p for (p+1)/2 <= k <= p-1,
+        # so its square gives the k-th term valuation exactly 2
+        ctx = PrimeContext(p, digits=6)
         for k in range((p + 1) // 2, p):
-            assert central_binom(k, p, 6).valuation == 1
-
-
-class TestBinomPadic:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        a=st.fractions(min_value=-20, max_value=20, max_denominator=30).filter(
-            lambda q: q.denominator % 11 != 0
-        ),
-        k=st.integers(min_value=0, max_value=10),
-    )
-    def test_matches_oracle(self, a, k):
-        p = 11
-        got = binom_padic(_embed(a, p, 8), k)
-        want = _embed(oracle.binom_exact(Fraction(a), k), p)
-        if want.zero_flag:
-            assert got.zero_flag
-        else:
-            e = min(6, got.aprec, want.aprec)
-            assert congruent_mod(got, want, e)
-
-    def test_central_identity(self):
-        # binom(-1/2, k) * (-4)^k = binom(2k, k)
-        p = 13
-        half = _embed(Fraction(-1, 2), p, 8)
-        for k in range(p):
-            lhs = binom_padic(half, k).scale(Fraction(-4) ** k)
-            assert congruent_mod(lhs, _embed(math.comb(2 * k, k), p), 6)
+            assert ctx.central(k, k, 16).valuation == 2
+        for k in range(1, (p + 1) // 2):
+            assert ctx.central(k, k, 16).valuation == 0
 
 
 class TestSSum:
     @pytest.mark.parametrize("p", [7, 11, 13])
     @pytest.mark.parametrize("a", [Fraction(-1, 2), Fraction(1, 3), Fraction(5)])
     def test_matches_oracle(self, p, a):
-        got = s_sum(_embed(a, p, 6), p - 1, p, 6)
+        got = s_sum(_embed(a, p, 6), p - 1, p, 6, _inv(p, 6))
         want = _embed(oracle.s_sum_exact(a, p - 1), p)
         assert congruent_mod(got, want, min(6, got.aprec))
 
     def test_trivial_cases(self):
-        assert s_sum(PAdic.zero(7), 6, 7, 6).zero_flag
-        assert s_sum(_embed(1, 7, 6), 0, 7, 6).zero_flag
+        assert s_sum(PAdic.zero(7), 6, 7, 6, _inv(7, 6)).zero_flag
+        assert s_sum(_embed(1, 7, 6), 0, 7, 6, _inv(7, 6)).zero_flag
         with pytest.raises(BadParameter):
-            s_sum(_embed(Fraction(1, 7), 7, 6), 6, 7, 6)
+            s_sum(_embed(Fraction(1, 7), 7, 6), 6, 7, 6, _inv(7, 6))
         with pytest.raises(BadParameter):
-            s_sum(_embed(1, 7, 6), 7, 7, 6)
+            s_sum(_embed(1, 7, 6), 7, 7, 6, _inv(7, 6))
 
 
 class TestReducePoint:
@@ -139,11 +106,13 @@ class TestProductScanCrossCheck:
     @pytest.mark.parametrize("half", [False, True])
     def test_scan_matches_direct_product(self, p, a, half):
         ctx = PrimeContext(p, digits=6)
-        t = reduce_point(a, p, 6).t
+        rp = reduce_point(a, p, 6)
+        t = rp.t
+        pt = a - rp.residue
         top = (p - 1) // 2 if half else p - 1
 
         # replicate the scan's carried product at each k and compare with
-        # the independent binom_padic route
+        # the exact falling-factorial product of both generalized binomials
         m4 = p**4
         T = 0 if t.zero_flag else p * t.lift(3) % m4
         num = 1
@@ -156,10 +125,9 @@ class TestProductScanCrossCheck:
             fact = fact * j % m4
         b = num * pow(fact * fact % m4, -1, m4) % m4
         for k in range(1, top + 1):
-            direct = lemma23_lhs(t, k, half, p, 6)
+            exact = oracle.binom_exact(pt + k - 1, top) * oracle.binom_exact(-pt - k - 1, top)
             carried = PAdic.from_int_exact(b, p=p, aprec=4)
-            e = min(4, direct.aprec)
-            assert congruent_mod(direct, carried, e), f"k={k}"
+            assert congruent_mod(_embed(exact, p), carried, 4), f"k={k}"
             if k < top:
                 if half:
                     ratio = (

@@ -1,9 +1,11 @@
 """Check registry, verdict plumbing, and the sweep engine."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from supercong import bernoulli, kernels
 from supercong.checks import (
     DEFAULT_A_SAMPLES,
     CheckDefinition,
@@ -220,3 +222,31 @@ class TestRegressionAnchors:
         h6 = ctx.mhs((1,), 6)
         assert h6.valuation == 2
         assert congruent_mod(h6, ctx.x().shift(2).scale(2), 4)
+
+
+class TestPerPrimeTables:
+    """Every sum of a prime reads PrimeContext.inv(); the harmonic X route
+    builds the only other inverse table, and bernoulli() one triangle."""
+
+    MAIN_IDS = ("eq-1-0", "eq-1-1", "thm11-full", "thm11-half", "thm12", "lem26", "lem-bridge")
+
+    def _table_builds(self, monkeypatch, ids, p):
+        calls = Counter()
+        for name in ("inverse_table", "bernoulli_scaled"):
+
+            def counted(*args, _kernel=getattr(kernels, name), _name=name):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        monkeypatch.setattr(bernoulli, "_table_cache", {})
+        results = sweep(ids, [p], jobs=1)
+        assert {r.status for r in results} <= {"pass", "skipped"}
+        return calls["inverse_table"], calls["bernoulli_scaled"]
+
+    def test_full_catalog_below_table_limit(self, monkeypatch):
+        ids = [d.id for d in registry()]
+        assert self._table_builds(monkeypatch, ids, 499) == (2, 1)
+
+    def test_main_checks_above_table_limit(self, monkeypatch):
+        assert self._table_builds(monkeypatch, self.MAIN_IDS, 10007) == (2, 0)

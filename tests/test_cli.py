@@ -134,14 +134,16 @@ class TestVerifyCommand:
 
 
 class TestCache:
-    def test_round_trip_zero_evaluations(self, tmp_path):
+    def test_round_trip_zero_evaluations(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.json")
         cfg = RunConfig(
             check_ids=("eq-1-1", "lem-bridge"), prime_lo=7, prime_hi=19,
             cache=cache, stats=True, format="jsonl"
         )
-        code1, out1 = _run(cfg)
-        code2, out2 = _run(cfg)
+        code1, rows_out1 = _run(cfg)
+        out1 = rows_out1 + capsys.readouterr().err
+        code2, rows_out2 = _run(cfg)
+        out2 = rows_out2 + capsys.readouterr().err
         assert code1 == code2 == 0
 
         def split(text):
@@ -156,14 +158,32 @@ class TestCache:
         assert any("cached rows reused: " in s and "reused: 0" not in s for s in stats2)
         assert "# evaluations: 0" not in stats1
 
-    def test_cache_keyed_on_digits(self, tmp_path):
+    def test_cache_keyed_on_digits(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.json")
         base = dict(check_ids=("lem-bridge",), prime_lo=7, prime_hi=7,
                     cache=cache, stats=True)
         _run(RunConfig(**base))
-        code, out = _run(RunConfig(**base, digits=5))
+        capsys.readouterr()
+        code, _ = _run(RunConfig(**base, digits=5))
+        out = capsys.readouterr().err
         assert code == 0
         assert "# evaluations: 1" in out  # different digits -> recompute
+
+    @pytest.mark.parametrize(
+        "text", ["{not json", "[1, 2]", '{"k": {"check": "lem-bridge"}}', "\udcff"]
+    )
+    def test_corrupt_cache_is_io_error(self, tmp_path, text):
+        cache = tmp_path / "cache.json"
+        cache.write_text(text, encoding="utf-8", errors="surrogateescape")
+        proc = subprocess.run(
+            [sys.executable, "-m", "supercong.cli", "verify", "--checks", "lem-bridge",
+             "--primes", "7..11", "--jobs", "1", "--cache", str(cache)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: corrupt cache file")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestEndToEnd:
@@ -183,6 +203,17 @@ class TestEndToEnd:
         )
         assert proc.returncode == 2
         assert "usage error" in proc.stderr
+
+    def test_jsonl_stats_keeps_stdout_to_rows(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "supercong.cli", "verify", "--checks", "lem-bridge",
+             "--primes", "7..13", "--jobs", "1", "--format", "jsonl", "--stats"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        rows = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [r["p"] for r in rows] == [7, 11, 13]
+        assert "# evaluations: 3" in proc.stderr.splitlines()
 
     def test_identities_subcommand(self):
         proc = subprocess.run(

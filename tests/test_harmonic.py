@@ -1,4 +1,4 @@
-"""Multiple harmonic sums and weighted nested sums vs the exact oracle."""
+"""Multiple harmonic sums and the weighted-sum kernel vs the exact oracle."""
 
 from fractions import Fraction
 
@@ -6,16 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong import oracle
+from supercong import kernels, oracle
 from supercong.errors import BadParameter
-from supercong.harmonic import (
-    MhsSignature,
-    PrefixKind,
-    WeightSpec,
-    mhs,
-    nested_sum,
-    odd_harmonic,
-)
+from supercong.harmonic import mhs
 from supercong.padic import PAdic, congruent_mod
 
 
@@ -25,24 +18,23 @@ def _embed(q: Fraction, p: int, digits: int) -> PAdic:
     return PAdic.from_rational(q, p=p, digits=digits)
 
 
-class TestSignature:
-    def test_depth_weight(self):
-        sig = MhsSignature((1, -3))
-        assert sig.depth == 2
-        assert sig.weight == 4
+def _inv(p: int, N: int) -> list[int]:
+    return kernels.inverse_table(p - 1, p, p**N)
 
+
+class TestSignature:
     def test_validation(self):
         with pytest.raises(BadParameter):
-            MhsSignature(())
+            mhs((), 5, 7, 6, _inv(7, 6))
         with pytest.raises(BadParameter):
-            MhsSignature((1, 0))
+            mhs((1, 0), 5, 7, 6, _inv(7, 6))
 
 
 class TestMhsValues:
     # frozen exact values, computed by brute-force rational summation
     def test_h6_exact(self):
         assert oracle.harmonic_exact(6) == Fraction(49, 20)
-        x = mhs((1,), 6, 7, 6)
+        x = mhs((1,), 6, 7, 6, _inv(7, 6))
         assert x.valuation == 2
         assert congruent_mod(x, _embed(Fraction(49, 20), 7, 8), 6)
 
@@ -50,27 +42,27 @@ class TestMhsValues:
         # H(1,2;4) = sum_{j<k<=4} 1/(j k^2) = 1/4 + (1+1/2)/9 + (1+1/2+1/3)/16
         expect = oracle.mhs_exact((1, 2), 4)
         assert expect == Fraction(1, 4) + Fraction(3, 2, _normalize=True) / 9 + Fraction(11, 6) / 16
-        got = mhs((1, 2), 4, 11, 6)
+        got = mhs((1, 2), 4, 11, 6, _inv(11, 6))
         assert congruent_mod(got, _embed(expect, 11, 6), 6)
 
     def test_alternating_value(self):
         expect = oracle.mhs_exact((-2,), 5)
         assert expect == sum(Fraction((-1) ** k, k * k) for k in range(1, 6))
-        got = mhs((-2,), 5, 7, 6)
+        got = mhs((-2,), 5, 7, 6, _inv(7, 6))
         assert congruent_mod(got, _embed(expect, 7, 6), 6)
 
     def test_short_range_is_zero(self):
-        assert mhs((1, 2), 1, 7, 6).zero_flag
+        assert mhs((1, 2), 1, 7, 6, _inv(7, 6)).zero_flag
 
     def test_range_above_p_uses_rational_fallback(self):
         # n >= p: indices divisible by p appear, result can have negative valuation
-        got = mhs((1,), 14, 7, 4)
+        got = mhs((1,), 14, 7, 4, _inv(7, 4))
         expect = oracle.harmonic_exact(14)
         assert congruent_mod(got, _embed(expect, 7, 8), 2)
 
     def test_range_cap(self):
         with pytest.raises(BadParameter):
-            mhs((1,), 49, 7, 4)
+            mhs((1,), 49, 7, 4, _inv(7, 4))
 
 
 _sigs = st.lists(
@@ -84,7 +76,7 @@ class TestOracleEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(sig=_sigs, n=st.integers(min_value=1, max_value=30), p=st.sampled_from([7, 11, 13]))
     def test_mhs_matches_oracle(self, sig, n, p):
-        got = mhs(tuple(sig), min(n, p - 1), p, 5)
+        got = mhs(tuple(sig), min(n, p - 1), p, 5, _inv(p, 5))
         expect = oracle.mhs_exact(tuple(sig), min(n, p - 1))
         want = _embed(expect, p, 7)
         if want.zero_flag:
@@ -95,39 +87,40 @@ class TestOracleEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(r=st.integers(min_value=1, max_value=3), k=st.integers(min_value=1, max_value=6))
     def test_odd_harmonic_matches_oracle(self, r, k):
+        # sum_{j<=k} 1/(2j-1)^r = H(r; 2k-1) - H(r; k-1) / 2^r
         p = 13
-        got = odd_harmonic(r, k, p, 5)
+        inv = _inv(p, 5)
+        got = mhs((r,), 2 * k - 1, p, 5, inv)
+        if k > 1:
+            got = got - mhs((r,), k - 1, p, 5, inv).scale(Fraction(1, 2**r))
         expect = oracle.odd_harmonic_exact(r, k)
         assert congruent_mod(got, _embed(expect, p, 7), 5)
 
 
 class TestNestedSum:
+    # the kernel tuples of PrimeContext.nested/geom: (outer, signed, c, factors)
     @pytest.mark.parametrize(
         "spec",
         [
-            WeightSpec(2, factors=((PrefixKind.odd(), 1),)),
-            WeightSpec(3, factors=((PrefixKind.harmonic(), 1),)),
-            WeightSpec(2, factors=((PrefixKind.odd(), 2),)),
-            WeightSpec(2, factors=((PrefixKind.odd(2), 1),)),
-            WeightSpec(2, factors=((PrefixKind.h2k(), 1),)),
-            WeightSpec(1, sign=True, factors=((PrefixKind.signed(2), 1),)),
-            WeightSpec(3, geometric=Fraction(2)),
+            (2, False, 1, (("odd", 1, 1),)),
+            (3, False, 1, (("harmonic", 1, 1),)),
+            (2, False, 1, (("odd", 1, 2),)),
+            (2, False, 1, (("odd", 2, 1),)),
+            (2, False, 1, (("h2k", 1, 1),)),
+            (1, True, 1, (("signed", 2, 1),)),
+            (3, False, 2, ()),
         ],
     )
     def test_matches_exact_rational(self, spec):
-        p, n = 31, 10
-        got = nested_sum(spec, n, p, 5)
-        total = Fraction(0)
-        from supercong.harmonic import _prefix_value
-
-        for k in range(1, n + 1):
-            term = spec.geometric**k / Fraction(k**spec.outer_exponent)
-            if spec.sign:
-                term *= (-1) ** k
-            for pk, power in spec.factors:
-                term *= _prefix_value(pk, k) ** power
-            total += term
-        assert congruent_mod(got, _embed(total, p, 7), 5)
+        outer, signed, c, factors = spec
+        p, n, N = 31, 10, 5
+        m = p**N
+        got = kernels.weighted_sum(
+            outer, signed, None if c == 1 else c, factors, n, p, m,
+            kernels.inverse_table(2 * n, p, m),
+        )
+        total = oracle.weighted_sum_exact(outer, signed, c, factors, n)
+        assert congruent_mod(PAdic.from_int_exact(got, p=p, aprec=N), _embed(total, p, 7), N)
 
     def test_h2k_equals_split_odd_plus_half_harmonic(self):
         # H_{2k} = O_k + H_k/2 with O_k the odd-reciprocal prefix
@@ -135,18 +128,3 @@ class TestNestedSum:
             lhs = oracle.harmonic_exact(2 * k)
             rhs = oracle.odd_harmonic_exact(1, k) + oracle.harmonic_exact(k) / 2
             assert lhs == rhs
-
-    def test_geometric_must_be_unit(self):
-        with pytest.raises(BadParameter):
-            nested_sum(WeightSpec(1, geometric=Fraction(7)), 5, 7, 4)
-
-    def test_fallback_above_p(self):
-        # max_index exceeding p forces the exact rational path
-        spec = WeightSpec(2, factors=((PrefixKind.odd(), 1),))
-        got = nested_sum(spec, 5, 7, 4)  # 2*5-1 = 9 > 7
-        total = sum(
-            oracle.odd_harmonic_exact(1, k) / k**2 for k in range(1, 6)
-        )
-        # index 2*4-1 = 7 puts 1/7 in the sum, so only aprec 3 survives
-        assert got.aprec == 3
-        assert congruent_mod(got, _embed(total, 7, 6), 3)

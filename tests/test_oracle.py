@@ -1,6 +1,7 @@
 """Exact-rational oracle self-consistency."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,11 @@ class TestBasics:
         assert oracle.binom_exact(Fraction(5), 2) == 10
         assert oracle.binom_exact(Fraction(-1, 2), 2) == Fraction(3, 8)
         assert oracle.binom_exact(Fraction(3), 5) == 0
+
+    def test_central_identity(self):
+        # binom(-1/2, k) * (-4)^k = binom(2k, k)
+        for k in range(13):
+            assert oracle.binom_exact(Fraction(-1, 2), k) * (-4) ** k == comb(2 * k, k)
 
     def test_s_sum_first_term(self):
         # S_1(a) = binom(a,1) binom(-1-a,1) = -a(1+a)
