@@ -7,12 +7,14 @@ evaluates a set of checks over a prime range with an optional process
 pool and emits results deterministically ordered by (prime, id, params).
 
 Shared per-prime quantities (the inverse table every sum reads, the
-constant X, Fermat quotients, B_{p-3}, H(3,1;(p-1)/2)) are cached on a
+constant X, Fermat quotients, B_{p-3}, H(3,1;(p-1)/2), the binomial sums
+S_n(a) and the embedding and split of each sample a) are cached on a
 PrimeContext.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ __all__ = [
     "PrimeContext",
     "registry",
     "render_padic",
-    "run_check",
+    "row_params",
     "sweep",
 ]
 
@@ -68,7 +70,6 @@ class _Skip(Exception):
 class CheckDefinition:
     id: str
     description: str
-    min_prime: int
     modulus_exponent: int
     param_space: Callable[[int, tuple[Fraction, ...]], list[dict]]
     evaluator: Callable
@@ -129,14 +130,17 @@ class PrimeContext:
             "inv", lambda: kernels.inverse_table(self.p - 1, self.p, self.m)
         )
 
-    def inv4(self) -> list[int]:
-        m4 = self.p**4
-        return self._cached("inv4", lambda: [x % m4 for x in self.inv()])
-
     def mhs(self, exps: tuple[int, ...], n: int) -> PAdic:
         return self._cached(
             ("mhs", exps, n),
             lambda: mhs(exps, n, self.p, self.digits, self.inv()),
+        )
+
+    def s(self, a: PAdic, n: int) -> PAdic:
+        """S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k, cached."""
+        return self._cached(
+            ("s", a, n),
+            lambda: s_sum(a, n, self.p, self.digits, self.inv()),
         )
 
     def _kernel_sum(self, key, kernel, *args) -> PAdic:
@@ -204,10 +208,15 @@ class PrimeContext:
     # -- parameter helpers ----------------------------------------------------
 
     def embed(self, a: Fraction) -> PAdic:
-        return PAdic.from_rational(a, p=self.p, digits=self.digits)
+        return self._cached(
+            ("embed", a),
+            lambda: PAdic.from_rational(a, p=self.p, digits=self.digits),
+        )
 
     def reduce(self, a: Fraction):
-        return reduce_point(a, self.p, self.digits)
+        return self._cached(
+            ("reduce", a), lambda: reduce_point(a, self.p, self.digits)
+        )
 
     def theorem_t(self, a: Fraction) -> tuple[int, PAdic, str]:
         """(<a>_p, t, note) with t per the configured sign convention."""
@@ -430,7 +439,7 @@ def _ev_sun_6k_tail(ctx):
 def _ev_tauraso_param(ctx, a):
     rp = ctx.reduce(a)
     n, t = rp.residue, rp.t
-    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits, ctx.inv())
+    lhs = ctx.s(ctx.embed(a), ctx.p - 1)
     rhs = ctx.mhs((1,), n).scale(-2) + (t.shift(1) * ctx.mhs((2,), n)).scale(2)
     return lhs, rhs, 2
 
@@ -438,7 +447,7 @@ def _ev_tauraso_param(ctx, a):
 def _ev_sun_param(ctx, a):
     rp = ctx.reduce(a)
     n, t = rp.residue, rp.t
-    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits, ctx.inv())
+    lhs = ctx.s(ctx.embed(a), ctx.p - 1)
     rhs = (
         ctx.mhs((1,), n).scale(-2)
         + (t.shift(1) * ctx.mhs((2,), n)).scale(2)
@@ -450,7 +459,7 @@ def _ev_sun_param(ctx, a):
 
 def _ev_thm11_full(ctx, a):
     n, t, note = ctx.theorem_t(a)
-    lhs = s_sum(ctx.embed(a), ctx.p - 1, ctx.p, ctx.digits, ctx.inv())
+    lhs = ctx.s(ctx.embed(a), ctx.p - 1)
     one = ctx.one()
     poly = (t * t).scale(2) + t.scale(4) + one
     hk3 = ctx.nested(3, (_HARM_FACTOR,), n)
@@ -469,7 +478,7 @@ def _ev_thm11_half(ctx, a):
     n, t, note = ctx.theorem_t(a)
     if n > ctx.half:
         raise _Skip(f"<a>_p = {n} exceeds (p-1)/2")
-    lhs = s_sum(ctx.embed(a), ctx.half, ctx.p, ctx.digits, ctx.inv())
+    lhs = ctx.s(ctx.embed(a), ctx.half)
     t2 = t * t
     x = ctx.x()
     rhs = (
@@ -512,7 +521,7 @@ def _lem23_scan(ctx, t: PAdic, half_range: bool):
     m4 = p**4
     top = ctx.half if half_range else p - 1
     T = 0 if t.zero_flag else p * t.lift(3) % m4
-    inv4 = ctx.inv4()
+    inv = ctx.inv()
 
     num = fact = 1
     for j in range(top):
@@ -524,9 +533,9 @@ def _lem23_scan(ctx, t: PAdic, half_range: bool):
     first_bad = None
     last = None
     for k in range(1, top + 1):
-        ik = inv4[k]
+        ik = inv[k]
         if half_range:
-            io = inv4[2 * k - 1]
+            io = inv[2 * k - 1]
             o1 = (o1 + io) % m4
             o2 = (o2 + io * io) % m4
             tk = T * ik % m4
@@ -569,14 +578,14 @@ def _ev_lem23_half(ctx, a):
 
 def _ev_lem24_full(ctx, a):
     t = ctx.reduce(a).t
-    lhs = s_sum(t.shift(1), ctx.p - 1, ctx.p, ctx.digits, ctx.inv())
+    lhs = ctx.s(t.shift(1), ctx.p - 1)
     rhs = (t.shift(2) * ctx.x()).scale(4)
     return lhs, rhs, 4
 
 
 def _ev_lem24_half(ctx, a):
     t = ctx.reduce(a).t
-    lhs = s_sum(t.shift(1), ctx.half, ctx.p, ctx.digits, ctx.inv())
+    lhs = ctx.s(t.shift(1), ctx.half)
     x = ctx.x()
     rhs = -((t * t).shift(2) * x).scale(12) + (t.shift(2) * x).scale(14)
     return lhs, rhs, 4
@@ -693,181 +702,181 @@ _CATALOG: list[CheckDefinition] = [
     CheckDefinition(
         "known-i",
         "repeated-exponent harmonic sums over 1..p-1 vs Bernoulli closed form",
-        7, 3, _ps_ar, _ev_known_i,
+        3, _ps_ar, _ev_known_i,
     ),
     CheckDefinition(
         "known-ii",
         "power sums over the half range vs Fermat-quotient/Bernoulli values",
-        7, 2, _ps_a_small(1, 5), _ev_known_ii,
+        2, _ps_a_small(1, 5), _ev_known_ii,
     ),
     CheckDefinition(
         "known-iii",
         "depth-2 harmonic sums over 1..p-1, odd total weight, mod p",
-        7, 1, _ps_ab, _ev_known_iii,
+        1, _ps_ab, _ev_known_iii,
     ),
     CheckDefinition(
         "known-iv",
         "depth-2 harmonic sums over the half range, odd total weight, mod p",
-        7, 1, _ps_ab, _ev_known_iv,
+        1, _ps_ab, _ev_known_iv,
     ),
     CheckDefinition(
         "known-v",
         "alternating power sums over 1..p-1 vs Bernoulli closed form",
-        7, 2, _ps_a_small(2, 5), _ev_known_v,
+        2, _ps_a_small(2, 5), _ev_known_v,
     ),
     CheckDefinition(
         "known-vi",
         "depth-2 sums with one alternating slot, odd total weight, mod p",
-        7, 1, _ps_ab_variant, _ev_known_vi,
+        1, _ps_ab_variant, _ev_known_vi,
     ),
     CheckDefinition(
         "known-vii-zero",
         "three weight-4 sums over 1..p-1 that vanish mod p",
-        7, 1, _ps_members("H(-4)", "H(2,2)", "H(1,3)"), _ev_known_vii_zero,
+        1, _ps_members("H(-4)", "H(2,2)", "H(1,3)"), _ev_known_vii_zero,
     ),
     CheckDefinition(
         "known-vii-2m1",
         "H(2,-1;p-1) against its X / Fermat-quotient expansion mod p^2",
-        7, 2, _ps_none, _ev_known_vii_2m1,
+        2, _ps_none, _ev_known_vii_2m1,
     ),
     CheckDefinition(
         "known-vii-cluster",
         "four weight-3 sums that all reduce to 3X mod p^2",
-        7, 2,
+        2,
         _ps_members("H(1,2)", "H(2,1)", "H(-3)", "H(1,-2)"),
         _ev_known_vii_cluster,
     ),
     CheckDefinition(
         "known-viii-a",
         "H_{p-1}/p and the two quadratic sums against -4pX mod p^3",
-        7, 3,
+        3,
         _ps_members("harmonic-number", "full-range", "half-range"),
         _ev_known_viii_a,
     ),
     CheckDefinition(
         "known-viii-b",
         "cubic power sum over the half range against 12X mod p^2",
-        7, 2, _ps_none, _ev_known_viii_b,
+        2, _ps_none, _ev_known_viii_b,
     ),
     CheckDefinition(
         "tauraso-6k",
         "sum of binom(2k,k)^2/(k 6^k) over 1..p-1 mod p^3",
-        7, 3, _ps_none, _ev_tauraso_6k,
+        3, _ps_none, _ev_tauraso_6k,
     ),
     CheckDefinition(
         "sun-6k-tail",
         "tail of the 6^k central-binomial sum vs (7/2)p^2 B_{p-3} mod p^3",
-        7, 3, _ps_none, _ev_sun_6k_tail,
+        3, _ps_none, _ev_sun_6k_tail,
     ),
     CheckDefinition(
         "tauraso-param",
         "S_{p-1}(a) mod p^2 for sampled p-adic integers a",
-        7, 2, _ps_samples, _ev_tauraso_param,
+        2, _ps_samples, _ev_tauraso_param,
     ),
     CheckDefinition(
         "sun-param",
         "S_{p-1}(a) mod p^3 with the Bernoulli correction term",
-        7, 3, _ps_samples, _ev_sun_param,
+        3, _ps_samples, _ev_sun_param,
     ),
     CheckDefinition(
         "thm11-full",
         "S_{p-1}(a) mod p^4: the full-range main expansion",
-        7, 4, _ps_samples, _ev_thm11_full,
+        4, _ps_samples, _ev_thm11_full,
     ),
     CheckDefinition(
         "thm11-half",
         "S_{(p-1)/2}(a) mod p^4: the half-range main expansion",
-        7, 4, _ps_samples, _ev_thm11_half,
+        4, _ps_samples, _ev_thm11_half,
     ),
     CheckDefinition(
         "eq-1-0",
         "sum of binom(2k,k)^2/(k 16^k) over 1..p-1 mod p^4",
-        7, 4, _ps_none, _ev_eq_1_0,
+        4, _ps_none, _ev_eq_1_0,
     ),
     CheckDefinition(
         "eq-1-1",
         "tail of the 16^k central-binomial sum vs -(21/2)H_{p-1} mod p^4",
-        7, 4, _ps_none, _ev_eq_1_1,
+        4, _ps_none, _ev_eq_1_1,
     ),
     CheckDefinition(
         "lem23-full",
         "generalized-binomial product over 1..p-1, every k, mod p^4",
-        7, 4, _ps_samples, _ev_lem23_full,
+        4, _ps_samples, _ev_lem23_full,
     ),
     CheckDefinition(
         "lem23-half",
         "generalized-binomial product over the half range, every k, mod p^4",
-        7, 4, _ps_samples, _ev_lem23_half,
+        4, _ps_samples, _ev_lem23_half,
     ),
     CheckDefinition(
         "lem24-full",
         "S_{p-1}(pt) = 4p^2 t X mod p^4",
-        7, 4, _ps_samples, _ev_lem24_full,
+        4, _ps_samples, _ev_lem24_full,
     ),
     CheckDefinition(
         "lem24-half",
         "S_{(p-1)/2}(pt) = -12p^2 t^2 X + 14 p^2 t X mod p^4",
-        7, 4, _ps_samples, _ev_lem24_half,
+        4, _ps_samples, _ev_lem24_half,
     ),
     CheckDefinition(
         "lem25-ds1",
         "sum of odd-harmonic prefixes over k^2 mod p^2",
-        7, 2, _ps_none, _ev_lem25_ds1,
+        2, _ps_none, _ev_lem25_ds1,
     ),
     CheckDefinition(
         "lem25-ds2",
         "sum of H_k/k^3 over the half range mod p",
-        7, 1, _ps_none, _ev_lem25_ds2,
+        1, _ps_none, _ev_lem25_ds2,
     ),
     CheckDefinition(
         "lem25-ds3",
         "sum of squared-odd prefixes over k mod p^2",
-        7, 2, _ps_none, _ev_lem25_ds3,
+        2, _ps_none, _ev_lem25_ds3,
     ),
     CheckDefinition(
         "lem-bridge",
         "H(1,3;(p-1)/2) = 4 H(1,-3;p-1) mod p",
-        7, 1, _ps_none, _ev_lem_bridge,
+        1, _ps_none, _ev_lem_bridge,
     ),
     CheckDefinition(
         "lem26",
         "three half-range odd-prefix sums cancel mod p",
-        7, 1, _ps_none, _ev_lem26,
+        1, _ps_none, _ev_lem26,
     ),
     CheckDefinition(
         "lem31",
         "H_{(p-1)/2} via Fermat-quotient powers and X, mod p^4",
-        7, 4, _ps_none, _ev_lem31,
+        4, _ps_none, _ev_lem31,
     ),
     CheckDefinition(
         "thm12",
         "sum of 2^k/k^3 over 1..p-1 mod p^2",
-        7, 2, _ps_none, _ev_thm12,
+        2, _ps_none, _ev_thm12,
     ),
     CheckDefinition(
         "proofstep-u1",
         "squared odd-prefix sum vs 2H(1,-3;p-1) mod p",
-        7, 1, _ps_none, _ev_proofstep_u1,
+        1, _ps_none, _ev_proofstep_u1,
     ),
     CheckDefinition(
         "proofstep-u2",
         "squared-odd-term prefix sum vs -2H(-2,2;p-1) mod p",
-        7, 1, _ps_none, _ev_proofstep_u2,
+        1, _ps_none, _ev_proofstep_u2,
     ),
     CheckDefinition(
         "proofstep-u3",
         "odd-prefix sum over k^3 vs its depth-2 reduction mod p",
-        7, 1, _ps_none, _ev_proofstep_u3,
+        1, _ps_none, _ev_proofstep_u3,
     ),
     CheckDefinition(
         "proofstep-h2k",
         "sum of H_{2k}/k^2 over the half range vs -9X mod p^2",
-        7, 2, _ps_none, _ev_proofstep_h2k,
+        2, _ps_none, _ev_proofstep_h2k,
     ),
     CheckDefinition(
         "proofstep-1221",
         "H(2,1;(p-1)/2) against its X / h31 expansion mod p^2",
-        7, 2, _ps_none, _ev_proofstep_1221,
+        2, _ps_none, _ev_proofstep_1221,
     ),
 ]
 
@@ -925,48 +934,27 @@ def _evaluate(ctx: PrimeContext, defn: CheckDefinition, params: dict) -> CheckRe
     )
 
 
-def run_check(
-    check_id: str,
-    p: int,
-    params: dict | None = None,
-    digits: int = 6,
-    t_sign: str = "minus",
-) -> CheckResult:
-    """Evaluate one (check, prime, params) triple."""
-    defn = _BY_ID.get(check_id)
-    if defn is None:
-        raise UnknownCheck(f"no check named {check_id!r}")
-    if p < defn.min_prime:
-        raise PrimeTooSmall(f"{check_id} requires p >= {defn.min_prime}")
-    ctx = PrimeContext(p, digits=digits, t_sign=t_sign)
-    if params is None:
-        space = defn.param_space(p, DEFAULT_A_SAMPLES)
-        if len(space) != 1:
-            raise BadParameter(f"{check_id} needs explicit params")
-        params = space[0]
-    return _evaluate(ctx, defn, params)
+def row_params(
+    check_id: str, p: int, a_samples: tuple[Fraction, ...]
+) -> list[tuple[str, ...]]:
+    """Rendered params of the rows sweep emits for (check_id, p)."""
+    if p < MIN_PRIME:
+        return [()]
+    space = _BY_ID[check_id].param_space(p, a_samples)
+    return [_render_params(params) for params in space]
 
 
 def _run_prime(args) -> list[CheckResult]:
-    p, ids, digits, a_sample_strs, t_sign = args
-    a_samples = tuple(Fraction(s) for s in a_sample_strs)
-    results: list[CheckResult] = []
-    ctx: PrimeContext | None = None
-    for check_id in ids:
-        defn = _BY_ID[check_id]
-        if p < defn.min_prime:
-            results.append(
-                CheckResult(
-                    defn.id, p, (), "skipped", "", "", "",
-                    note=f"p below min_prime {defn.min_prime}",
-                )
-            )
-            continue
-        if ctx is None:
-            ctx = PrimeContext(p, digits=digits, t_sign=t_sign)
-        for params in defn.param_space(p, a_samples):
-            results.append(_evaluate(ctx, defn, params))
-    return results
+    p, ids, digits, a_samples, t_sign = args
+    if p < MIN_PRIME:
+        note = f"p below min_prime {MIN_PRIME}"
+        return [CheckResult(i, p, (), "skipped", "", "", "", note=note) for i in ids]
+    ctx = PrimeContext(p, digits=digits, t_sign=t_sign)
+    return [
+        _evaluate(ctx, defn, params)
+        for defn in (_BY_ID[check_id] for check_id in ids)
+        for params in defn.param_space(p, a_samples)
+    ]
 
 
 def sweep(
@@ -976,19 +964,29 @@ def sweep(
     digits: int = 6,
     a_samples: tuple[Fraction, ...] = DEFAULT_A_SAMPLES,
     t_sign: str = "minus",
+    fail_fast: bool = False,
 ) -> list[CheckResult]:
-    """Evaluate checks over primes; output ordered by (prime, id, params)."""
+    """Evaluate checks over primes; output ordered by (prime, id, params).
+
+    With fail_fast, stop after the first prime with a fail or precision_error.
+    """
     ids = tuple(ids)
     for check_id in ids:
         if check_id not in _BY_ID:
             raise UnknownCheck(f"no check named {check_id!r}")
-    sample_strs = tuple(str(Fraction(a)) for a in a_samples)
-    work = [(p, ids, digits, sample_strs, t_sign) for p in primes]
+    a_samples = tuple(map(Fraction, a_samples))
+    work = [(p, ids, digits, a_samples, t_sign) for p in primes]
     if jobs <= 1 or len(work) <= 1:
-        chunks = [_run_prime(w) for w in work]
+        pool = contextlib.nullcontext()
+        chunks = map(_run_prime, work)
     else:
-        with multiprocessing.Pool(processes=jobs) as pool:
-            chunks = pool.map(_run_prime, work, chunksize=1)
-    results = [r for chunk in chunks for r in chunk]
+        pool = multiprocessing.Pool(processes=min(jobs, len(work)))
+        chunks = pool.imap(_run_prime, work)
+    results: list[CheckResult] = []
+    with pool:
+        for chunk in chunks:
+            results.extend(chunk)
+            if fail_fast and any(r.status in ("fail", "precision_error") for r in chunk):
+                break
     results.sort(key=lambda r: (r.prime, r.check, r.params))
     return results

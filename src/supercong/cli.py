@@ -18,9 +18,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import checks as checks_mod
 from . import oracle
-from .checks import DEFAULT_A_SAMPLES, CheckResult, registry, sweep
+from .checks import DEFAULT_A_SAMPLES, CheckResult, registry, row_params, sweep
 from .errors import SupercongError, UnknownCheck
 from .primes import primes_in_range
 
@@ -210,13 +209,6 @@ def _cached_dict(r: CheckResult) -> dict:
     return {**_row_dict(r), "params": list(r.params), "note": r.note}
 
 
-def _expected_params(defn, p: int, a_samples) -> list[tuple[str, ...]]:
-    """Rendered params of the rows a sweep emits for (defn, p)."""
-    if p < defn.min_prime:
-        return [()]
-    return [checks_mod._render_params(ps) for ps in defn.param_space(p, a_samples)]
-
-
 def _run_verify(cfg: RunConfig, out) -> int:
     t_sign = "plus" if cfg.t_sign_diagnostic else "minus"
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
@@ -229,28 +221,17 @@ def _run_verify(cfg: RunConfig, out) -> int:
         keys = [
             _triple_key(check_id, p, params, cfg.digits, t_sign)
             for check_id in cfg.check_ids
-            for params in _expected_params(checks_mod._BY_ID[check_id], p, cfg.a_samples)
+            for params in row_params(check_id, p, cfg.a_samples)
         ]
         if cache and all(key in cache for key in keys):
             cached_results.extend(cache[key] for key in keys)
         else:
             wanted.append(p)
 
-    computed: list[CheckResult] = []
-    if cfg.fail_fast:
-        for p in wanted:
-            chunk = sweep(
-                cfg.check_ids, [p], jobs=1, digits=cfg.digits,
-                a_samples=cfg.a_samples, t_sign=t_sign,
-            )
-            computed.extend(chunk)
-            if any(r.status in ("fail", "precision_error") for r in chunk):
-                break
-    elif wanted:
-        computed = sweep(
-            cfg.check_ids, wanted, jobs=cfg.jobs, digits=cfg.digits,
-            a_samples=cfg.a_samples, t_sign=t_sign,
-        )
+    computed = sweep(
+        cfg.check_ids, wanted, jobs=cfg.jobs, digits=cfg.digits,
+        a_samples=cfg.a_samples, t_sign=t_sign, fail_fast=cfg.fail_fast,
+    )
 
     if cfg.cache:
         for r in computed:

@@ -30,4 +30,4 @@ class UnknownCheck(SupercongError):
 
 
 class PrimeTooSmall(SupercongError):
-    """The prime is below the check's stated minimum."""
+    """The prime is below the catalog's minimum, checks.MIN_PRIME."""

@@ -36,7 +36,6 @@ __all__ = [
     "central_sum",
     "geom_power_sum",
     "inverse_table",
-    "invmod",
     "mhs_sum",
     "s_sum",
     "weighted_sum",
@@ -54,10 +53,6 @@ def _pick(m: int):
     if _ckernels is not None and m < _C_LIMIT:
         return _ckernels
     return pykernels
-
-
-def invmod(u: int, p: int, m: int) -> int:
-    return _pick(m).invmod(u, p, m)
 
 
 def inverse_table(n: int, p: int, m: int) -> list[int]:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import bernoulli, kernels
+from supercong import bernoulli, checks, kernels
 from supercong.checks import (
     DEFAULT_A_SAMPLES,
     CheckDefinition,
@@ -14,7 +14,7 @@ from supercong.checks import (
     _ps_none,
     registry,
     render_padic,
-    run_check,
+    row_params,
     sweep,
 )
 from supercong.errors import BadParameter, PrimeTooSmall, UnknownCheck
@@ -28,7 +28,6 @@ class TestRegistry:
         assert len(ids) == len(set(ids))
         assert len(ids) >= 25
         for d in cat:
-            assert d.min_prime >= 7
             assert 1 <= d.modulus_exponent <= 4
             assert d.description
 
@@ -40,36 +39,34 @@ class TestRegistry:
                 assert isinstance(params, dict)
 
 
-class TestRunCheck:
-    def test_unknown_check(self):
-        with pytest.raises(UnknownCheck):
-            run_check("nope", 7)
+def _row(check_id, p, params=(), a_samples=DEFAULT_A_SAMPLES):
+    """The one row sweep emits for check_id at p with these rendered params."""
+    rows = [r for r in sweep([check_id], [p], a_samples=a_samples) if r.params == params]
+    assert len(rows) == 1, rows
+    return rows[0]
 
-    def test_prime_too_small(self):
-        with pytest.raises(PrimeTooSmall):
-            run_check("eq-1-1", 5)
+
+class TestRunCheck:
+    """Single rows of the sweep."""
 
     def test_paramless_check_passes(self):
-        r = run_check("eq-1-1", 7)
+        r = _row("eq-1-1", 7)
         assert r.status == "pass"
         assert r.modulus == "7^4"
 
-    def test_param_check_needs_explicit_params(self):
-        with pytest.raises(BadParameter):
-            run_check("known-i", 7)
-        r = run_check("known-i", 11, {"a": 1, "r": 1})
+    def test_param_row_rendered(self):
+        r = _row("known-i", 11, ("a=1", "r=1"))
         assert r.status == "pass"
-        assert r.params == ("a=1", "r=1")
 
     def test_skip_when_prime_too_close(self):
         # a*r = 6 requires p > 8
-        r = run_check("known-i", 7, {"a": 6, "r": 1})
+        r = _row("known-i", 7, ("a=6", "r=1"))
         assert r.status == "skipped"
         assert "requires p >" in r.note
 
     def test_half_range_skip(self):
         # <5>_7 = 5 > (7-1)/2 = 3
-        r = run_check("thm11-half", 7, {"a": Fraction(5)})
+        r = _row("thm11-half", 7, ("a=5",), a_samples=(Fraction(5),))
         assert r.status == "skipped"
 
     @pytest.mark.parametrize(
@@ -84,7 +81,7 @@ class TestRunCheck:
 
 class TestVerdictPlumbing:
     def _defn(self, evaluator):
-        return CheckDefinition("fixture", "fixture", 7, 2, _ps_none, evaluator)
+        return CheckDefinition("fixture", "fixture", 2, _ps_none, evaluator)
 
     def test_corrupted_rhs_fails(self):
         def ev(ctx):
@@ -164,6 +161,43 @@ class TestSweep:
         primes = [7, 11, 13, 17, 19]
         assert sweep(ids, primes, jobs=1) == sweep(ids, primes, jobs=2)
 
+    def test_fail_fast_same_rows_across_jobs(self):
+        ids = ["thm11-full", "eq-1-1"]
+        primes = [7, 11, 13, 17, 19, 23, 29, 31]
+        rows = sweep(ids, primes, jobs=1, t_sign="plus", fail_fast=True)
+        assert {r.prime for r in rows} == {7}
+        assert rows == sweep(ids, primes, jobs=2, t_sign="plus", fail_fast=True)
+
+    def test_pool_clamped_to_prime_count(self, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(checks.multiprocessing, "Pool", InProcessPool)
+        ids = ["eq-1-1", "lem-bridge"]
+        rows = sweep(ids, [7, 11, 13], jobs=64)
+        assert asked == [3]
+        assert rows == sweep(ids, [7, 11, 13], jobs=1)
+
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_row_params_match_sweep(self, p):
+        ids = [d.id for d in registry()]
+        rows = sweep(ids, [p])
+        for check_id in ids:
+            emitted = [r.params for r in rows if r.check == check_id]
+            assert emitted == sorted(row_params(check_id, p, DEFAULT_A_SAMPLES))
+
     def test_ordering(self):
         results = sweep(["lem-bridge", "eq-1-1"], [11, 7])
         keys = [(r.prime, r.check, r.params) for r in results]
@@ -193,8 +227,8 @@ class TestRegressionAnchors:
     @pytest.mark.parametrize("p", [7, 11, 13, 17, 19])
     def test_central_sum_denominator_16(self, p):
         # denominator 16 passes mod p^3 at every prime...
-        assert run_check("tauraso-6k", p).status == "pass"
-        assert run_check("sun-6k-tail", p).status == "pass"
+        assert _row("tauraso-6k", p).status == "pass"
+        assert _row("sun-6k-tail", p).status == "pass"
 
     def test_central_sum_denominator_6_fails(self):
         # ...while denominator 6 fails already mod p, at every tested prime;
@@ -211,7 +245,7 @@ class TestRegressionAnchors:
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_half_range_quadratic_member_exact_at_small_p(self, p):
-        r = run_check("known-viii-a", p, {"member": "half-range"})
+        r = _row("known-viii-a", p, ("member=half-range",))
         assert r.status == "pass"
 
     def test_wolstenholme_refinement_at_p7(self):

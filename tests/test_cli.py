@@ -122,6 +122,17 @@ class TestVerifyCommand:
         rows = [json.loads(line) for line in out.splitlines() if line.startswith("{")]
         assert {r["p"] for r in rows} == {7}
 
+    def test_fail_fast_byte_identical_across_jobs(self):
+        outs = []
+        for jobs in (1, 2):
+            cfg = RunConfig(
+                check_ids=("thm11-full", "eq-1-1"), prime_lo=7, prime_hi=31,
+                t_sign_diagnostic=True, fail_fast=True, jobs=jobs, format="jsonl"
+            )
+            outs.append(_run(cfg))
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 1
+
     def test_byte_identical_across_jobs(self):
         outs = []
         for jobs in (1, 8):
