@@ -1,13 +1,16 @@
 """Bernoulli numbers mod p**N, Fermat quotients, and the constant X.
 
-Bernoulli numbers are produced by one Akiyama-Tanigawa pass per (p, N),
-scaled by p so the triangle stays integral mod p**(N+1); this yields the
-whole table B_0..B_2p in O(p^2) kernel operations.  Indices with
-(p-1) | n are rejected (von Staudt-Clausen: not p-integral), odd n > 1
-give the exact zero.
+B_n is computed only for the indices asked for, from the power sum
+sum_{k<p} k^n: it gives p*B_n mod p**(N+1) once a few lower p*B_j are
+subtracted, each needed to about two fewer digits than the one before
+(Buhler-Crandall-Ernvall-Metsankyla-Shokrollahi 2001; Harvey 2010).  That
+is O(N*p) work per index, memoized per (p, N).  Indices with (p-1) | n are
+rejected (von Staudt-Clausen: not p-integral), odd n > 1 give the exact
+zero.  The O(p^2) Akiyama-Tanigawa triangle (kernels.bernoulli_scaled) is
+kept only as the tests' independent cross-check.
 
 The constant X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8) is available by two
-independent routes: from the Bernoulli table (O(p^2), full N digits) and
+independent routes: from those two Bernoulli numbers (full N digits) and
 from the harmonic sum H(2; p-1) (O(p), 2 digits), which suffices wherever
 X carries a p^2 or p^3 prefactor.
 """
@@ -24,7 +27,6 @@ from .harmonic import mhs
 from .padic import PAdic, congruent_mod
 
 __all__ = [
-    "BernoulliTable",
     "bernoulli",
     "fermat_quotient",
     "x_constant",
@@ -46,58 +48,58 @@ def _exact_bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-class BernoulliTable:
-    """Read-only table of B_n mod p**digits for n = 0..nmax."""
+@functools.lru_cache(maxsize=None)
+def _scaled(n: int, p: int, e: int) -> int:
+    """p*B_n mod p**e (B_1 = -1/2) for 0 <= n <= 2p, from one power sum.
 
-    def __init__(self, p: int, digits: int, nmax: int):
-        if p < 5:
-            raise BadParameter("BernoulliTable requires p >= 5")
-        if nmax + 1 >= p * p:
-            raise BadParameter("table index range must stay below p^2")
-        self.prime = p
-        self.digits = digits
-        self.nmax = nmax
-        # scaled row holds p*B_i mod p^(digits+1); dividing by p recovers
-        # B_i to `digits` digits of absolute precision
-        self._scaled = kernels.bernoulli_scaled(nmax, p, p ** (digits + 1))
-
-    def get(self, n: int) -> PAdic:
-        p = self.prime
-        if n < 0 or n > self.nmax:
-            raise BadParameter(f"index {n} outside table range 0..{self.nmax}")
-        if n == 0:
-            return PAdic.from_rational(1, p=p, digits=self.digits)
-        if n > 0 and n % 2 == 1:
-            return PAdic.zero(p) if n > 1 else PAdic.from_rational(-1, 2, p=p, digits=self.digits)
-        if n > 0 and n % (p - 1) == 0:
-            raise BadParameter(f"B_{n} is not p-integral for p={p}")
-        scaled = PAdic.from_int_exact(self._scaled[n], p=p, aprec=self.digits + 1)
-        value = scaled.shift(-1)
-        if n <= _EXACT_WITNESS_LIMIT:
-            # cheap exact value doubles as a consistency check on the table
-            # and as a cancellation witness in later arithmetic
-            exact = PAdic.from_rational(_exact_bernoulli(n), p=p, digits=self.digits)
-            if not congruent_mod(exact, value, self.digits):
-                raise AssertionError(f"Bernoulli table disagrees with exact B_{n}")
-            return exact
-        return value
-
-
-_table_cache: dict[tuple[int, int], BernoulliTable] = {}
-
-
-def _table(p: int, N: int) -> BernoulliTable:
-    """The one table per (p, N), sized for every index bernoulli() accepts."""
-    tab = _table_cache.get((p, N))
-    if tab is None:
-        tab = BernoulliTable(p, N, 2 * p)
-        _table_cache[(p, N)] = tab
-    return tab
+    sum_{k<p} k^n = sum_{i=0}^{n} C(n,i)/(i+1) p^i (p*B_{n-i}), so p*B_n is
+    the power sum less its terms i >= 1.  Such a term vanishes mod p**e once
+    i - v_p(i+1) >= e, and otherwise needs p*B_{n-i} only mod
+    p**(e - i + v_p(i+1)), so the lower indices cost little.  Every index
+    stays scaled by p, which keeps the terms with (p-1) | (n-i) integral.
+    """
+    m = p**e
+    if n == 0:
+        return p % m
+    if n == 1:
+        return -p * pow(2, -1, m) % m
+    if n % 2 == 1:
+        return 0
+    acc = sum(pow(k, n, m) for k in range(1, p))
+    # i + 1 <= 2p + 1 < p^2, so v_p(i+1) <= 1 and only i <= e can contribute
+    for i in range(1, min(n, e) + 1):
+        v = 1 if (i + 1) % p == 0 else 0
+        shift = i - v
+        if shift >= e:
+            continue
+        unit_inv = pow((i + 1) // p**v, -1, m)
+        acc -= math.comb(n, i) * unit_inv * p**shift * _scaled(n - i, p, e - shift)
+    return acc % m
 
 
 def bernoulli(n: int, p: int, N: int) -> PAdic:
     """B_n mod p**N for 0 <= n <= 2p; rejects (p-1) | n for n > 0."""
-    return _table(p, N).get(n)
+    if p < 5:
+        raise BadParameter("bernoulli requires p >= 5")
+    if n < 0 or n > 2 * p:
+        raise BadParameter(f"index {n} outside range 0..{2 * p}")
+    if n == 0:
+        return PAdic.from_rational(1, p=p, digits=N)
+    if n % 2 == 1:
+        return PAdic.zero(p) if n > 1 else PAdic.from_rational(-1, 2, p=p, digits=N)
+    if n % (p - 1) == 0:
+        raise BadParameter(f"B_{n} is not p-integral for p={p}")
+    # p*B_n mod p^(N+1); dividing by p recovers B_n to N digits
+    scaled = PAdic.from_int_exact(_scaled(n, p, N + 1), p=p, aprec=N + 1)
+    value = scaled.shift(-1)
+    if n <= _EXACT_WITNESS_LIMIT:
+        # cheap exact value doubles as a consistency check on the power sums
+        # and as a cancellation witness in later arithmetic
+        exact = PAdic.from_rational(_exact_bernoulli(n), p=p, digits=N)
+        if not congruent_mod(exact, value, N):
+            raise AssertionError(f"power sums disagree with exact B_{n}")
+        return exact
+    return value
 
 
 def fermat_quotient(a: int, p: int, N: int) -> PAdic:
@@ -112,16 +114,15 @@ def fermat_quotient(a: int, p: int, N: int) -> PAdic:
 def x_constant(p: int, N: int, method: str = "bernoulli") -> PAdic:
     """X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8).
 
-    method="bernoulli": via the O(p^2) table, N digits.
+    method="bernoulli": via the power sums of B_{p-3} and B_{2p-4}, N digits.
     method="harmonic":  X = -H(2; p-1)/(4p) mod p^2, O(p).
     """
     if p <= 5:
         raise BadParameter("X requires p > 5")
     if method == "bernoulli":
-        tab = _table(p, N)
-        return tab.get(p - 3).scale(Fraction(1, p - 3)) - tab.get(2 * p - 4).scale(
-            Fraction(1, 4 * p - 8)
-        )
+        return bernoulli(p - 3, p, N).scale(Fraction(1, p - 3)) - bernoulli(
+            2 * p - 4, p, N
+        ).scale(Fraction(1, 4 * p - 8))
     if method == "harmonic":
         N_h = _X_APREC_HARMONIC + 2
         h2 = mhs((2,), p - 1, p, N_h, kernels.inverse_table(p - 1, p, p**N_h))

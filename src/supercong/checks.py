@@ -55,8 +55,10 @@ DEFAULT_A_SAMPLES: tuple[Fraction, ...] = (
     Fraction(1, 4),
 )
 
-# below this bound the O(p^2) Bernoulli table is cheap: use it and
-# cross-check the O(p) harmonic shortcuts against it
+# at or below this bound X and B_{p-3} come from the Bernoulli numbers at
+# full precision, cross-checked against the O(p) harmonic route; above it
+# they stay the harmonic values (X mod p^2, B_{p-3} mod p), so that rows
+# for p > 1000 do not change
 X_TABLE_LIMIT = 1000
 
 MIN_PRIME = 7
@@ -137,9 +139,19 @@ class PrimeContext:
         )
 
     def s(self, a: PAdic, n: int) -> PAdic:
-        """S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k, cached."""
+        """S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k, cached.
+
+        S_n(a) = S_n(-1-a): the two binomials swap, so the kernel returns the
+        same integer for both, and a p-adic integer a shares its entry with
+        -1-a through the smaller of their residues mod p**aprec.
+        """
+        key = a
+        if not a.zero_flag and a.valuation >= 0:
+            aprec = min(self.digits, a.aprec)
+            u = a.lift(aprec)
+            key = (min(u, (-1 - u) % self.p**aprec), aprec)
         return self._cached(
-            ("s", a, n),
+            ("s", key, n),
             lambda: s_sum(a, n, self.p, self.digits, self.inv()),
         )
 
@@ -178,7 +190,7 @@ class PrimeContext:
         return self._cached("q2", lambda: fermat_quotient(2, self.p, self.digits))
 
     def x(self) -> PAdic:
-        """X, known mod p^2 at least; both routes cross-checked when cheap."""
+        """X, known mod p^2 at least; both routes cross-checked up to the limit."""
 
         def make():
             if self.p <= X_TABLE_LIMIT:
@@ -192,7 +204,7 @@ class PrimeContext:
         return self._cached("x", make)
 
     def b_pm3(self) -> PAdic:
-        """B_{p-3}: full table below the limit, else -H(3;(p-1)/2)/2 mod p."""
+        """B_{p-3}: full precision up to the limit, else -H(3;(p-1)/2)/2 mod p."""
 
         def make():
             if self.p <= X_TABLE_LIMIT:

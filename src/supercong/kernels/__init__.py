@@ -4,6 +4,9 @@ The hot inner loops (prefix-recursive harmonic sums, incremental binomial
 sums, the Akiyama-Tanigawa Bernoulli triangle) exist twice: a compiled
 Cython extension using unsigned 128-bit arithmetic, and a pure-Python
 fallback.  Both compute exactly modulo m and return bit-identical results.
+The O(p^2) triangle is not on the per-prime path: bernoulli.py gets B_n
+from power sums, and the tests use the triangle as an independent
+cross-check.
 
 The compiled path is used when it was built, the modulus fits its 84-bit
 limit, and SUPERCONG_KERNELS is not set to "py".  Set SUPERCONG_KERNELS=c

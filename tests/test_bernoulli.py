@@ -6,14 +6,16 @@ from fractions import Fraction
 import pytest
 
 from supercong.bernoulli import (
-    BernoulliTable,
+    _EXACT_WITNESS_LIMIT,
     _exact_bernoulli,
     bernoulli,
     fermat_quotient,
     x_constant,
 )
 from supercong.errors import BadParameter
+from supercong.kernels import pykernels
 from supercong.padic import PAdic, congruent_mod
+from supercong.primes import primes_in_range
 
 # first Bernoulli numbers by the defining recurrence (frozen exact values)
 _EXACT = {
@@ -56,38 +58,80 @@ class TestExactRecurrence:
 
 
 class TestTable:
+    """bernoulli() on the indices it accepts, and its guards."""
+
     @pytest.mark.parametrize("p", [7, 11, 101])
     def test_matches_exact_small_n(self, p):
-        tab = BernoulliTable(p, 6, 2 * p - 4)
         for n, want in _EXACT.items():
             if n > 0 and n % (p - 1) == 0:
                 continue
-            got = tab.get(n)
+            got = bernoulli(n, p, 6)
             assert congruent_mod(got, _embed(want, p), 6)
 
     def test_large_index_beyond_witness_limit(self):
-        # B_50 = 495057205241079648212477525/66 reduced mod p (table path, no witness)
+        # B_50 = 495057205241079648212477525/66 reduced mod p (no witness)
         p = 101
-        got = BernoulliTable(p, 6, 100).get(50)
+        got = bernoulli(50, p, 6)
+        assert got.rat is None
         want = _embed(Fraction(495057205241079648212477525, 66), p)
         assert congruent_mod(got, want, 6)
 
     def test_odd_index_is_exact_zero(self):
-        tab = BernoulliTable(7, 6, 10)
-        assert tab.get(3).zero_flag
-        assert congruent_mod(tab.get(1), _embed(Fraction(-1, 2), 7), 6)
+        assert bernoulli(3, 7, 6).zero_flag
+        assert congruent_mod(bernoulli(1, 7, 6), _embed(Fraction(-1, 2), 7), 6)
 
     def test_non_integral_index_rejected(self):
-        tab = BernoulliTable(7, 6, 10)
         with pytest.raises(BadParameter):
-            tab.get(6)  # (p-1) | 6
+            bernoulli(6, 7, 6)  # (p-1) | 6
 
     def test_bernoulli_wrapper_guards(self):
         with pytest.raises(BadParameter):
             bernoulli(-1, 7, 6)
         with pytest.raises(BadParameter):
+            bernoulli(15, 7, 6)  # beyond 2p
+        with pytest.raises(BadParameter):
+            bernoulli(2, 3, 6)  # p < 5
+        with pytest.raises(BadParameter):
             bernoulli(12, 7, 6)  # (p-1) | 12
         assert bernoulli(5, 7, 6).zero_flag
+
+
+def _assert_matches_triangle(p, N, indices, scaled):
+    """bernoulli(n, p, N) against the triangle's p*B_n mod p^(N+1), divided by p."""
+    for n in indices:
+        got = bernoulli(n, p, N)
+        want = PAdic.from_int_exact(scaled[n], p=p, aprec=N + 1).shift(-1)
+        assert congruent_mod(got, want, N), (p, N, n)
+        if n > _EXACT_WITNESS_LIMIT:  # without a witness, the same PAdic
+            assert got == want, (p, N, n)
+
+
+class TestPowerSumsAgainstTriangle:
+    """The power-sum route against kernels' O(p^2) Akiyama-Tanigawa triangle."""
+
+    NS = (4, 5, 6, 8)
+
+    @pytest.mark.parametrize("p", primes_in_range(7, 211))
+    def test_every_index_below_2p(self, p):
+        top = pykernels.bernoulli_scaled(2 * p, p, p ** (max(self.NS) + 1))
+        indices = [n for n in range(2, 2 * p + 1, 2) if n % (p - 1)]
+        for N in self.NS:
+            m = p ** (N + 1)
+            _assert_matches_triangle(p, N, indices, [x % m for x in top])
+
+    @pytest.mark.parametrize("p", [983, 991, 997])
+    def test_catalog_indices_near_1000(self, p):
+        scaled = pykernels.bernoulli_scaled(2 * p, p, p**7)
+        indices = list(range(p - 13, p - 2, 2)) + [2 * p - 4]
+        _assert_matches_triangle(p, 6, indices, scaled)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 31, 37, 59, 61, 101])
+    def test_exact_recurrence_up_to_60(self, p):
+        for n in range(2, min(60, 2 * p) + 1, 2):
+            if n % (p - 1) == 0:
+                continue
+            want = PAdic.from_rational(_exact_bernoulli(n), p=p, digits=6)
+            assert congruent_mod(bernoulli(n, p, 6), want, 6), (p, n)
 
 
 class TestBernoulliPoly:

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import bernoulli, checks, kernels
+from supercong import checks, kernels
+from supercong.binomial import s_sum
 from supercong.checks import (
     DEFAULT_A_SAMPLES,
     CheckDefinition,
@@ -145,6 +146,20 @@ class TestPrimeContext:
         ctx = PrimeContext(7)
         assert ctx.x().lift(2) % 49 == 38
 
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_s_shared_between_a_and_minus_one_minus_a(self, p):
+        # -1/3 and -2/3 share one entry; every cached value is the direct sum
+        ctx = PrimeContext(p)
+        points = [PAdic.zero(p)]
+        for a in DEFAULT_A_SAMPLES:
+            points += [ctx.embed(a), ctx.reduce(a).t.shift(1)]
+        for n in (ctx.half, p - 1):
+            for a in points:
+                assert ctx.s(a, n) == s_sum(a, n, p, ctx.digits, ctx.inv()), (a, n)
+            pair = [ctx.s(ctx.embed(Fraction(-k, 3)), n) for k in (1, 2)]
+            assert pair[0] is pair[1]
+        assert ctx.s(PAdic.zero(p), p - 1).zero_flag
+
 
 class TestSweep:
     def test_unknown_id_rejected(self):
@@ -260,7 +275,7 @@ class TestRegressionAnchors:
 
 class TestPerPrimeTables:
     """Every sum of a prime reads PrimeContext.inv(); the harmonic X route
-    builds the only other inverse table, and bernoulli() one triangle."""
+    builds the only other inverse table, and no Bernoulli triangle is built."""
 
     MAIN_IDS = ("eq-1-0", "eq-1-1", "thm11-full", "thm11-half", "thm12", "lem26", "lem-bridge")
 
@@ -273,14 +288,13 @@ class TestPerPrimeTables:
                 return _kernel(*args)
 
             monkeypatch.setattr(kernels, name, counted)
-        monkeypatch.setattr(bernoulli, "_table_cache", {})
         results = sweep(ids, [p], jobs=1)
         assert {r.status for r in results} <= {"pass", "skipped"}
         return calls["inverse_table"], calls["bernoulli_scaled"]
 
     def test_full_catalog_below_table_limit(self, monkeypatch):
         ids = [d.id for d in registry()]
-        assert self._table_builds(monkeypatch, ids, 499) == (2, 1)
+        assert self._table_builds(monkeypatch, ids, 499) == (2, 0)
 
     def test_main_checks_above_table_limit(self, monkeypatch):
         assert self._table_builds(monkeypatch, self.MAIN_IDS, 10007) == (2, 0)
