@@ -11,6 +11,11 @@ cross-check.
 The compiled path is used when it was built, the modulus fits its 84-bit
 limit, and SUPERCONG_KERNELS is not set to "py".  Set SUPERCONG_KERNELS=c
 to require the extension (ImportError if missing), "py" to force Python.
+
+The kernel names and positional signatures below are read by
+perfbench/tracer.py, whose count hooks take the same parameter lists (for
+example n * len(exps) steps per mhs_sum call); changing them is a benchmark
+change.
 """
 
 from __future__ import annotations

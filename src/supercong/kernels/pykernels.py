@@ -2,12 +2,20 @@
 
 Every function here computes *exactly* modulo ``m = p**e``: all summation
 indices in the supported ranges are coprime to p, so the only divisions are
-by units and no precision is lost.  The compiled backend implements the
-same functions with identical results; equality of the two backends is
-asserted by the test suite.
+by units and no precision is lost.
+
+The sums run as chains of C-level iterators (islice, map, accumulate, sum)
+over the caller's inverse table, so intermediate sums and products may
+exceed m; each is reduced once at the end, and only running products are
+reduced mod m at every step.  Every return value is in [0, m) and equal to
+the compiled backend's; equality of the two backends is asserted by the
+test suite.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import add, mul, sub
 
 BACKEND = "python"
 
@@ -80,21 +88,75 @@ def bernoulli_scaled(nmax: int, p: int, m: int) -> list[int]:
     return out
 
 
+def _span(inv: list[int], start: int, stop: int, step: int = 1):
+    """Iterator over inv[start:stop:step]; IndexError if inv ends before stop - 1.
+
+    islice alone would stop early on a short table and sum fewer terms.
+    """
+    if stop <= start:
+        return iter(())
+    inv[stop - 1]
+    return islice(inv, start, stop, step)
+
+
+def _powers(terms, r: int, m: int):
+    """x**r for x in terms, congruent to pow(x, r, m); unreduced for r >= 0."""
+    if r == 1:
+        return terms
+    if r < 0:
+        return map(pow, terms, repeat(r), repeat(m))
+    return map(pow, terms, repeat(r))
+
+
+def _alternating(terms):
+    """(-1)**k * x_k for k = 1, 2, ..."""
+    return map(mul, terms, cycle((-1, 1)))
+
+
+def _geometric(c: int, m: int):
+    """c**k mod m for k = 1, 2, ... (unbounded)."""
+    g = 1
+    while True:
+        g = g * c % m
+        yield g
+
+
+def _product_sums(ratios, weights, m: int) -> int:
+    """sum_k b_k * w_k mod m, where b_k = r_1 * ... * r_k mod m.
+
+    Zips the two iterators, so it stops at the shorter one.
+    """
+    b = 1
+    total = 0
+    for r, w in zip(ratios, weights):
+        b = b * r % m
+        total += b * w
+    return total % m
+
+
 def mhs_sum(exps: tuple[int, ...], n: int, p: int, m: int, inv: list[int]) -> int:
-    """H(a_1,...,a_m; n) mod m by the depth-recursive prefix method (n < p)."""
-    depth = len(exps)
-    s = [1] + [0] * depth
-    sign = 1
-    for k in range(1, n + 1):
-        sign = -sign
-        ik = inv[k]
-        for i in range(depth, 0, -1):
-            a = exps[i - 1]
-            w = pow(ik, abs(a), m)
-            if a < 0 and sign < 0:
-                w = m - w
-            s[i] = (s[i] + w * s[i - 1]) % m
-    return s[depth]
+    """H(a_1,...,a_m; n) mod m by the depth-recursive prefix method (n < p).
+
+    Level i is the prefix sum P_i(k) = sum_{j<=k} w_i(j) * P_{i-1}(j-1),
+    P_0 = 1, with weight w_i(j) = inv[j]**|a_i|, times (-1)**j when a_i < 0.
+    The levels are chained iterators, so the whole sum is one pass over k.
+    """
+    if not exps:
+        return 1
+    if len(exps) == 1:
+        a = exps[0]
+        if a >= 0:
+            return sum(_powers(_span(inv, 1, n + 1), a, m)) % m
+        odd = sum(_powers(_span(inv, 1, n + 1, 2), -a, m))
+        return (sum(_powers(_span(inv, 2, n + 1, 2), -a, m)) - odd) % m
+    weights = []
+    for a in exps:
+        w = _powers(_span(inv, 1, n + 1), abs(a), m)
+        weights.append(_alternating(w) if a < 0 else w)
+    prefix = accumulate(weights[0], initial=0)
+    for w in weights[1:-1]:
+        prefix = accumulate(map(mul, w, prefix), initial=0)
+    return sum(map(mul, weights[-1], prefix)) % m
 
 
 def weighted_sum(
@@ -110,80 +172,62 @@ def weighted_sum(
     """sum_{k=1}^{n} [(-1)^k] * c^k * k^(-aexp) * prod(prefix^power) mod m.
 
     factors entries are (kind, r, power) with kind in
-    {"harmonic", "odd", "signed", "h2k"}; prefix accumulators are updated
-    incrementally so the whole sum is one pass over k.
+    {"harmonic", "odd", "signed", "h2k"}; each prefix is a running sum of
+    its addends, so the whole sum is one pass over k.
     """
-    accs = [0] * len(factors)
-    total = 0
-    geo = 1
-    sign = 1
-    for k in range(1, n + 1):
-        sign = -sign
-        ik = inv[k]
-        for idx, (kind, r, _power) in enumerate(factors):
-            if kind == "harmonic":
-                accs[idx] = (accs[idx] + pow(ik, r, m)) % m
-            elif kind == "odd":
-                accs[idx] = (accs[idx] + pow(inv[2 * k - 1], r, m)) % m
-            elif kind == "signed":
-                t = pow(ik, r, m)
-                accs[idx] = (accs[idx] + (m - t if sign < 0 else t)) % m
-            elif kind == "h2k":
-                accs[idx] = (accs[idx] + inv[2 * k - 1] + inv[2 * k]) % m
-            else:
-                raise ValueError(f"unknown prefix kind {kind!r}")
-        term = pow(ik, aexp, m)
-        if cnum is not None:
-            geo = geo * cnum % m
-            term = term * geo % m
-        for idx, (_kind, _r, power) in enumerate(factors):
-            term = term * pow(accs[idx], power, m) % m
-        if signed and sign < 0:
-            term = m - term
-        total = (total + term) % m
-    return total
+    terms = _powers(_span(inv, 1, n + 1), aexp, m)
+    if cnum is not None:
+        terms = map(mul, terms, _geometric(cnum, m))
+    if signed:
+        terms = _alternating(terms)
+    for kind, r, power in factors:
+        if kind == "harmonic":
+            addends = _powers(_span(inv, 1, n + 1), r, m)
+        elif kind == "odd":
+            addends = _powers(_span(inv, 1, 2 * n, 2), r, m)
+        elif kind == "signed":
+            addends = _alternating(_powers(_span(inv, 1, n + 1), r, m))
+        elif kind == "h2k":
+            addends = map(add, _span(inv, 1, 2 * n, 2), _span(inv, 2, 2 * n + 1, 2))
+        else:
+            raise ValueError(f"unknown prefix kind {kind!r}")
+        terms = map(mul, terms, _powers(accumulate(addends), power, m))
+    return sum(terms) % m
 
 
 def s_sum(a_mod: int, n: int, p: int, m: int, inv: list[int]) -> int:
     """S_n(a) = sum_{k=1}^{n} binom(a,k) * binom(-1-a,k) / k mod m.
 
-    Both binomials are maintained incrementally; the updates only ever
-    divide by k (a unit since n < p), so the result is exact mod m.
+    Carries the one product b_k = binom(a,k) * binom(-1-a,k), which obeys
+    b_k = b_{k-1} * (k(k-1) - a(a+1)) * inv[k]^2, because
+    (a-k+1)(-a-k) = k(k-1) - a(a+1).  Only units k < p are divided by, so
+    the result is exact mod m.
     """
-    b1 = 1
-    b2 = 1
-    total = 0
-    for k in range(1, n + 1):
-        ik = inv[k]
-        b1 = b1 * ((a_mod - k + 1) % m) % m * ik % m
-        b2 = b2 * ((-a_mod - k) % m) % m * ik % m
-        total = (total + b1 * b2 % m * ik) % m
-    return total
+    c = a_mod * (a_mod + 1) % m
+    ratios = map(
+        mul,
+        map(sub, map(mul, range(1, n + 1), range(n)), repeat(c)),
+        _powers(_span(inv, 1, n + 1), 2, m),
+    )
+    return _product_sums(ratios, _span(inv, 1, n + 1), m)
 
 
 def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> int:
     """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * c^k) mod m, hi <= p-1.
 
-    binom(2k,k) is carried as (valuation, unit): it picks up exactly one
-    factor of p when 2k-1 == p, i.e. for k >= (p+1)/2.
+    Carries v_k = binom(2k,k)^2 * cinv^k, which obeys
+    v_k = v_{k-1} * (2(2k-1) * inv[k])^2 * cinv.  binom(2k,k) picks up its
+    factor p from 2k-1 = p, a plain multiplication, so no division by p
+    occurs.
     """
-    vcb = 0
-    ucb = 1
-    geo = 1
-    total = 0
-    for k in range(1, hi + 1):
-        odd = 2 * k - 1
-        if odd % p == 0:
-            vcb += 1
-            odd //= p
-        ucb = ucb * 2 * odd % m * inv[k] % m
-        geo = geo * cinv % m
-        if k >= lo:
-            term = ucb * ucb % m * inv[k] % m * geo % m
-            if vcb:
-                term = term * pow(p, 2 * vcb, m) % m
-            total = (total + term) % m
-    return total
+    lo = max(lo, 1)
+    ratios = map(
+        mul,
+        _powers(map(mul, range(2, 4 * hi, 4), _span(inv, 1, hi + 1)), 2, m),
+        repeat(cinv),
+    )
+    weights = chain(repeat(0, lo - 1), _span(inv, lo, hi + 1))
+    return _product_sums(ratios, weights, m)
 
 
 def geom_power_sum(cnum: int, aexp: int, n: int, p: int, m: int, inv: list[int]) -> int:
