@@ -1,4 +1,4 @@
-"""Pure-Python reference kernels.
+"""Pure-Python kernels.
 
 Every function here computes *exactly* modulo ``m = p**e``: all summation
 indices in the supported ranges are coprime to p, so the only divisions are
@@ -7,23 +7,13 @@ by units and no precision is lost.
 The sums run as chains of C-level iterators (islice, map, accumulate, sum)
 over the caller's inverse table, so intermediate sums and products may
 exceed m; each is reduced once at the end, and only running products are
-reduced mod m at every step.  Every return value is in [0, m) and equal to
-the compiled backend's; equality of the two backends is asserted by the
-test suite.
+reduced mod m at every step.  Every return value is in [0, m).
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, mul, sub
-
-BACKEND = "python"
-
-
-def invmod(u: int, p: int, m: int) -> int:
-    """Inverse of a unit u modulo m = p**e."""
-    return pow(u, -1, m)
-
 
 def inverse_table(n: int, p: int, m: int) -> list[int]:
     """inv[k] for k = 1..n (index 0 unused); every k must be a unit mod p.
@@ -36,7 +26,7 @@ def inverse_table(n: int, p: int, m: int) -> list[int]:
         acc = acc * k % m
         pref[k] = acc
     inv = [0] * (n + 1)
-    cur = invmod(acc, p, m)
+    cur = pow(acc, -1, m)
     for k in range(n, 0, -1):
         inv[k] = cur * pref[k - 1] % m
         cur = cur * k % m
@@ -71,7 +61,7 @@ def bernoulli_scaled(nmax: int, p: int, m: int) -> list[int]:
     for i, u in enumerate(units):
         acc = acc * u % m
         pref[i + 1] = acc
-    cur = invmod(acc, p, m)
+    cur = pow(acc, -1, m)
     row = [0] * size
     for i in range(size - 1, -1, -1):
         uinv = cur * pref[i] % m
@@ -232,4 +222,4 @@ def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> 
 
 def geom_power_sum(cnum: int, aexp: int, n: int, p: int, m: int, inv: list[int]) -> int:
     """sum_{k=1}^{n} c^k / k^aexp mod m (n < p)."""
-    return weighted_sum(aexp, False, cnum, (), n, p, m, inv)
+    return sum(map(mul, _powers(_span(inv, 1, n + 1), aexp, m), _geometric(cnum, m))) % m

@@ -1,9 +1,9 @@
-"""Kernels: the compiled and pure-Python backends are bit-identical, and the
-pure-Python sums equal the exact rational oracles.
+"""Kernels against independent evaluations of the sums they compute.
 
-The backend-equivalence tests compare against the shipped _ckernels.c,
-compiled by the session fixture `ckernels` (tests/conftest.py); they skip
-only where gcc or Python.h is missing.
+At production-sized primes (up to 10007, modulus p^6) every kernel equals a
+direct loop over its defining sum that inverts each k with pow(k, -1, m)
+instead of reading an inverse table; at small primes the sums equal the
+exact rational oracles.
 """
 
 from fractions import Fraction
@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 from supercong import kernels, oracle
+from supercong.bernoulli import _scaled
 from supercong.kernels import pykernels
 
 PRIMES = [7, 101, 1553, 10007]
@@ -22,24 +23,90 @@ def _inv(p, m, n):
     return pykernels.inverse_table(n, p, m)
 
 
+def _residue(q: Fraction, m: int) -> int:
+    """A p-integral rational as an integer in [0, m)."""
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
+def _direct_mhs(exps, n, m):
+    """H(exps; n) mod m: level i sums w_i(k) times level i-1 below k."""
+    below = [1] * (n + 1)
+    for a in exps:
+        level = [0] * (n + 1)
+        for k in range(1, n + 1):
+            w = pow(k, -abs(a), m) * (-1) ** (k if a < 0 else 0)
+            level[k] = (level[k - 1] + w * below[k - 1]) % m
+        below = level
+    return below[n]
+
+
+def _prefix_addend(kind, r, k, m):
+    if kind == "harmonic":
+        return pow(k, -r, m)
+    if kind == "odd":
+        return pow(2 * k - 1, -r, m)
+    if kind == "signed":
+        return (-1) ** k * pow(k, -r, m)
+    assert kind == "h2k"
+    return pow(2 * k - 1, -1, m) + pow(2 * k, -1, m)
+
+
+def _direct_weighted(aexp, signed, cnum, factors, n, m):
+    """sum_{k<=n} [(-1)^k] c^k k^-aexp prod(prefix^power) mod m, term by term."""
+    prefixes = [0] * len(factors)
+    total = 0
+    for k in range(1, n + 1):
+        term = pow(k, -aexp, m) * pow(1 if cnum is None else cnum, k, m)
+        if signed:
+            term *= (-1) ** k
+        for i, (kind, r, power) in enumerate(factors):
+            prefixes[i] = (prefixes[i] + _prefix_addend(kind, r, k, m)) % m
+            term = term * pow(prefixes[i], power, m) % m
+        total += term
+    return total % m
+
+
+def _direct_s(a_mod, n, m):
+    """sum_{k<=n} binom(a,k) binom(-1-a,k) / k mod m, each binomial on its own."""
+    b1 = b2 = 1
+    total = 0
+    for k in range(1, n + 1):
+        kinv = pow(k, -1, m)
+        b1 = b1 * (a_mod - k + 1) * kinv % m
+        b2 = b2 * (-a_mod - k) * kinv % m
+        total += b1 * b2 * kinv
+    return total % m
+
+
+def _direct_central(lo, hi, c, m):
+    """sum_{k=lo}^{hi} binom(2k,k)^2 / (k c^k) mod m, binom(2k,k) exact."""
+    central = 1
+    total = 0
+    for k in range(1, hi + 1):
+        central = central * 2 * (2 * k - 1) // k
+        if k >= lo:
+            total += central**2 * pow(k * pow(c, k, m), -1, m)
+    return total % m
+
+
 @pytest.mark.parametrize("p", PRIMES)
-def test_inverse_table_identical(ckernels, p):
+def test_inverse_table_identical(p):
     m = p**DIGITS
     n = p - 1
-    tab_py = pykernels.inverse_table(n, p, m)
-    tab_c = ckernels.inverse_table(n, p, m)
-    assert tab_py == tab_c
+    tab = pykernels.inverse_table(n, p, m)
+    assert tab[1:] == [pow(k, -1, m) for k in range(1, n + 1)]
     for k in range(1, n + 1):
-        assert tab_py[k] * k % m == 1
+        assert tab[k] * k % m == 1
 
 
 @pytest.mark.parametrize("p", PRIMES)
 @pytest.mark.parametrize("exps", [(1,), (2,), (3, 1), (1, -3), (-2, 2), (2, -1)])
-def test_mhs_sum_identical(ckernels, p, exps):
+def test_mhs_sum_identical(p, exps):
     m = p**DIGITS
     n = p - 1
     inv = _inv(p, m, n)
-    assert pykernels.mhs_sum(exps, n, p, m, inv) == ckernels.mhs_sum(exps, n, p, m, inv)
+    assert pykernels.mhs_sum(exps, n, p, m, inv) == _direct_mhs(exps, n, m)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -55,93 +122,68 @@ def test_mhs_sum_identical(ckernels, p, exps):
         (3, False, 2, ()),
     ],
 )
-def test_weighted_sum_identical(ckernels, p, spec):
+def test_weighted_sum_identical(p, spec):
     aexp, signed, cnum, factors = spec
     m = p**DIGITS
     half = (p - 1) // 2
     inv = _inv(p, m, p - 1)
-    got_py = pykernels.weighted_sum(aexp, signed, cnum, factors, half, p, m, inv)
-    got_c = ckernels.weighted_sum(aexp, signed, cnum, factors, half, p, m, inv)
-    assert got_py == got_c
+    got = pykernels.weighted_sum(aexp, signed, cnum, factors, half, p, m, inv)
+    assert got == _direct_weighted(aexp, signed, cnum, factors, half, m)
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_s_sum_and_central_sum_identical(ckernels, p):
+def test_s_sum_and_central_sum_identical(p):
     m = p**DIGITS
     n = p - 1
     inv = _inv(p, m, n)
     a_mod = (m + 1) // 2
-    assert pykernels.s_sum(a_mod, n, p, m, inv) == ckernels.s_sum(a_mod, n, p, m, inv)
+    assert pykernels.s_sum(a_mod, n, p, m, inv) == _direct_s(a_mod, n, m)
     cinv = pow(16, -1, m)
     for lo in (1, (p + 1) // 2):
-        assert pykernels.central_sum(lo, n, cinv, p, m, inv) == ckernels.central_sum(
-            lo, n, cinv, p, m, inv
-        )
+        assert pykernels.central_sum(lo, n, cinv, p, m, inv) == _direct_central(lo, n, 16, m)
 
 
 @pytest.mark.parametrize("p", [7, 101, 1553])
-def test_bernoulli_scaled_identical(ckernels, p):
-    m = p**(DIGITS + 1)
+def test_bernoulli_scaled_identical(p):
+    """The triangle's p*B_i against the power sums of bernoulli.py.
+
+    Every index at p = 7 and 101; at 1553, where the power sums of every
+    index take many seconds, the first 40 and p-3, p-1 and 2p-4.
+    """
+    e = DIGITS + 1
     nmax = 2 * p - 4
-    assert pykernels.bernoulli_scaled(nmax, p, m) == ckernels.bernoulli_scaled(nmax, p, m)
+    triangle = pykernels.bernoulli_scaled(nmax, p, p**e)
+    indices = range(nmax + 1) if p < 1000 else [*range(40), p - 3, p - 1, 2 * p - 4]
+    assert [triangle[i] for i in indices] == [_scaled(i, p, e) for i in indices]
 
 
-def test_invmod_identical(ckernels):
-    for p in PRIMES:
-        m = p**DIGITS
-        for u in (1, 2, m - 1, m // 2 + 1):
-            if u % p == 0:
-                continue
-            got = ckernels.invmod(u, p, m)
-            assert got == pykernels.invmod(u, p, m)
-            assert got * u % m == 1
-
-
-def test_large_modulus_near_limit(ckernels, monkeypatch):
-    # exercise the 128-bit mulmod path: p^4 above 2^64 but below 2^84
-    monkeypatch.setattr(kernels, "_ckernels", ckernels)
-    monkeypatch.setattr(kernels, "_C_LIMIT", 1 << ckernels.MAX_MODULUS_BITS)
-    p = 15485863  # p^6 > 2^84: routed to python
-    m_small = 131071**4  # ~2^68, between 2^64 and 2^84: compiled split-mulmod path
-    p2 = 131071
-    inv_py = pykernels.inverse_table(200, p2, m_small)
-    inv_c = ckernels.inverse_table(200, p2, m_small)
-    assert inv_py == inv_c
-    assert pykernels.mhs_sum((3, 1), 200, p2, m_small, inv_py) == ckernels.mhs_sum(
-        (3, 1), 200, p2, m_small, inv_c
-    )
-    assert kernels.backend_name(m_small) == "c"
-    assert kernels.backend_name(p**6) == "python"
+def test_large_modulus_near_limit():
+    # m = 131071^4 is about 2^68, just above the 64-bit machine word
+    p = 131071
+    m = p**4
+    n = 200
+    got = pykernels.mhs_sum((3, 1), n, p, m, pykernels.inverse_table(n, p, m))
+    assert got == _residue(oracle.mhs_exact((3, 1), n), m)
 
 
 def test_dispatcher_routes_oversized_moduli():
-    # modulus >= 2^84 must be served by the python backend and still be correct
-    p = 2**61 - 1  # Mersenne prime; p^2 > 2^84
+    # a modulus far beyond two machine words is still exact
+    p = 2**61 - 1  # Mersenne prime; p^2 is about 2^122
     m = p**2
     inv = kernels.inverse_table(20, p, m)
     for k in range(1, 21):
         assert inv[k] * k % m == 1
-    assert kernels.backend_name(m) == "python"
+    assert kernels.backend_name(m) == kernels.backend_name() == "python"
 
 
-def test_default_backend_is_compiled_when_built(ckernels, monkeypatch):
-    monkeypatch.setattr(kernels, "_ckernels", ckernels)
-    monkeypatch.setattr(kernels, "_C_LIMIT", 1 << ckernels.MAX_MODULUS_BITS)
-    assert kernels.backend_name(7**6) == "c"
-    assert kernels.backend_name() == "c"
-    monkeypatch.setattr(kernels, "_ckernels", None)
-    monkeypatch.setattr(kernels, "_C_LIMIT", 1)
-    assert kernels.backend_name(7**6) == "python"
+def test_package_reexports_the_kernels():
+    for name in kernels.__all__:
+        if name != "backend_name":
+            assert getattr(kernels, name) is getattr(pykernels, name)
 
 
 # ---------------------------------------------------------------------------
-# pure-Python sums against the exact rational oracles (no compiler needed)
-
-
-def _residue(q: Fraction, m: int) -> int:
-    """A p-integral rational as an integer in [0, m)."""
-    q = Fraction(q)
-    return q.numerator * pow(q.denominator, -1, m) % m
+# sums against the exact rational oracles
 
 
 class TestSumsAgainstOracle:
@@ -181,6 +223,21 @@ class TestSumsAgainstOracle:
             Fraction(0),
         )
         assert got == _residue(want, self.M)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 12])
+    @pytest.mark.parametrize("a", [-1, 1, 2, 3])
+    @pytest.mark.parametrize("c", [2, 3, -5])
+    def test_geom_power_sum(self, c, a, n):
+        got = pykernels.geom_power_sum(c % self.M, a, n, self.P, self.M, self.INV)
+        want = sum((Fraction(c**k) / Fraction(k) ** a for k in range(1, n + 1)), Fraction(0))
+        assert got == _residue(want, self.M)
+
+    def test_zero_exponents_weigh_one(self):
+        # k^0 = 1: H(0; n) = n and H(0, 1; n) = sum_{k<=n} (k-1)/k
+        n = 12
+        assert pykernels.mhs_sum((0,), n, self.P, self.M, self.INV) == n
+        got = pykernels.mhs_sum((0, 1), n, self.P, self.M, self.INV)
+        assert got == _residue(sum(Fraction(k - 1, k) for k in range(1, n + 1)), self.M)
 
 
 class TestWeightedSumAgainstOracle:
@@ -224,6 +281,27 @@ class TestWeightedSumAgainstOracle:
         got = pykernels.weighted_sum(-2, False, None, (("harmonic", -1, 2),), n, self.P, self.M, inv)
         want = sum(k**2 * (k * (k + 1) // 2) ** 2 for k in range(1, n + 1))
         assert got == want % self.M
+
+    @pytest.mark.parametrize("kind", ["harmonic", "odd", "signed"])
+    @pytest.mark.parametrize("r", [-2, -1, 0])
+    def test_prefix_exponents_up_to_zero(self, kind, r):
+        # each prefix is an integer sum of j^|r| (or (2j-1)^|r|), power 0 gives 1
+        n = 10
+        inv = pykernels.inverse_table(2 * n, self.P, self.M)
+        addend = {
+            "harmonic": lambda j: j**-r,
+            "odd": lambda j: (2 * j - 1) ** -r,
+            "signed": lambda j: (-1) ** j * j**-r,
+        }[kind]
+        for power in (0, 1, 2):
+            got = pykernels.weighted_sum(
+                1, True, None, ((kind, r, power),), n, self.P, self.M, inv
+            )
+            want = sum(
+                Fraction((-1) ** k * sum(map(addend, range(1, k + 1))) ** power, k)
+                for k in range(1, n + 1)
+            )
+            assert got == _residue(want, self.M)
 
 
 class TestShortInverseTable:
@@ -274,6 +352,12 @@ class TestShortInverseTable:
     def test_s_sum(self):
         n = self.N
         self._pinned(lambda inv: pykernels.s_sum(12345, n, self.P, self.M, inv), n)
+
+    def test_geom_power_sum(self):
+        n = self.N
+        self._pinned(
+            lambda inv: pykernels.geom_power_sum(2, 3, n, self.P, self.M, inv), n
+        )
 
     @pytest.mark.parametrize("lo", [1, 4])
     def test_central_sum(self, lo):
