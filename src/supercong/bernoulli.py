@@ -9,10 +9,11 @@ rejected (von Staudt-Clausen: not p-integral), odd n > 1 give the exact
 zero.  The O(p^2) Akiyama-Tanigawa triangle (kernels.bernoulli_scaled) is
 kept only as the tests' independent cross-check.
 
-The constant X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8) is available by two
-independent routes: from those two Bernoulli numbers (full N digits) and
-from the harmonic sum H(2; p-1) (O(p), 2 digits), which suffices wherever
-X carries a p^2 or p^3 prefactor.
+The constant X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8) has two independent
+routes: x_constant, from those two Bernoulli numbers (full N digits), and
+x_harmonic, from the harmonic sum H(2; p-1) over the caller's inverse
+table (O(p), 2 digits), which suffices wherever X carries a p^2 or p^3
+prefactor.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import functools
 import math
 from fractions import Fraction
 
-from . import kernels
 from .errors import BadParameter
 from .harmonic import mhs
 from .padic import PAdic, congruent_mod
@@ -30,6 +30,7 @@ __all__ = [
     "bernoulli",
     "fermat_quotient",
     "x_constant",
+    "x_harmonic",
 ]
 
 _X_APREC_HARMONIC = 2  # H(2;p-1) = -4pX holds mod p^3, so X is pinned mod p^2
@@ -111,25 +112,26 @@ def fermat_quotient(a: int, p: int, N: int) -> PAdic:
     return PAdic.from_int_exact(num, p=p, aprec=N + 1).shift(-1)
 
 
-def x_constant(p: int, N: int, method: str = "bernoulli") -> PAdic:
-    """X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8).
-
-    method="bernoulli": via the power sums of B_{p-3} and B_{2p-4}, N digits.
-    method="harmonic":  X = -H(2; p-1)/(4p) mod p^2, O(p).
-    """
+def x_constant(p: int, N: int) -> PAdic:
+    """X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8) mod p**N, via the power sums."""
     if p <= 5:
         raise BadParameter("X requires p > 5")
-    if method == "bernoulli":
-        return bernoulli(p - 3, p, N).scale(Fraction(1, p - 3)) - bernoulli(
-            2 * p - 4, p, N
-        ).scale(Fraction(1, 4 * p - 8))
-    if method == "harmonic":
-        N_h = _X_APREC_HARMONIC + 2
-        h2 = mhs((2,), p - 1, p, N_h, kernels.inverse_table(p - 1, p, p**N_h))
-        x = h2.scale(Fraction(-1, 4)).shift(-1)
-        # valid only mod p^2: truncate the window so callers cannot over-trust it
-        return _truncate(x, _X_APREC_HARMONIC)
-    raise BadParameter(f"unknown method {method!r}")
+    return bernoulli(p - 3, p, N).scale(Fraction(1, p - 3)) - bernoulli(
+        2 * p - 4, p, N
+    ).scale(Fraction(1, 4 * p - 8))
+
+
+def x_harmonic(p: int, N: int, inv: list[int]) -> PAdic:
+    """X = -H(2; p-1)/(4p) mod p^2, O(p).
+
+    inv is the caller's inverse table mod p**N covering 1..p-1;
+    H(2; p-1) = -4pX holds mod p^3, so N >= 3 is required.
+    """
+    if p <= 5 or N < _X_APREC_HARMONIC + 1:
+        raise BadParameter("x_harmonic requires p > 5 and N >= 3")
+    x = mhs((2,), p - 1, p, N, inv).scale(Fraction(-1, 4)).shift(-1)
+    # valid only mod p^2: truncate the window so callers cannot over-trust it
+    return _truncate(x, _X_APREC_HARMONIC)
 
 
 def _truncate(x: PAdic, aprec: int) -> PAdic:

@@ -29,8 +29,8 @@ def s_sum(a: PAdic, n: int, p: int, N: int, inv: list[int]) -> PAdic:
     """S_n(a) = sum_{k=1}^{n} binom(a,k) binom(-1-a,k) / k, n <= p-1.
 
     inv is an inverse table mod p**N covering 1..n.  The result is known
-    mod p**min(N, aprec of a); a shorter modulus gets its own reduced copy
-    of the table, as the kernels expect entries below their modulus.
+    mod p**min(N, aprec of a); the kernel reads the same table at a shorter
+    modulus, since its entries are still congruent to 1/k there.
     """
     if n > p - 1:
         raise BadParameter("s_sum requires n <= p-1")
@@ -43,11 +43,8 @@ def s_sum(a: PAdic, n: int, p: int, N: int, inv: list[int]) -> PAdic:
     if a.valuation < 0:
         raise BadParameter("s_sum requires a in Z_p")
     aprec = min(N, a.aprec)
-    m = p**aprec
-    if aprec < N:
-        inv = [x % m for x in inv[: n + 1]]
     return PAdic.from_int_exact(
-        kernels.s_sum(a.lift(aprec), n, p, m, inv), p=p, aprec=aprec
+        kernels.s_sum(a.lift(aprec), n, p, p**aprec, inv), p=p, aprec=aprec
     )
 
 

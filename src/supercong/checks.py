@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import kernels
-from .bernoulli import _truncate, bernoulli, fermat_quotient, x_constant
+from .bernoulli import _truncate, bernoulli, fermat_quotient, x_constant, x_harmonic
 from .binomial import reduce_point, s_sum
 from .errors import (
     BadParameter,
@@ -193,13 +193,13 @@ class PrimeContext:
         """X, known mod p^2 at least; both routes cross-checked up to the limit."""
 
         def make():
+            xh = x_harmonic(self.p, self.digits, self.inv())
             if self.p <= X_TABLE_LIMIT:
-                xb = x_constant(self.p, self.digits, "bernoulli")
-                xh = x_constant(self.p, self.digits, "harmonic")
+                xb = x_constant(self.p, self.digits)
                 if not congruent_mod(xb, xh, 2):
                     raise AssertionError(f"X route mismatch at p={self.p}")
                 return xb
-            return x_constant(self.p, self.digits, "harmonic")
+            return xh
 
         return self._cached("x", make)
 

@@ -2,7 +2,9 @@
 
 Every function here computes *exactly* modulo ``m = p**e``: all summation
 indices in the supported ranges are coprime to p, so the only divisions are
-by units and no precision is lost.
+by units and no precision is lost.  An inverse table's entries need only be
+congruent to 1/k mod m, so a table built mod a higher power of p serves
+every smaller m unchanged.
 
 The sums run as chains of C-level iterators (islice, map, accumulate, sum)
 over the caller's inverse table, so intermediate sums and products may

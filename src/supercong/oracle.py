@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 try:
@@ -21,6 +21,7 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "IdentityReport",
     "mhs_exact",
+    "mhs_exact_upto",
     "harmonic_exact",
     "odd_harmonic_exact",
     "weighted_sum_exact",
@@ -44,18 +45,32 @@ def _frac(q) -> Fraction:
     return Fraction(int(q.numerator), int(q.denominator))
 
 
-def mhs_exact(sig: tuple[int, ...], n: int) -> Fraction:
-    """H(a_1,...,a_m; n) by the naive O(n^m) nested loop."""
+def _mhs_terms(sig: tuple[int, ...], n: int):
+    """(largest index, term) for each term of H(sig; n), by the naive nested loop."""
     if n > 200:
         raise ValueError("brute-force mhs capped at n <= 200")
-    depth = len(sig)
-    total = _Q(0)
-    for ks in combinations(range(1, n + 1), depth):
+    for ks in combinations(range(1, n + 1), len(sig)):
         term = _Q(1)
         for a, k in zip(sig, ks):
             term *= _Q((-1) ** k if a < 0 else 1, k ** abs(a))
-        total += term
-    return _frac(total)
+        yield (ks[-1] if ks else 0), term
+
+
+def mhs_exact(sig: tuple[int, ...], n: int) -> Fraction:
+    """H(a_1,...,a_m; n) by the naive O(n^m) nested loop."""
+    return _frac(sum((term for _, term in _mhs_terms(sig, n)), _Q(0)))
+
+
+def mhs_exact_upto(sig: tuple[int, ...], n: int) -> list[Fraction]:
+    """[H(sig; j) for j = 0..n] from one pass of mhs_exact's nested loop.
+
+    Each term is added to the bucket of its largest index, and the buckets
+    are prefix-summed; no prefix recursion over the signature is involved.
+    """
+    buckets = [_Q(0)] * (n + 1)
+    for top, term in _mhs_terms(sig, n):
+        buckets[top] += term
+    return [_frac(total) for total in accumulate(buckets)]
 
 
 def harmonic_exact(n: int) -> Fraction:

@@ -4,7 +4,6 @@ Each test prints exactly one "CRITERION n ...: PASS|FAIL" line on the real
 stdout (bypassing capture) so the verdicts are visible in any log.
 """
 
-import functools
 import io
 import os
 import sys
@@ -16,7 +15,7 @@ from itertools import product
 import pytest
 
 from supercong import kernels, oracle
-from supercong.bernoulli import x_constant
+from supercong.bernoulli import x_constant, x_harmonic
 from supercong.checks import DEFAULT_A_SAMPLES, registry, sweep
 from supercong.cli import RunConfig, main
 from supercong.harmonic import mhs
@@ -100,14 +99,15 @@ def test_criterion_3_tail_congruence_zero_failures():
 def test_criterion_4_spot_values_p7():
     with criterion(4, "spot values at p = 7") as v:
         # X = -2/165 = 38 mod 49 by both routes
-        for method in ("bernoulli", "harmonic"):
-            assert x_constant(7, 6, method).lift(2) % 49 == 38
+        inv = kernels.inverse_table(6, 7, 7**6)
+        for x in (x_constant(7, 6), x_harmonic(7, 6, inv)):
+            assert x.lift(2) % 49 == 38
         # H_6 = 49/20, valuation 2
         assert oracle.harmonic_exact(6) == Fraction(49, 20)
-        h6 = mhs((1,), 6, 7, 6, kernels.inverse_table(6, 7, 7**6))
+        h6 = mhs((1,), 6, 7, 6, inv)
         assert h6.valuation == 2
         # H_6 = 2 p^2 X mod 7^4
-        rhs = x_constant(7, 6, "bernoulli").shift(2).scale(2)
+        rhs = x_constant(7, 6).shift(2).scale(2)
         assert congruent_mod(h6, rhs, 4)
         v["ok"] = True
 
@@ -138,16 +138,17 @@ def _signatures(max_depth=3, max_weight=4):
 def test_criterion_6_oracle_equivalence_grid():
     with criterion(6, "modular sums vs exact oracle on the full grid") as v:
         mismatches = 0
-        # the exact value does not depend on p: compute it once per (sig, n)
-        mhs_exact = functools.cache(oracle.mhs_exact)
-        for p in (7, 11, 13):
-            # the modular path's precondition is n < p^2, so p = 7 caps at 48
-            n_hi = min(50, p * p - 1)
+        # the exact values do not depend on p: one oracle pass per signature
+        # gives H(sig; j) for every j <= 50
+        exact_upto = {sig: oracle.mhs_exact_upto(sig, 50) for sig in _signatures()}
+        for p in (7, 11, 13, 53):
+            # the kernel covers n < p
+            n_hi = min(50, p - 1)
             inv = kernels.inverse_table(p - 1, p, p**4)
-            for sig in _signatures():
+            for sig, exact_at in exact_upto.items():
                 for n in range(1, n_hi + 1):
                     got = mhs(sig, n, p, 4, inv)
-                    exact = mhs_exact(sig, n)
+                    exact = exact_at[n]
                     if exact == 0:
                         want = PAdic.zero(p)
                     else:

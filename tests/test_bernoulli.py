@@ -11,11 +11,17 @@ from supercong.bernoulli import (
     bernoulli,
     fermat_quotient,
     x_constant,
+    x_harmonic,
 )
 from supercong.errors import BadParameter
 from supercong.kernels import pykernels
 from supercong.padic import PAdic, congruent_mod
 from supercong.primes import primes_in_range
+
+
+def _inv(p, N):
+    return pykernels.inverse_table(p - 1, p, p**N)
+
 
 # first Bernoulli numbers by the defining recurrence (frozen exact values)
 _EXACT = {
@@ -183,19 +189,26 @@ class TestXConstant:
         want = Fraction(-1, 30) / 4 - Fraction(5, 66) / 20
         assert want == Fraction(-2, 165)
         assert (-2 * pow(165, -1, 49)) % 49 == 38
-        for method in ("bernoulli", "harmonic"):
-            x = x_constant(7, 6, method)
+        for x in (x_constant(7, 6), x_harmonic(7, 6, _inv(7, 6))):
             assert x.lift(2) % 49 == 38
 
     @pytest.mark.parametrize("p", [11, 13, 97, 101])
     def test_methods_agree(self, p):
-        xb = x_constant(p, 6, "bernoulli")
-        xh = x_constant(p, 6, "harmonic")
+        xb = x_constant(p, 6)
+        xh = x_harmonic(p, 6, _inv(p, 6))
         assert xh.aprec == 2  # harmonic route is pinned mod p^2
         assert congruent_mod(xb, xh, 2)
+
+    @pytest.mark.parametrize("p", [11, 13, 97, 101])
+    def test_harmonic_route_reads_any_table_depth(self, p):
+        # the caller's table mod p^N serves every N >= 3 with the same value
+        x4, x6, x8 = (x_harmonic(p, N, _inv(p, N)) for N in (4, 6, 8))
+        assert x4 == x6 == x8
 
     def test_guards(self):
         with pytest.raises(BadParameter):
             x_constant(5, 6)
         with pytest.raises(BadParameter):
-            x_constant(7, 6, "nope")
+            x_harmonic(5, 6, _inv(5, 6))
+        with pytest.raises(BadParameter):
+            x_harmonic(7, 2, _inv(7, 2))

@@ -63,6 +63,14 @@ class TestSSum:
         want = _embed(oracle.s_sum_exact(a, p - 1), p)
         assert congruent_mod(got, want, min(6, got.aprec))
 
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_short_a_reads_deeper_table(self, p):
+        # a known to 3 digits; the table mod p^6 is read at modulus p^3 as is
+        a = Fraction(-1, 3)
+        got = s_sum(_embed(a, p, 3), p - 1, p, 6, _inv(p, 6))
+        assert got.aprec == 3
+        assert congruent_mod(got, _embed(oracle.s_sum_exact(a, p - 1), p), 3)
+
     def test_trivial_cases(self):
         assert s_sum(PAdic.zero(7), 6, 7, 6, _inv(7, 6)).zero_flag
         assert s_sum(_embed(1, 7, 6), 0, 7, 6, _inv(7, 6)).zero_flag

@@ -274,8 +274,8 @@ class TestRegressionAnchors:
 
 
 class TestPerPrimeTables:
-    """Every sum of a prime reads PrimeContext.inv(); the harmonic X route
-    builds the only other inverse table, and no Bernoulli triangle is built."""
+    """Every sum of a prime, the harmonic X route included, reads the one
+    table PrimeContext.inv() builds, and no Bernoulli triangle is built."""
 
     MAIN_IDS = ("eq-1-0", "eq-1-1", "thm11-full", "thm11-half", "thm12", "lem26", "lem-bridge")
 
@@ -294,7 +294,7 @@ class TestPerPrimeTables:
 
     def test_full_catalog_below_table_limit(self, monkeypatch):
         ids = [d.id for d in registry()]
-        assert self._table_builds(monkeypatch, ids, 499) == (2, 0)
+        assert self._table_builds(monkeypatch, ids, 499) == (1, 0)
 
     def test_main_checks_above_table_limit(self, monkeypatch):
-        assert self._table_builds(monkeypatch, self.MAIN_IDS, 10007) == (2, 0)
+        assert self._table_builds(monkeypatch, self.MAIN_IDS, 10007) == (1, 0)

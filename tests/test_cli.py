@@ -2,13 +2,28 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import supercong
 from supercong.cli import RunConfig, UsageError, main, parse_args
+
+# the child interpreter imports the same package as this one
+_SRC = str(Path(supercong.__file__).resolve().parent.parent)
+
+
+def _run_cli(*args):
+    """Run `python -m supercong.cli args` in a child process."""
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "supercong.cli", *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def _run(config):
@@ -186,10 +201,9 @@ class TestCache:
     def test_corrupt_cache_is_io_error(self, tmp_path, text):
         cache = tmp_path / "cache.json"
         cache.write_text(text, encoding="utf-8", errors="surrogateescape")
-        proc = subprocess.run(
-            [sys.executable, "-m", "supercong.cli", "verify", "--checks", "lem-bridge",
-             "--primes", "7..11", "--jobs", "1", "--cache", str(cache)],
-            capture_output=True, text=True,
+        proc = _run_cli(
+            "verify", "--checks", "lem-bridge", "--primes", "7..11", "--jobs", "1",
+            "--cache", str(cache),
         )
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: corrupt cache file")
@@ -199,27 +213,20 @@ class TestCache:
 
 class TestEndToEnd:
     def test_console_entry_point(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "supercong.cli", "list-checks"],
-            capture_output=True, text=True,
-        )
+        proc = _run_cli("list-checks")
         assert proc.returncode == 0
         assert "eq-1-1" in proc.stdout
         assert "thm11-full" in proc.stdout
 
     def test_usage_error_exit_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "supercong.cli", "verify", "--primes", "500..7"],
-            capture_output=True, text=True,
-        )
+        proc = _run_cli("verify", "--primes", "500..7")
         assert proc.returncode == 2
         assert "usage error" in proc.stderr
 
     def test_jsonl_stats_keeps_stdout_to_rows(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "supercong.cli", "verify", "--checks", "lem-bridge",
-             "--primes", "7..13", "--jobs", "1", "--format", "jsonl", "--stats"],
-            capture_output=True, text=True,
+        proc = _run_cli(
+            "verify", "--checks", "lem-bridge", "--primes", "7..13", "--jobs", "1",
+            "--format", "jsonl", "--stats",
         )
         assert proc.returncode == 0
         rows = [json.loads(line) for line in proc.stdout.splitlines()]
@@ -227,9 +234,6 @@ class TestEndToEnd:
         assert "# evaluations: 3" in proc.stderr.splitlines()
 
     def test_identities_subcommand(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "supercong.cli", "identities", "--n-max", "15"],
-            capture_output=True, text=True,
-        )
+        proc = _run_cli("identities", "--n-max", "15")
         assert proc.returncode == 0
         assert "all identities hold exactly" in proc.stdout

@@ -54,11 +54,10 @@ class TestMhsValues:
     def test_short_range_is_zero(self):
         assert mhs((1, 2), 1, 7, 6, _inv(7, 6)).zero_flag
 
-    def test_range_above_p_uses_rational_fallback(self):
-        # n >= p: indices divisible by p appear, result can have negative valuation
-        got = mhs((1,), 14, 7, 4, _inv(7, 4))
-        expect = oracle.harmonic_exact(14)
-        assert congruent_mod(got, _embed(expect, 7, 8), 2)
+    def test_range_from_p_raises(self):
+        # n = p would divide by p; the modular kernel covers only n < p
+        with pytest.raises(BadParameter):
+            mhs((1,), 7, 7, 4, _inv(7, 4))
 
     def test_range_cap(self):
         with pytest.raises(BadParameter):

@@ -1,6 +1,7 @@
 """Exact-rational oracle self-consistency."""
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -8,6 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong import oracle
+
+# the acceptance grid's signatures: depth <= 3, sum of |a_i| <= 4
+GRID_SIGS = [
+    sig
+    for depth in (1, 2, 3)
+    for sig in product([a for a in range(-4, 5) if a], repeat=depth)
+    if sum(map(abs, sig)) <= 4
+]
 
 
 class TestBasics:
@@ -32,6 +41,15 @@ class TestBasics:
     def test_mhs_range_cap(self):
         with pytest.raises(ValueError):
             oracle.mhs_exact((1,), 201)
+        with pytest.raises(ValueError):
+            oracle.mhs_exact_upto((1,), 201)
+
+    def test_mhs_upto_matches_mhs_exact_on_grid(self):
+        for sig in GRID_SIGS:
+            upto = oracle.mhs_exact_upto(sig, 12)
+            assert len(upto) == 13
+            for n in (0, 1, 2, 3, 7, 12):
+                assert upto[n] == oracle.mhs_exact(sig, n)
 
     def test_odd_harmonic(self):
         assert oracle.odd_harmonic_exact(1, 3) == 1 + Fraction(1, 3) + Fraction(1, 5)
