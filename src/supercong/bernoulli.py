@@ -4,10 +4,13 @@ B_n is computed only for the indices asked for, from the power sum
 sum_{k<p} k^n: it gives p*B_n mod p**(N+1) once a few lower p*B_j are
 subtracted, each needed to about two fewer digits than the one before
 (Buhler-Crandall-Ernvall-Metsankyla-Shokrollahi 2001; Harvey 2010).  That
-is O(N*p) work per index, memoized per (p, N).  Indices with (p-1) | n are
-rejected (von Staudt-Clausen: not p-integral), odd n > 1 give the exact
-zero.  The O(p^2) Akiyama-Tanigawa triangle (kernels.bernoulli_scaled) is
-kept only as the tests' independent cross-check.
+is O(N*p) work per index, memoized per (p, N).  A power sum makes one pow
+per prime k and one product q^n * (k/q)^n per composite k, with q read from
+a single smallest-prime-factor table grown to the largest p asked for.
+Indices with (p-1) | n are rejected (von Staudt-Clausen: not p-integral),
+odd n > 1 give the exact zero.  The O(p^2) Akiyama-Tanigawa triangle
+(kernels.bernoulli_scaled) is kept only as the tests' independent
+cross-check.
 
 The constant X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8) has two independent
 routes: x_constant, from those two Bernoulli numbers (full N digits), and
@@ -25,6 +28,7 @@ from fractions import Fraction
 from .errors import BadParameter
 from .harmonic import mhs
 from .padic import PAdic, congruent_mod
+from .primes import smallest_prime_factors
 
 __all__ = [
     "bernoulli",
@@ -35,6 +39,9 @@ __all__ = [
 
 _X_APREC_HARMONIC = 2  # H(2;p-1) = -4pX holds mod p^3, so X is pinned mod p^2
 _EXACT_WITNESS_LIMIT = 30  # small B_n carry their exact rational as a witness
+
+# smallest prime factors up to the largest p asked for, shared by every prime
+_SPF: list[int] = []
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,7 +73,7 @@ def _scaled(n: int, p: int, e: int) -> int:
         return -p * pow(2, -1, m) % m
     if n % 2 == 1:
         return 0
-    acc = sum(pow(k, n, m) for k in range(1, p))
+    acc = _power_sum(n, p, m)
     # i + 1 <= 2p + 1 < p^2, so v_p(i+1) <= 1 and only i <= e can contribute
     for i in range(1, min(n, e) + 1):
         v = 1 if (i + 1) % p == 0 else 0
@@ -76,6 +83,22 @@ def _scaled(n: int, p: int, e: int) -> int:
         unit_inv = pow((i + 1) // p**v, -1, m)
         acc -= math.comb(n, i) * unit_inv * p**shift * _scaled(n - i, p, e - shift)
     return acc % m
+
+
+def _power_sum(n: int, p: int, m: int) -> int:
+    """sum_{k<p} k^n mod m (n >= 0), with one pow per prime k.
+
+    k -> k^n is completely multiplicative, so a composite k takes
+    q^n * (k/q)^n for its smallest prime factor q, both already in the list.
+    """
+    if len(_SPF) < p:
+        _SPF[:] = smallest_prime_factors(p - 1)
+    spf = _SPF
+    pw = [0, 1]
+    for k in range(2, p):
+        q = spf[k]
+        pw.append(pow(k, n, m) if q == k else pw[q] * pw[k // q] % m)
+    return sum(pw) % m
 
 
 def bernoulli(n: int, p: int, N: int) -> PAdic:

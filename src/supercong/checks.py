@@ -15,10 +15,13 @@ PrimeContext.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, repeat
+from operator import add, mod, mul, ne, sub
 from typing import Callable
 
 from . import kernels
@@ -526,57 +529,67 @@ def _lem23_scan(ctx, t: PAdic, half_range: bool):
     """Exact mod-p^4 scan of the generalized-binomial product over all k.
 
     The product B(k) = binom(pt+k-1, top) * binom(-pt-k-1, top) is carried
-    from k to k+1 by a unit ratio, so the whole row costs O(p) modular
-    operations; each B(k) is compared against the closed form.
+    as a numerator N_k and a denominator D_k, running products mod p^4 that
+    gain (T+k)(T+k+1+top) and (T+k-top)(T+k+1) from k to k+1 (T = pt).
+    D_k is a unit, so B(k) matches the closed form rhs_k exactly when
+    N_k = rhs_k * D_k mod p^4; the only inversion is at the k reported.
+    The row costs O(p) multiplications.
     """
     p = ctx.p
     m4 = p**4
     top = ctx.half if half_range else p - 1
     T = 0 if t.zero_flag else p * t.lift(3) % m4
-    inv = ctx.inv()
+    inv = list(map(mod, ctx.inv(), repeat(m4)))
+    ik = inv[1 : top + 1]
 
-    num = fact = 1
-    for j in range(top):
-        num = num * (T - j) % m4 * (-T - 2 - j) % m4
-        fact = fact * (j + 1) % m4
-    b = num * pow(fact * fact % m4, -1, m4) % m4
+    # closed[k-1] = rhs_k, unreduced, from the prefix sums
+    # O_r(k) = sum_{j<=k} 1/(2j-1)^r (half range) or H(k) = sum_{j<=k} 1/j
+    if half_range:
+        io = inv[1 : 2 * top : 2]
+        tk = list(map(mul, ik, repeat(T)))
+        v = list(map(mul, accumulate(io), repeat(p)))
+        u = list(map(sub, tk, v))
+        # T/k * (1 - T/k + 2pO_1 + (T/k)^2 + 2(pO_1)^2 - 2(T/k)pO_1 - 4TpO_2)
+        # = T/k * (1 + u(u-1) + v(v+1) - 4TpO_2) with u = T/k - pO_1, v = pO_1
+        inner = map(
+            add,
+            map(mul, u, map(sub, u, repeat(1))),
+            map(mul, v, map(add, v, repeat(1))),
+        )
+        o2 = accumulate(map(mul, io, io))
+        inner = map(sub, inner, map(mul, o2, repeat(4 * T * p)))
+        closed = list(map(mul, tk, map(add, inner, repeat(1))))
+    else:
+        # T(T+p)/k^2 * (1 + 2pH(k) - (p + 2T)/k)
+        inner = map(
+            sub,
+            map(add, map(mul, accumulate(ik), repeat(2 * p)), repeat(1)),
+            map(mul, ik, repeat(p + 2 * T)),
+        )
+        closed = list(
+            map(mul, map(mul, map(mul, ik, ik), inner), repeat(T * (T + p) % m4))
+        )
 
-    h = o1 = o2 = 0
-    first_bad = None
-    last = None
-    for k in range(1, top + 1):
-        ik = inv[k]
-        if half_range:
-            io = inv[2 * k - 1]
-            o1 = (o1 + io) % m4
-            o2 = (o2 + io * io) % m4
-            tk = T * ik % m4
-            inner = (
-                1 - tk + 2 * p * o1 + tk * tk + 2 * p * p * o1 * o1
-                - 2 * tk * p * o1 - 4 * T * p * o2
-            ) % m4
-            rhs_k = tk * inner % m4
-        else:
-            h = (h + ik) % m4
-            inner = (1 + 2 * p * h - p * ik - 2 * T * ik) % m4
-            rhs_k = T * (T + p) % m4 * ik % m4 * ik % m4 * inner % m4
-        last = (k, b, rhs_k)
-        if b != rhs_k and first_bad is None:
-            first_bad = last
-        if k < top:
-            ratio = (
-                (T + k) % m4 * ((T + k + 1 + top) % m4) % m4
-                * pow((T + k - top) % m4, -1, m4) % m4
-                * pow((T + k + 1) % m4, -1, m4) % m4
-            )
-            b = b * ratio % m4
+    def mulmod(x, y):
+        return x * y % m4
 
-    k, bval, rval = first_bad if first_bad is not None else last
-    lhs = PAdic.from_int_exact(bval, p=p, aprec=4)
-    rhs = PAdic.from_int_exact(rval, p=p, aprec=4)
-    note = (
-        f"first mismatch at k={k}" if first_bad is not None else f"all k in 1..{top}"
+    n1 = functools.reduce(
+        mulmod, map(mul, range(T, T - top, -1), range(-T - 2, -T - 2 - top, -1)), 1
     )
+    nums = list(accumulate(
+        map(mul, range(T + 1, T + top), range(T + top + 2, T + 2 * top + 1)),
+        mulmod, initial=n1,
+    ))
+    dens = list(accumulate(
+        map(mul, range(T + 1 - top, T), range(T + 2, T + top + 1)),
+        mulmod, initial=math.factorial(top) ** 2 % m4,
+    ))
+    rhs_dens = map(mod, map(mul, closed, dens), repeat(m4))
+    bad = next(compress(range(top), map(ne, nums, rhs_dens)), None)
+    i = top - 1 if bad is None else bad
+    lhs = PAdic.from_int_exact(nums[i] * pow(dens[i], -1, m4) % m4, p=p, aprec=4)
+    rhs = PAdic.from_int_exact(closed[i] % m4, p=p, aprec=4)
+    note = f"all k in 1..{top}" if bad is None else f"first mismatch at k={i + 1}"
     return lhs, rhs, 4, note
 
 

@@ -187,7 +187,14 @@ def _triple_key(check: str, p: int, params: tuple[str, ...], digits: int, t_sign
 
 
 def _load_cache(path: str) -> dict[str, CheckResult]:
-    """Cached rows by key; a file that does not parse is an I/O error."""
+    """Cached rows by key; a file that does not parse is an I/O error.
+
+    A missing directory is one too, found here so that no sweep runs whose
+    rows could not be saved.
+    """
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise OSError(f"cache directory {folder} does not exist")
     if not os.path.exists(path):
         return {}
     with open(path, encoding="utf-8") as fh:

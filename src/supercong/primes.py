@@ -1,8 +1,10 @@
-"""Prime enumeration via a simple segmented sieve."""
+"""Prime enumeration via a simple segmented sieve, and smallest prime factors."""
 
 from __future__ import annotations
 
-__all__ = ["primes_in_range"]
+import math
+
+__all__ = ["primes_in_range", "smallest_prime_factors"]
 
 _SEGMENT = 1 << 16
 
@@ -35,3 +37,15 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
         out.extend(start + i for i, flag in enumerate(seg) if flag)
         start = end + 1
     return out
+
+
+def smallest_prime_factors(n: int) -> list[int]:
+    """spf[k] = the smallest prime factor of k for 2 <= k <= n; spf[0:2] = [0, 1].
+
+    Each prime q <= sqrt(n) strides over its multiples from q*q, largest q
+    first, so the smallest prime factor of a composite is the last written.
+    """
+    spf = list(range(n + 1))
+    for q in reversed(_small_primes(math.isqrt(n))):
+        spf[q * q :: q] = [q] * len(range(q * q, n + 1, q))
+    return spf

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from supercong import bernoulli as bernoulli_mod
 from supercong.bernoulli import (
     _EXACT_WITNESS_LIMIT,
     _exact_bernoulli,
@@ -13,10 +14,11 @@ from supercong.bernoulli import (
     x_constant,
     x_harmonic,
 )
+from supercong.checks import registry, sweep
 from supercong.errors import BadParameter
 from supercong.kernels import pykernels
 from supercong.padic import PAdic, congruent_mod
-from supercong.primes import primes_in_range
+from supercong.primes import primes_in_range, smallest_prime_factors
 
 
 def _inv(p, N):
@@ -138,6 +140,63 @@ class TestPowerSumsAgainstTriangle:
                 continue
             want = PAdic.from_rational(_exact_bernoulli(n), p=p, digits=6)
             assert congruent_mod(bernoulli(n, p, 6), want, 6), (p, n)
+
+
+def _naive_power_sum(n, p, m):
+    return sum(pow(k, n, m) for k in range(1, p)) % m
+
+
+class TestSievedPowerSum:
+    """sum_{k<p} k^n from one pow per prime k against one pow per k."""
+
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_small_primes(self, p):
+        # the sieve strides only with 2 (p = 7) or with 2 and 3 (p = 11, 13)
+        for e in (1, 2, 7):
+            m = p**e
+            for n in range(2 * p + 1):
+                assert bernoulli_mod._power_sum(n, p, m) == _naive_power_sum(n, p, m)
+
+    @pytest.mark.parametrize("p", [983, 991, 997])
+    def test_every_catalog_exponent(self, p, monkeypatch):
+        asked = []
+        power_sum = bernoulli_mod._power_sum
+
+        def record(n, q, m):
+            asked.append((n, q, m))
+            return power_sum(n, q, m)
+
+        monkeypatch.setattr(bernoulli_mod, "_power_sum", record)
+        bernoulli_mod._scaled.cache_clear()
+        sweep([d.id for d in registry()], [p], jobs=1)
+        # B_{p-3} and B_{2p-4}, and the lower indices their power sums subtract
+        want = set(range(p - 13, p - 2, 2)) | set(range(2 * p - 10, 2 * p - 3, 2))
+        assert {n for n, _, _ in asked} == want
+        for n, q, m in asked:
+            assert q == p
+            assert power_sum(n, p, m) == _naive_power_sum(n, p, m), (n, m)
+
+    def test_smallest_prime_factors_by_trial_division(self):
+        spf = smallest_prime_factors(2000)
+        assert spf[:2] == [0, 1]
+        for k in range(2, 2001):
+            assert spf[k] == next(q for q in range(2, k + 1) if k % q == 0), k
+
+    def test_p_10007(self):
+        p = 10007
+        m = p**7
+        assert bernoulli_mod._power_sum(p - 3, p, m) == _naive_power_sum(p - 3, p, m)
+
+    def test_smaller_prime_reads_grown_table(self):
+        m = 1009**7
+        assert bernoulli_mod._power_sum(1006, 1009, m) == _naive_power_sum(1006, 1009, m)
+        table = bernoulli_mod._SPF
+        size = len(table)
+        assert size >= 1009
+        for p in (7, 13, 997):
+            m = p**5
+            assert bernoulli_mod._power_sum(p - 3, p, m) == _naive_power_sum(p - 3, p, m)
+        assert bernoulli_mod._SPF is table and len(table) == size
 
 
 class TestBernoulliPoly:

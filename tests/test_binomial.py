@@ -119,37 +119,31 @@ class TestProductScanCrossCheck:
         pt = a - rp.residue
         top = (p - 1) // 2 if half else p - 1
 
-        # replicate the scan's carried product at each k and compare with
-        # the exact falling-factorial product of both generalized binomials
+        # replicate the scan's carried numerator N_k and unit denominator D_k
+        # at each k and compare N_k / D_k with the exact falling-factorial
+        # product of both generalized binomials
         m4 = p**4
         T = 0 if t.zero_flag else p * t.lift(3) % m4
         num = 1
         for j in range(top):
-            num = num * (T - j) % m4
-        for j in range(top):
-            num = num * (-T - 2 - j) % m4
-        fact = 1
+            num = num * (T - j) * (-T - 2 - j) % m4
+        den = 1
         for j in range(2, top + 1):
-            fact = fact * j % m4
-        b = num * pow(fact * fact % m4, -1, m4) % m4
+            den = den * j * j % m4
         for k in range(1, top + 1):
-            exact = oracle.binom_exact(pt + k - 1, top) * oracle.binom_exact(-pt - k - 1, top)
-            carried = PAdic.from_int_exact(b, p=p, aprec=4)
-            assert congruent_mod(_embed(exact, p), carried, 4), f"k={k}"
+            exact = _embed(
+                oracle.binom_exact(pt + k - 1, top) * oracle.binom_exact(-pt - k - 1, top), p
+            )
+            assert den % p != 0, f"k={k}"
+            carried = PAdic.from_int_exact(num * pow(den, -1, m4) % m4, p=p, aprec=4)
+            assert congruent_mod(exact, carried, 4), f"k={k}"
             if k < top:
-                if half:
-                    ratio = (
-                        (T + k) * (T + k + 1 + ctx.half)
-                        * pow((T + k - ctx.half) % m4, -1, m4)
-                        * pow((T + k + 1) % m4, -1, m4)
-                    ) % m4
-                else:
-                    ratio = (
-                        (T + k) * (T + k + p)
-                        * pow((T + k - p + 1) % m4, -1, m4)
-                        * pow((T + k + 1) % m4, -1, m4)
-                    ) % m4
-                b = b * ratio % m4
+                num = num * (T + k) * (T + k + 1 + top) % m4
+                den = den * (T + k - top) * (T + k + 1) % m4
+        # with every row passing, the scan reports the product at k = top
+        lhs, _, _, note = _lem23_scan(ctx, t, half)
+        assert note == f"all k in 1..{top}"
+        assert congruent_mod(lhs, exact, 4)
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_scan_reports_all_k(self, p):
@@ -160,3 +154,53 @@ class TestProductScanCrossCheck:
             assert e == 4
             assert note.startswith("all k in 1..")
             assert congruent_mod(lhs, rhs, 4)
+
+    @pytest.mark.parametrize("p", [13, 101])
+    def test_scan_reports_first_mismatch(self, p):
+        # inv[5] off by p corrupts the closed form from the first k that
+        # reads it: 1/k at k = 5 (full range), 1/(2k-1) at k = 3 (half range)
+        ctx = _SkewedContext(p, digits=6)
+        inv = ctx.inv()
+        a = Fraction(-1, 2)
+        rp = reduce_point(a, p, 6)
+        pt = a - rp.residue
+        m4 = p**4
+        T = p * rp.t.lift(3) % m4
+        for half, bad_k in ((False, 5), (True, 3)):
+            top = (p - 1) // 2 if half else p - 1
+            lhs, rhs, e, note = _lem23_scan(ctx, rp.t, half)
+            assert e == 4
+            assert note == f"first mismatch at k={bad_k}"
+            exact = oracle.binom_exact(pt + bad_k - 1, top) * oracle.binom_exact(
+                -pt - bad_k - 1, top
+            )
+            assert congruent_mod(lhs, _embed(exact, p), 4)
+            want = PAdic.from_int_exact(_closed_form(inv, T, p, bad_k, half), p=p, aprec=4)
+            assert congruent_mod(rhs, want, 4)
+            assert not congruent_mod(lhs, rhs, 4)
+
+
+class _SkewedContext(PrimeContext):
+    """A context whose inverse table has inv[5] off by p."""
+
+    def inv(self):
+        table = list(super().inv())
+        table[5] += self.p
+        return table
+
+
+def _closed_form(inv, T, p, k, half):
+    """Lemma 2.3's right-hand side at k mod p^4, term by term from inv."""
+    m4 = p**4
+    tk = T * inv[k]
+    if half:
+        o1 = sum(inv[2 * j - 1] for j in range(1, k + 1))
+        o2 = sum(inv[2 * j - 1] ** 2 for j in range(1, k + 1))
+        inner = (
+            1 - tk + 2 * p * o1 + tk * tk + 2 * p * p * o1 * o1
+            - 2 * tk * p * o1 - 4 * T * p * o2
+        )
+        return tk * inner % m4
+    h = sum(inv[1 : k + 1])
+    inner = 1 + 2 * p * h - p * inv[k] - 2 * tk
+    return T * (T + p) * inv[k] ** 2 * inner % m4

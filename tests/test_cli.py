@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import supercong
+from supercong import cli
 from supercong.cli import RunConfig, UsageError, main, parse_args
 
 # the child interpreter imports the same package as this one
@@ -209,6 +210,25 @@ class TestCache:
         assert proc.stderr.startswith("error: corrupt cache file")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    def test_missing_cache_directory_is_io_error_before_sweep(self, tmp_path, monkeypatch):
+        cache = tmp_path / "absent" / "x.json"
+        monkeypatch.setattr(cli, "sweep", _no_sweep)
+        code, out = _run(RunConfig(check_ids=("lem-bridge",), prime_lo=7, prime_hi=300,
+                                   cache=str(cache)))
+        assert code == 3
+        assert out == ""
+        proc = _run_cli(
+            "verify", "--checks", "lem-bridge", "--primes", "7..11", "--cache", str(cache),
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: cache directory {cache.parent} does not exist\n"
+        assert proc.stdout == ""
+        assert not cache.parent.exists()
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("sweep ran although its rows could not be cached")
 
 
 class TestEndToEnd:
