@@ -4,9 +4,11 @@ B_n is computed only for the indices asked for, from the power sum
 sum_{k<p} k^n: it gives p*B_n mod p**(N+1) once a few lower p*B_j are
 subtracted, each needed to about two fewer digits than the one before
 (Buhler-Crandall-Ernvall-Metsankyla-Shokrollahi 2001; Harvey 2010).  That
-is O(N*p) work per index, memoized per (p, N).  A power sum makes one pow
-per prime k and one product q^n * (k/q)^n per composite k, with q read from
-a single smallest-prime-factor table grown to the largest p asked for.
+is O(N*p) work per index, memoized per (p, N); each exponent's power sum is
+taken once, at the modulus of the outermost call, and reduced for the lower
+ones.  A power sum makes one pow per prime k and one product
+q^n * (k/q)^n per composite k, with q read from a single
+smallest-prime-factor table grown to the largest p asked for.
 Indices with (p-1) | n are rejected (von Staudt-Clausen: not p-integral),
 odd n > 1 give the exact zero.  The O(p^2) Akiyama-Tanigawa triangle
 (kernels.bernoulli_scaled) is kept only as the tests' independent
@@ -16,7 +18,8 @@ The constant X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8) has two independent
 routes: x_constant, from those two Bernoulli numbers (full N digits), and
 x_harmonic, from the harmonic sum H(2; p-1) over the caller's inverse
 table (O(p), 2 digits), which suffices wherever X carries a p^2 or p^3
-prefactor.
+prefactor.  x_from_h2 is that route for a caller that already holds
+H(2; p-1).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ __all__ = [
     "bernoulli",
     "fermat_quotient",
     "x_constant",
+    "x_from_h2",
     "x_harmonic",
 ]
 
@@ -57,7 +61,7 @@ def _exact_bernoulli(n: int) -> Fraction:
 
 
 @functools.lru_cache(maxsize=None)
-def _scaled(n: int, p: int, e: int) -> int:
+def _scaled(n: int, p: int, e: int, top: int = 0) -> int:
     """p*B_n mod p**e (B_1 = -1/2) for 0 <= n <= 2p, from one power sum.
 
     sum_{k<p} k^n = sum_{i=0}^{n} C(n,i)/(i+1) p^i (p*B_{n-i}), so p*B_n is
@@ -65,15 +69,20 @@ def _scaled(n: int, p: int, e: int) -> int:
     i - v_p(i+1) >= e, and otherwise needs p*B_{n-i} only mod
     p**(e - i + v_p(i+1)), so the lower indices cost little.  Every index
     stays scaled by p, which keeps the terms with (p-1) | (n-i) integral.
+
+    The power sums are taken mod p**top, the modulus of the outermost call
+    (top = e there), and reduced: a lower index that the recursion needs mod
+    p**(e - i) and a later call needs mod p**top then shares one power sum.
     """
     m = p**e
+    top = max(top, e)
     if n == 0:
         return p % m
     if n == 1:
         return -p * pow(2, -1, m) % m
     if n % 2 == 1:
         return 0
-    acc = _power_sum(n, p, m)
+    acc = _power_sum(n, p, p**top)
     # i + 1 <= 2p + 1 < p^2, so v_p(i+1) <= 1 and only i <= e can contribute
     for i in range(1, min(n, e) + 1):
         v = 1 if (i + 1) % p == 0 else 0
@@ -81,12 +90,16 @@ def _scaled(n: int, p: int, e: int) -> int:
         if shift >= e:
             continue
         unit_inv = pow((i + 1) // p**v, -1, m)
-        acc -= math.comb(n, i) * unit_inv * p**shift * _scaled(n - i, p, e - shift)
+        acc -= math.comb(n, i) * unit_inv * p**shift * _scaled(n - i, p, e - shift, top)
     return acc % m
 
 
+@functools.lru_cache(maxsize=32)
 def _power_sum(n: int, p: int, m: int) -> int:
     """sum_{k<p} k^n mod m (n >= 0), with one pow per prime k.
+
+    Memoized for the few primes last asked for: a full-catalog prime sums
+    about ten exponents, and a sweep moves on to the next prime.
 
     k -> k^n is completely multiplicative, so a composite k takes
     q^n * (k/q)^n for its smallest prime factor q, both already in the list.
@@ -152,7 +165,12 @@ def x_harmonic(p: int, N: int, inv: list[int]) -> PAdic:
     """
     if p <= 5 or N < _X_APREC_HARMONIC + 1:
         raise BadParameter("x_harmonic requires p > 5 and N >= 3")
-    x = mhs((2,), p - 1, p, N, inv).scale(Fraction(-1, 4)).shift(-1)
+    return x_from_h2(mhs((2,), p - 1, p, N, inv))
+
+
+def x_from_h2(h2: PAdic) -> PAdic:
+    """X = -H(2; p-1)/(4p) mod p^2 from H(2; p-1) known mod p^3 or better."""
+    x = h2.scale(Fraction(-1, 4)).shift(-1)
     # valid only mod p^2: truncate the window so callers cannot over-trust it
     return _truncate(x, _X_APREC_HARMONIC)
 

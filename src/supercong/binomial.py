@@ -2,7 +2,8 @@
 
 S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k carries both generalized
 binomials from k-1 to k; since n < p every division is by a unit, so the
-kernel sums exactly modulo a power of p.
+kernel sums exactly modulo a power of p, at every endpoint up to its top in
+one pass.
 """
 
 from __future__ import annotations
@@ -25,27 +26,35 @@ class ReducedPoint:
     t: PAdic
 
 
-def s_sum(a: PAdic, n: int, p: int, N: int, inv: list[int]) -> PAdic:
+def s_sum(
+    a: PAdic, n: int | tuple[int, ...], p: int, N: int, inv: list[int]
+) -> PAdic | tuple[PAdic, ...]:
     """S_n(a) = sum_{k=1}^{n} binom(a,k) binom(-1-a,k) / k, n <= p-1.
 
     inv is an inverse table mod p**N covering 1..n.  The result is known
     mod p**min(N, aprec of a); the kernel reads the same table at a shorter
-    modulus, since its entries are still congruent to 1/k there.
+    modulus, since its entries are still congruent to 1/k there.  For a
+    tuple of endpoints n, returns the tuple of S_k(a) for k in n, read from
+    one kernel pass to max(n).
     """
-    if n > p - 1:
+    ends = n if isinstance(n, tuple) else (n,)
+    top = max(ends)
+    if top > p - 1:
         raise BadParameter("s_sum requires n <= p-1")
     if a.prime != p:
         raise BadParameter("prime mismatch")
-    if n < 1:
-        return PAdic.zero(p)
-    if a.zero_flag:
-        return PAdic.zero(p)
-    if a.valuation < 0:
+    if top < 1 or a.zero_flag:
+        vals = (PAdic.zero(p),) * len(ends)
+    elif a.valuation < 0:
         raise BadParameter("s_sum requires a in Z_p")
-    aprec = min(N, a.aprec)
-    return PAdic.from_int_exact(
-        kernels.s_sum(a.lift(aprec), n, p, p**aprec, inv), p=p, aprec=aprec
-    )
+    else:
+        aprec = min(N, a.aprec)
+        prefix = kernels.s_sum(a.lift(aprec), top, p, p**aprec, inv)
+        vals = tuple(
+            PAdic.zero(p) if k < 1 else PAdic.from_int_exact(prefix[k], p=p, aprec=aprec)
+            for k in ends
+        )
+    return vals if isinstance(n, tuple) else vals[0]
 
 
 def reduce_point(a: Fraction, p: int, N: int) -> ReducedPoint:

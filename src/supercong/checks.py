@@ -9,7 +9,11 @@ pool and emits results deterministically ordered by (prime, id, params).
 Shared per-prime quantities (the inverse table every sum reads, the
 constant X, Fermat quotients, B_{p-3}, H(3,1;(p-1)/2), the binomial sums
 S_n(a) and the embedding and split of each sample a) are cached on a
-PrimeContext.
+PrimeContext.  Each sum the checks read is a signature (the exponents of a
+harmonic sum, the point a of S_n(a), ...) read at a few endpoints n that
+are known before any sum runs: (p-1)/2, p-1 and <a>_p of each sample.
+The context makes one kernel pass per signature and keeps its values at
+those endpoints.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from operator import add, mod, mul, ne, sub
 from typing import Callable
 
 from . import kernels
-from .bernoulli import _truncate, bernoulli, fermat_quotient, x_constant, x_harmonic
+from .bernoulli import _truncate, bernoulli, fermat_quotient, x_constant, x_from_h2
 from .binomial import reduce_point, s_sum
 from .errors import (
     BadParameter,
@@ -104,9 +108,19 @@ def render_padic(x: PAdic, p: int, e: int) -> str:
 
 
 class PrimeContext:
-    """Per-prime cache of the inverse table and recurring constants."""
+    """Per-prime cache of the inverse table, the sums and recurring constants.
 
-    def __init__(self, p: int, digits: int = 6, t_sign: str = "minus"):
+    a_samples are the sample points the checks will read; their residues
+    <a>_p are endpoints of the sums, next to (p-1)/2 and p-1.
+    """
+
+    def __init__(
+        self,
+        p: int,
+        digits: int = 6,
+        t_sign: str = "minus",
+        a_samples: tuple[Fraction, ...] = (),
+    ):
         if p < MIN_PRIME:
             raise PrimeTooSmall(f"checks require p >= {MIN_PRIME}, got {p}")
         if digits < 4:
@@ -116,6 +130,7 @@ class PrimeContext:
         self.p = p
         self.digits = digits
         self.t_sign = t_sign
+        self.a_samples = tuple(map(Fraction, a_samples))
         self.m = p**digits
         self.half = (p - 1) // 2
         self._memo: dict = {}
@@ -127,6 +142,42 @@ class PrimeContext:
             self._memo[key] = val
         return val
 
+    def _plan(self, top: int, residues: bool) -> frozenset[int]:
+        """The endpoints up to top that a sum's one pass keeps: (p-1)/2 and
+        p-1, and with residues also <a>_p of each sample.
+
+        The expansions of S_n(a) read the depth-1 harmonic sums and the
+        nested sums at <a>_p; S_n(a) itself, the central sums and the deeper
+        harmonic sums are read only at (p-1)/2 and p-1.
+        """
+
+        def make():
+            ends = {self.half, self.p - 1}
+            if residues:
+                ends |= {
+                    self.reduce(a).residue
+                    for a in self.a_samples
+                    if a.denominator % self.p != 0
+                }
+            return frozenset(k for k in ends if k <= top)
+
+        return self._cached(("plan", top, residues), make)
+
+    def _at(self, key, n: int, plan: frozenset[int], values):
+        """The sum named key at n, from one kernel pass per signature.
+
+        The first request makes one pass that keeps the values at the
+        endpoints of plan and at n; values(ends) makes that pass and returns
+        one value per endpoint of the sorted tuple ends.  An n not kept makes
+        one more pass that adds it.
+        """
+        kept = self._memo.get(key, {})
+        if n not in kept:
+            ends = tuple(sorted(plan | kept.keys() | {n}))
+            kept = dict(zip(ends, values(ends)))
+            self._memo[key] = kept
+        return kept[n]
+
     # -- kernel-backed primitives -------------------------------------------
 
     def inv(self) -> list[int]:
@@ -136,9 +187,9 @@ class PrimeContext:
         )
 
     def mhs(self, exps: tuple[int, ...], n: int) -> PAdic:
-        return self._cached(
-            ("mhs", exps, n),
-            lambda: mhs(exps, n, self.p, self.digits, self.inv()),
+        return self._at(
+            ("mhs", exps), n, self._plan(self.p - 1, len(exps) == 1),
+            lambda ends: mhs(exps, ends, self.p, self.digits, self.inv()),
         )
 
     def s(self, a: PAdic, n: int) -> PAdic:
@@ -153,39 +204,51 @@ class PrimeContext:
             aprec = min(self.digits, a.aprec)
             u = a.lift(aprec)
             key = (min(u, (-1 - u) % self.p**aprec), aprec)
-        return self._cached(
-            ("s", key, n),
-            lambda: s_sum(a, n, self.p, self.digits, self.inv()),
+        return self._at(
+            ("s", key), n, self._plan(self.p - 1, False),
+            lambda ends: s_sum(a, ends, self.p, self.digits, self.inv()),
         )
-
-    def _kernel_sum(self, key, kernel, *args) -> PAdic:
-        """kernel(*args, p, m, inv) as a PAdic known mod p**digits, cached."""
-
-        def make():
-            val = kernel(*args, self.p, self.m, self.inv())
-            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
-
-        return self._cached(key, make)
 
     def nested(self, outer: int, factors: tuple, n: int) -> PAdic:
         """sum_{k<=n} k^-outer * prod of prefix factors (kind, r, power)."""
-        return self._kernel_sum(
-            ("nested", outer, factors, n),
-            kernels.weighted_sum, outer, False, None, factors, n,
-        )
+        doubled = any(kind in ("odd", "h2k") for kind, _, _ in factors)
+
+        def values(ends):
+            prefix = kernels.weighted_sum(
+                outer, False, None, factors, ends[-1], self.p, self.m, self.inv()
+            )
+            return [
+                PAdic.from_int_exact(prefix[k], p=self.p, aprec=self.digits)
+                for k in ends
+            ]
+
+        top = self.half if doubled else self.p - 1
+        return self._at(("nested", outer, factors), n, self._plan(top, True), values)
 
     def central(self, lo: int, hi: int, denom: int) -> PAdic:
-        """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * denom^k)."""
+        """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * denom^k): C(hi) - C(lo-1), C(0) = 0."""
         cinv = pow(denom, -1, self.m)
-        return self._kernel_sum(
-            ("central", lo, hi, denom), kernels.central_sum, lo, hi, cinv
-        )
+
+        def values(ends):
+            prefix = kernels.central_sum(1, ends[-1], cinv, self.p, self.m, self.inv())
+            return [prefix[k] % self.m for k in ends]
+
+        def at(k):
+            if k < 1:
+                return 0
+            return self._at(("central", denom), k, self._plan(self.p - 1, False), values)
+
+        total = at(hi) - at(lo - 1)
+        return PAdic.from_int_exact(total, p=self.p, aprec=self.digits)
 
     def geom(self, c: int, outer: int, n: int) -> PAdic:
         """sum_{k<=n} c^k / k^outer."""
-        return self._kernel_sum(
-            ("geom", c, outer, n), kernels.geom_power_sum, c % self.m, outer, n
-        )
+
+        def make():
+            val = kernels.geom_power_sum(c % self.m, outer, n, self.p, self.m, self.inv())
+            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
+
+        return self._cached(("geom", c, outer, n), make)
 
     # -- constants -----------------------------------------------------------
 
@@ -196,7 +259,7 @@ class PrimeContext:
         """X, known mod p^2 at least; both routes cross-checked up to the limit."""
 
         def make():
-            xh = x_harmonic(self.p, self.digits, self.inv())
+            xh = x_from_h2(self.mhs((2,), self.p - 1))
             if self.p <= X_TABLE_LIMIT:
                 xb = x_constant(self.p, self.digits)
                 if not congruent_mod(xb, xh, 2):
@@ -974,7 +1037,7 @@ def _run_prime(args) -> list[CheckResult]:
     if p < MIN_PRIME:
         note = f"p below min_prime {MIN_PRIME}"
         return [CheckResult(i, p, (), "skipped", "", "", "", note=note) for i in ids]
-    ctx = PrimeContext(p, digits=digits, t_sign=t_sign)
+    ctx = PrimeContext(p, digits=digits, t_sign=t_sign, a_samples=a_samples)
     return [
         _evaluate(ctx, defn, params)
         for defn in (_BY_ID[check_id] for check_id in ids)

@@ -132,6 +132,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         cfg.stats = ns.stats
         if cfg.jobs < 1:
             raise UsageError("--jobs must be >= 1")
+        # more workers than CPUs only add processes; rows do not depend on --jobs
+        cfg.jobs = min(cfg.jobs, os.cpu_count() or 1)
         need = max(d.modulus_exponent for d in registry() if d.id in cfg.check_ids)
         if cfg.digits < max(4, need):
             raise UsageError(

@@ -10,10 +10,15 @@ independent cross-check.
 backend_name() always returns "python"; perfbench/run.py probes it to
 record which kernels a run used.
 
-The kernel names and positional signatures below are read by
+mhs_sum, weighted_sum, s_sum and central_sum return the list of their
+prefix sums at k = 0..n (k = 0..hi for central_sum) from one pass.  The
+entries are congruent mod m but not reduced; callers reduce the entries they
+read.
+
+The kernel names and positional parameters below are read by
 perfbench/tracer.py, whose count hooks take the same parameter lists (for
-example n * len(exps) steps per mhs_sum call); changing them is a benchmark
-change.
+example n * len(exps) steps per mhs_sum call); they stay fixed, and
+changing them is a benchmark change.
 """
 
 from __future__ import annotations

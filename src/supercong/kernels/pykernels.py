@@ -6,10 +6,14 @@ by units and no precision is lost.  An inverse table's entries need only be
 congruent to 1/k mod m, so a table built mod a higher power of p serves
 every smaller m unchanged.
 
-The sums run as chains of C-level iterators (islice, map, accumulate, sum)
-over the caller's inverse table, so intermediate sums and products may
-exceed m; each is reduced once at the end, and only running products are
-reduced mod m at every step.  Every return value is in [0, m).
+The sums run as chains of C-level iterators (islice, map, accumulate) over
+the caller's inverse table.  mhs_sum, weighted_sum, s_sum and central_sum
+return the list of their prefix sums at k = 0..n from one pass, so a caller
+that needs a sum at several endpoints reads them all from one call.  Those
+entries are congruent mod m but not reduced: reducing every entry would cost
+most of the pass, so callers reduce only the entries they read.  Running
+products are reduced mod m at every step.  inverse_table, bernoulli_scaled
+and geom_power_sum return values in [0, m).
 """
 
 from __future__ import annotations
@@ -113,42 +117,35 @@ def _geometric(c: int, m: int):
         yield g
 
 
-def _product_sums(ratios, weights, m: int) -> int:
-    """sum_k b_k * w_k mod m, where b_k = r_1 * ... * r_k mod m.
+def _product_prefix(ratios, weights, m: int) -> list[int]:
+    """[sum_{j<=k} b_j * w_j for k = 0, 1, ...], b_j = r_1 * ... * r_j mod m.
 
     Zips the two iterators, so it stops at the shorter one.
     """
-    b = 1
-    total = 0
-    for r, w in zip(ratios, weights):
-        b = b * r % m
-        total += b * w
-    return total % m
+
+    def mulmod(x, y):
+        return x * y % m
+
+    return list(accumulate(map(mul, accumulate(ratios, mulmod), weights), initial=0))
 
 
-def mhs_sum(exps: tuple[int, ...], n: int, p: int, m: int, inv: list[int]) -> int:
-    """H(a_1,...,a_m; n) mod m by the depth-recursive prefix method (n < p).
+def mhs_sum(exps: tuple[int, ...], n: int, p: int, m: int, inv: list[int]) -> list[int]:
+    """[H(a_1,...,a_m; k) for k = 0..n], unreduced, by depth-recursive prefixes (n < p).
 
     Level i is the prefix sum P_i(k) = sum_{j<=k} w_i(j) * P_{i-1}(j-1),
     P_0 = 1, with weight w_i(j) = inv[j]**|a_i|, times (-1)**j when a_i < 0.
-    The levels are chained iterators, so the whole sum is one pass over k.
+    The levels are chained iterators, so the whole list is one pass over k.
     """
     if not exps:
-        return 1
-    if len(exps) == 1:
-        a = exps[0]
-        if a >= 0:
-            return sum(_powers(_span(inv, 1, n + 1), a, m)) % m
-        odd = sum(_powers(_span(inv, 1, n + 1, 2), -a, m))
-        return (sum(_powers(_span(inv, 2, n + 1, 2), -a, m)) - odd) % m
+        return [1] * (n + 1)
     weights = []
     for a in exps:
         w = _powers(_span(inv, 1, n + 1), abs(a), m)
         weights.append(_alternating(w) if a < 0 else w)
     prefix = accumulate(weights[0], initial=0)
-    for w in weights[1:-1]:
+    for w in weights[1:]:
         prefix = accumulate(map(mul, w, prefix), initial=0)
-    return sum(map(mul, weights[-1], prefix)) % m
+    return list(prefix)
 
 
 def weighted_sum(
@@ -160,12 +157,13 @@ def weighted_sum(
     p: int,
     m: int,
     inv: list[int],
-) -> int:
-    """sum_{k=1}^{n} [(-1)^k] * c^k * k^(-aexp) * prod(prefix^power) mod m.
+) -> list[int]:
+    """[sum_{j<=k} [(-1)^j] c^j j^(-aexp) prod(prefix^power) for k = 0..n], unreduced.
 
     factors entries are (kind, r, power) with kind in
     {"harmonic", "odd", "signed", "h2k"}; each prefix is a running sum of
-    its addends, so the whole sum is one pass over k.
+    its addends, so the whole list is one pass over k.  "odd" and "h2k"
+    read inv up to 2n.
     """
     terms = _powers(_span(inv, 1, n + 1), aexp, m)
     if cnum is not None:
@@ -184,30 +182,42 @@ def weighted_sum(
         else:
             raise ValueError(f"unknown prefix kind {kind!r}")
         terms = map(mul, terms, _powers(accumulate(addends), power, m))
-    return sum(terms) % m
+    return list(accumulate(terms, initial=0))
 
 
-def s_sum(a_mod: int, n: int, p: int, m: int, inv: list[int]) -> int:
-    """S_n(a) = sum_{k=1}^{n} binom(a,k) * binom(-1-a,k) / k mod m.
+def s_sum(a_mod: int, n: int, p: int, m: int, inv: list[int]) -> list[int]:
+    """[S_k(a) for k = 0..n], unreduced; S_k(a) = sum_{j<=k} binom(a,j) * binom(-1-a,j) / j.
 
     Carries the one product b_k = binom(a,k) * binom(-1-a,k), which obeys
     b_k = b_{k-1} * (k(k-1) - a(a+1)) * inv[k]^2, because
     (a-k+1)(-a-k) = k(k-1) - a(a+1).  Only units k < p are divided by, so
     the result is exact mod m.
+
+    From the first k with k(k-1) = a(a+1) mod m on, b_k = 0 mod m and the
+    sums stay constant, so the pass stops there.  Such a k < p satisfies
+    (2k-1)^2 = (2a+1)^2 mod m, so it is a+1 or -a mod m, or (p+1)/2 when p
+    divides 2a+1; each candidate is tested before it stops the pass.
     """
     c = a_mod * (a_mod + 1) % m
+    stop = min(
+        (k for k in (a_mod % m + 1, -a_mod % m, (p + 1) // 2)
+         if 1 <= k <= n and (k * (k - 1) - c) % m == 0),
+        default=n + 1,
+    )
     ratios = map(
         mul,
-        map(sub, map(mul, range(1, n + 1), range(n)), repeat(c)),
-        _powers(_span(inv, 1, n + 1), 2, m),
+        map(sub, map(mul, range(1, stop), range(stop - 1)), repeat(c)),
+        _powers(_span(inv, 1, stop), 2, m),
     )
-    return _product_sums(ratios, _span(inv, 1, n + 1), m)
+    out = _product_prefix(ratios, _span(inv, 1, stop), m)
+    out += [out[-1]] * (n + 1 - stop)
+    return out
 
 
-def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> int:
-    """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * c^k) mod m, hi <= p-1.
+def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> list[int]:
+    """[sum_{j=lo}^{k} binom(2j,j)^2 / (j * c^j) for k = 0..hi], unreduced, hi <= p-1.
 
-    Carries v_k = binom(2k,k)^2 * cinv^k, which obeys
+    Entries k < lo are 0.  Carries v_k = binom(2k,k)^2 * cinv^k, which obeys
     v_k = v_{k-1} * (2(2k-1) * inv[k])^2 * cinv.  binom(2k,k) picks up its
     factor p from 2k-1 = p, a plain multiplication, so no division by p
     occurs.
@@ -219,7 +229,7 @@ def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> 
         repeat(cinv),
     )
     weights = chain(repeat(0, lo - 1), _span(inv, lo, hi + 1))
-    return _product_sums(ratios, weights, m)
+    return _product_prefix(ratios, weights, m)
 
 
 def geom_power_sum(cnum: int, aexp: int, n: int, p: int, m: int, inv: list[int]) -> int:

@@ -176,6 +176,28 @@ class TestSievedPowerSum:
             assert q == p
             assert power_sum(n, p, m) == _naive_power_sum(n, p, m), (n, m)
 
+    def test_one_power_sum_per_exponent(self, monkeypatch):
+        # the recursion asks lower indices at lower moduli; they share the
+        # power sums of the outermost modulus p^7, one per exponent, and every
+        # p*B_n asked, at any modulus, is the triangle's
+        p = 997
+        asked = {}
+        scaled = bernoulli_mod._scaled
+
+        def record(n, q, e, top=0):
+            asked[n, e] = scaled(n, q, e, top)
+            return asked[n, e]
+
+        monkeypatch.setattr(bernoulli_mod, "_scaled", record)
+        scaled.cache_clear()
+        bernoulli_mod._power_sum.cache_clear()
+        sweep([d.id for d in registry()], [p], jobs=1)
+        assert bernoulli_mod._power_sum.cache_info().misses == 10
+        assert {e for n, e in asked if n > 1 and n % 2 == 0} == {1, 3, 5, 7}
+        triangle = pykernels.bernoulli_scaled(2 * p, p, p**7)
+        for (n, e), value in asked.items():
+            assert value == triangle[n] % p**e, (n, e)
+
     def test_smallest_prime_factors_by_trial_division(self):
         spf = smallest_prime_factors(2000)
         assert spf[:2] == [0, 1]

@@ -71,6 +71,26 @@ class TestSSum:
         assert got.aprec == 3
         assert congruent_mod(got, _embed(oracle.s_sum_exact(a, p - 1), p), 3)
 
+    @pytest.mark.parametrize("a", [Fraction(-1, 2), Fraction(5), Fraction(0)])
+    def test_endpoints_from_one_pass(self, a, monkeypatch):
+        # a tuple of endpoints gives the single-endpoint values from one pass
+        p, N, inv = 13, 6, _inv(13, 6)
+        ends = (0, 1, 6, 12, 4)
+        x = _embed(a, p, N)
+        single = tuple(s_sum(x, k, p, N, inv) for k in ends)
+        calls = []
+
+        def counted(*args, _kernel=kernels.s_sum):
+            calls.append(args[1])
+            return _kernel(*args)
+
+        monkeypatch.setattr(kernels, "s_sum", counted)
+        assert s_sum(x, ends, p, N, inv) == single
+        assert calls == ([] if a == 0 else [12])
+        assert single[0].zero_flag
+        with pytest.raises(BadParameter):
+            s_sum(x, (1, 13), p, N, inv)
+
     def test_trivial_cases(self):
         assert s_sum(PAdic.zero(7), 6, 7, 6, _inv(7, 6)).zero_flag
         assert s_sum(_embed(1, 7, 6), 0, 7, 6, _inv(7, 6)).zero_flag

@@ -7,6 +7,7 @@ import pytest
 
 from supercong import checks, kernels
 from supercong.binomial import s_sum
+from supercong.harmonic import mhs
 from supercong.checks import (
     DEFAULT_A_SAMPLES,
     CheckDefinition,
@@ -298,3 +299,77 @@ class TestPerPrimeTables:
 
     def test_main_checks_above_table_limit(self, monkeypatch):
         assert self._table_builds(monkeypatch, self.MAIN_IDS, 10007) == (1, 0)
+
+
+class TestOnePassPerSignature:
+    """A prime makes one kernel pass per sum signature and reads every
+    endpoint it needs (0, (p-1)/2, p-1, <a>_p) from that pass."""
+
+    KERNELS = ("mhs_sum", "weighted_sum", "s_sum", "central_sum")
+
+    def _recorded(self, monkeypatch):
+        """kernel name -> the argument tuples of its calls from now on."""
+        calls = {name: [] for name in self.KERNELS}
+        for name, log in calls.items():
+
+            def counted(*args, _kernel=getattr(kernels, name), _log=log):
+                _log.append(args)
+                return _kernel(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+        return calls
+
+    def _passes(self, monkeypatch, ids, p):
+        calls = self._recorded(monkeypatch)
+        results = sweep(ids, [p], jobs=1)
+        assert {r.status for r in results} <= {"pass", "skipped"}
+        return calls
+
+    def test_main_checks_above_table_limit(self, monkeypatch):
+        p = 10007
+        calls = self._passes(monkeypatch, TestPerPrimeTables.MAIN_IDS, p)
+        counts = {name: len(log) for name, log in calls.items()}
+        assert counts == {"mhs_sum": 6, "weighted_sum": 5, "s_sum": 6, "central_sum": 1}
+        assert {args[1] for args in calls["mhs_sum"]} == {p - 1}
+
+    def test_full_catalog_below_table_limit(self, monkeypatch):
+        p = 499
+        calls = self._passes(monkeypatch, [d.id for d in registry()], p)
+        signatures = {
+            "mhs_sum": {args[0] for args in calls["mhs_sum"]},
+            "weighted_sum": {args[:4] for args in calls["weighted_sum"]},
+            # S_n(a) = S_n(-1-a): a and -1-a are one signature
+            "s_sum": {
+                (frozenset({a % m, (-1 - a) % m}), m)
+                for a, _, _, m, _ in calls["s_sum"]
+            },
+            "central_sum": {(args[2], args[4]) for args in calls["central_sum"]},
+        }
+        for name, log in calls.items():
+            assert log, name
+            assert len(log) == len(signatures[name]), name
+        # each pass runs to the top of its kernel's range
+        assert {args[1] for args in calls["mhs_sum"]} == {p - 1}
+        assert {args[4] for args in calls["weighted_sum"]} == {(p - 1) // 2, p - 1}
+        assert {args[1] for args in calls["s_sum"]} == {p - 1}
+
+    def test_unplanned_endpoints_match_the_direct_sums(self, monkeypatch):
+        p = 13
+        ctx = PrimeContext(p)
+        inv = ctx.inv()
+        a = ctx.embed(Fraction(2, 5))
+        direct = {
+            n: ([mhs(exps, n, p, ctx.digits, inv) for exps in ((1,), (1, -3), (2, 1, 1))],
+                s_sum(a, n, p, ctx.digits, inv))
+            for n in range(p)
+        }
+        calls = self._recorded(monkeypatch)
+        for _ in range(2):
+            for n in range(p):
+                got = [ctx.mhs(exps, n) for exps in ((1,), (1, -3), (2, 1, 1))]
+                assert (got, ctx.s(a, n)) == direct[n], n
+        # a context without samples plans 6 and 12; the first request (n = 0)
+        # and each other unplanned n add one pass, and every endpoint once
+        # read stays with its signature
+        assert len(calls["mhs_sum"]) == 3 * (1 + p - 3)
+        assert len(calls["s_sum"]) == 1 + p - 3

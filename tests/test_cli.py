@@ -83,6 +83,12 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["verify", "--jobs", "0"])
 
+    def test_jobs_clamped_to_cpu_count(self):
+        # an absurd --jobs asks for no more workers than there are CPUs
+        cpus = os.cpu_count() or 1
+        assert parse_args(["verify", "--jobs", "1000000"]).jobs == cpus
+        assert parse_args(["verify", "--jobs", "1"]).jobs == 1
+
     def test_a_samples(self):
         cfg = parse_args(["verify", "--a-samples", "-1/2, 5"])
         assert cfg.a_samples == (Fraction(-1, 2), Fraction(5))

@@ -63,6 +63,28 @@ class TestMhsValues:
         with pytest.raises(BadParameter):
             mhs((1,), 49, 7, 4, _inv(7, 4))
 
+    def test_endpoints_from_one_pass(self, monkeypatch):
+        # a tuple of endpoints gives one value per endpoint, each equal to the
+        # single-endpoint call, from one kernel pass; n < depth is exact zero
+        calls = []
+
+        def counted(*args, _kernel=kernels.mhs_sum):
+            calls.append(args[1])
+            return _kernel(*args)
+
+        p, N, inv = 13, 5, _inv(13, 5)
+        ends = (0, 1, 6, 3, 12)
+        for exps in ((1,), (1, -3), (2, 1, 1)):
+            single = [mhs(exps, k, p, N, inv) for k in ends]
+            monkeypatch.setattr(kernels, "mhs_sum", counted)
+            got = mhs(exps, ends, p, N, inv)
+            monkeypatch.undo()
+            assert got == tuple(single)
+            assert [x.zero_flag for x in got] == [k < len(exps) for k in ends]
+        assert calls == [12, 12, 12]
+        with pytest.raises(BadParameter):
+            mhs((1,), (3, 13), p, N, inv)
+
 
 _sigs = st.lists(
     st.integers(min_value=-4, max_value=4).filter(lambda a: a != 0),
@@ -117,7 +139,7 @@ class TestNestedSum:
         got = kernels.weighted_sum(
             outer, signed, None if c == 1 else c, factors, n, p, m,
             kernels.inverse_table(2 * n, p, m),
-        )
+        )[n]
         total = oracle.weighted_sum_exact(outer, signed, c, factors, n)
         assert congruent_mod(PAdic.from_int_exact(got, p=p, aprec=N), _embed(total, p, 7), N)
 

@@ -3,7 +3,8 @@
 At production-sized primes (up to 10007, modulus p^6) every kernel equals a
 direct loop over its defining sum that inverts each k with pow(k, -1, m)
 instead of reading an inverse table; at small primes the sums equal the
-exact rational oracles.
+exact rational oracles.  mhs_sum, weighted_sum, s_sum and central_sum return
+their unreduced prefix sums at k = 0..n, so a sum up to n is entry [n] mod m.
 """
 
 from fractions import Fraction
@@ -106,7 +107,7 @@ def test_mhs_sum_identical(p, exps):
     m = p**DIGITS
     n = p - 1
     inv = _inv(p, m, n)
-    assert pykernels.mhs_sum(exps, n, p, m, inv) == _direct_mhs(exps, n, m)
+    assert pykernels.mhs_sum(exps, n, p, m, inv)[n] % m == _direct_mhs(exps, n, m)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -127,7 +128,7 @@ def test_weighted_sum_identical(p, spec):
     m = p**DIGITS
     half = (p - 1) // 2
     inv = _inv(p, m, p - 1)
-    got = pykernels.weighted_sum(aexp, signed, cnum, factors, half, p, m, inv)
+    got = pykernels.weighted_sum(aexp, signed, cnum, factors, half, p, m, inv)[half] % m
     assert got == _direct_weighted(aexp, signed, cnum, factors, half, m)
 
 
@@ -137,10 +138,11 @@ def test_s_sum_and_central_sum_identical(p):
     n = p - 1
     inv = _inv(p, m, n)
     a_mod = (m + 1) // 2
-    assert pykernels.s_sum(a_mod, n, p, m, inv) == _direct_s(a_mod, n, m)
+    assert pykernels.s_sum(a_mod, n, p, m, inv)[n] % m == _direct_s(a_mod, n, m)
     cinv = pow(16, -1, m)
     for lo in (1, (p + 1) // 2):
-        assert pykernels.central_sum(lo, n, cinv, p, m, inv) == _direct_central(lo, n, 16, m)
+        got = pykernels.central_sum(lo, n, cinv, p, m, inv)[n] % m
+        assert got == _direct_central(lo, n, 16, m)
 
 
 @pytest.mark.parametrize("p", [7, 101, 1553])
@@ -162,7 +164,7 @@ def test_large_modulus_near_limit():
     p = 131071
     m = p**4
     n = 200
-    got = pykernels.mhs_sum((3, 1), n, p, m, pykernels.inverse_table(n, p, m))
+    got = pykernels.mhs_sum((3, 1), n, p, m, pykernels.inverse_table(n, p, m))[n] % m
     assert got == _residue(oracle.mhs_exact((3, 1), n), m)
 
 
@@ -194,13 +196,13 @@ class TestSumsAgainstOracle:
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 6, 9, 12])
     @pytest.mark.parametrize("a", [1, -1, 2, -2, 3, -3])
     def test_mhs_depth_one(self, a, n):
-        got = pykernels.mhs_sum((a,), n, self.P, self.M, self.INV)
+        got = pykernels.mhs_sum((a,), n, self.P, self.M, self.INV)[n] % self.M
         assert got == _residue(oracle.mhs_exact((a,), n), self.M)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 12])
     @pytest.mark.parametrize("exps", [(1, -3), (-2, 2), (2, 1), (1, 1, 1), (2, -1, 3)])
     def test_mhs_deeper(self, exps, n):
-        got = pykernels.mhs_sum(exps, n, self.P, self.M, self.INV)
+        got = pykernels.mhs_sum(exps, n, self.P, self.M, self.INV)[n] % self.M
         assert got == _residue(oracle.mhs_exact(exps, n), self.M)
 
     @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(5)])
@@ -211,13 +213,14 @@ class TestSumsAgainstOracle:
         for aa in (a + t * self.M, -1 - a + t * self.M):
             for n in (0, 1, 6, 12):
                 got = pykernels.s_sum(_residue(aa, self.M), n, self.P, self.M, self.INV)
-                assert got == _residue(oracle.s_sum_exact(aa, n), self.M)
+                assert got[n] % self.M == _residue(oracle.s_sum_exact(aa, n), self.M)
 
     @pytest.mark.parametrize("lo", [0, 1, 2, 5, 7, 12, 13])
     @pytest.mark.parametrize("c", [16, 6, -3])
     def test_central_sum(self, lo, c):
         hi = self.P - 1
         got = pykernels.central_sum(lo, hi, pow(c, -1, self.M), self.P, self.M, self.INV)
+        got = got[hi] % self.M
         want = sum(
             (Fraction(comb(2 * k, k) ** 2, k * c**k) for k in range(max(lo, 1), hi + 1)),
             Fraction(0),
@@ -235,9 +238,115 @@ class TestSumsAgainstOracle:
     def test_zero_exponents_weigh_one(self):
         # k^0 = 1: H(0; n) = n and H(0, 1; n) = sum_{k<=n} (k-1)/k
         n = 12
-        assert pykernels.mhs_sum((0,), n, self.P, self.M, self.INV) == n
-        got = pykernels.mhs_sum((0, 1), n, self.P, self.M, self.INV)
+        assert pykernels.mhs_sum((0,), n, self.P, self.M, self.INV)[n] == n
+        got = pykernels.mhs_sum((0, 1), n, self.P, self.M, self.INV)[n] % self.M
         assert got == _residue(sum(Fraction(k - 1, k) for k in range(1, n + 1)), self.M)
+
+
+class TestPrefixLists:
+    """Every entry of a kernel's prefix list against the oracle, at p = 13."""
+
+    P, N = 13, 5
+    M = P**N
+    INV = pykernels.inverse_table(P - 1, P, P**N)
+
+    def _reduced(self, prefix):
+        return [x % self.M for x in prefix]
+
+    @pytest.mark.parametrize("exps", [(1,), (-2,), (3, 1), (1, -3), (2, -1, 1)])
+    def test_mhs_sum_every_entry(self, exps):
+        n = self.P - 1
+        got = pykernels.mhs_sum(exps, n, self.P, self.M, self.INV)
+        want = [_residue(q, self.M) for q in oracle.mhs_exact_upto(exps, n)]
+        assert self._reduced(got) == want
+
+    @pytest.mark.parametrize(
+        "outer, factors",
+        [(3, (("harmonic", 1, 1),)), (2, (("odd", 1, 2),)), (2, (("h2k", 1, 1),)), (1, ())],
+    )
+    def test_weighted_sum_every_entry(self, outer, factors):
+        n = (self.P - 1) // 2
+        got = pykernels.weighted_sum(
+            outer, False, None, factors, n, self.P, self.M, self.INV
+        )
+        want = [
+            _residue(oracle.weighted_sum_exact(outer, False, 1, factors, k), self.M)
+            for k in range(n + 1)
+        ]
+        assert self._reduced(got) == want
+
+    @pytest.mark.parametrize("a", [Fraction(-1, 2), Fraction(2, 5)])
+    def test_s_sum_every_entry(self, a):
+        n = self.P - 1
+        got = pykernels.s_sum(_residue(a, self.M), n, self.P, self.M, self.INV)
+        want = [_residue(oracle.s_sum_exact(a, k), self.M) for k in range(n + 1)]
+        assert self._reduced(got) == want
+
+    @pytest.mark.parametrize("lo", [1, 7])
+    def test_central_sum_every_entry(self, lo):
+        hi = self.P - 1
+        got = pykernels.central_sum(lo, hi, pow(16, -1, self.M), self.P, self.M, self.INV)
+        want = [
+            _residue(
+                sum(
+                    (Fraction(comb(2 * j, j) ** 2, j * 16**j) for j in range(lo, k + 1)),
+                    Fraction(0),
+                ),
+                self.M,
+            )
+            for k in range(hi + 1)
+        ]
+        assert self._reduced(got) == want
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 12])
+    def test_one_entry_per_k(self, n):
+        p, m, inv = self.P, self.M, self.INV
+        half = min(n, (p - 1) // 2)
+        assert len(pykernels.mhs_sum((1, -3), n, p, m, inv)) == n + 1
+        assert len(pykernels.mhs_sum((), n, p, m, inv)) == n + 1
+        odd = (("odd", 1, 1),)
+        assert len(pykernels.weighted_sum(2, False, None, odd, half, p, m, inv)) == half + 1
+        assert len(pykernels.weighted_sum(3, True, 2, (), n, p, m, inv)) == n + 1
+        for a_mod in (5, 12345):
+            assert len(pykernels.s_sum(a_mod, n, p, m, inv)) == n + 1
+        assert len(pykernels.central_sum(1, n, pow(16, -1, m), p, m, inv)) == n + 1
+
+    @pytest.mark.parametrize(
+        "a, stop",
+        [
+            (Fraction(0), 1),
+            (Fraction(-1), 1),
+            (Fraction(-1 + 3 * M), 1),  # a = -1 mod p^5, the lift far from -1
+            (Fraction(1), 2),
+            (Fraction(5), 6),
+            (Fraction(-6), 6),
+            (Fraction(5 + P**6), 6),
+        ],
+    )
+    def test_s_sum_stops_where_the_binomials_vanish(self, a, stop):
+        """From k = stop on b_k = 0 mod m: the list stays constant there, and
+        a table ending at stop - 1 serves the whole range."""
+        n = self.P - 1
+        want = [_residue(oracle.s_sum_exact(a, k), self.M) for k in range(n + 1)]
+        for a_mod in (_residue(a, self.M), int(a) % self.P**7):
+            short = pykernels.inverse_table(stop - 1, self.P, self.M)
+            got = pykernels.s_sum(a_mod, n, self.P, self.M, short)
+            assert self._reduced(got) == want
+            assert got[stop - 1:] == [got[-1]] * (n + 2 - stop)
+            if stop > 1:
+                with pytest.raises(IndexError):
+                    pykernels.s_sum(a_mod, n, self.P, self.M, short[:-1])
+
+    def test_s_sum_stops_at_the_middle_when_p_divides_2a_plus_1(self):
+        # 2a + 1 = p + p^4 mod p^5: k(k-1) = a(a+1) mod p^5 only at k = (p+1)/2,
+        # and neither a + 1 nor -a mod p^5 lies below p
+        p, m, n = self.P, self.M, self.P - 1
+        a_mod = (p + p**4 - 1) * pow(2, -1, m) % m
+        stop = (p + 1) // 2
+        got = pykernels.s_sum(a_mod, n, p, m, pykernels.inverse_table(stop - 1, p, m))
+        want = [_residue(oracle.s_sum_exact(Fraction(a_mod), k), m) for k in range(n + 1)]
+        assert self._reduced(got) == want
+        assert want[stop - 1] == want[-1] and want[stop - 2] != want[-1]
 
 
 class TestWeightedSumAgainstOracle:
@@ -248,7 +357,7 @@ class TestWeightedSumAgainstOracle:
         inv = pykernels.inverse_table(2 * n, self.P, self.M)
         got = pykernels.weighted_sum(
             outer, signed, None if c == 1 else c, factors, n, self.P, self.M, inv
-        )
+        )[n] % self.M
         want = oracle.weighted_sum_exact(outer, signed, c, factors, n)
         assert got == _residue(want, self.M)
 
@@ -279,6 +388,7 @@ class TestWeightedSumAgainstOracle:
         n = 10
         inv = pykernels.inverse_table(n, self.P, self.M)
         got = pykernels.weighted_sum(-2, False, None, (("harmonic", -1, 2),), n, self.P, self.M, inv)
+        got = got[n] % self.M
         want = sum(k**2 * (k * (k + 1) // 2) ** 2 for k in range(1, n + 1))
         assert got == want % self.M
 
@@ -296,7 +406,7 @@ class TestWeightedSumAgainstOracle:
         for power in (0, 1, 2):
             got = pykernels.weighted_sum(
                 1, True, None, ((kind, r, power),), n, self.P, self.M, inv
-            )
+            )[n] % self.M
             want = sum(
                 Fraction((-1) ** k * sum(map(addend, range(1, k + 1))) ** power, k)
                 for k in range(1, n + 1)
