@@ -112,6 +112,13 @@ class PrimeContext:
 
     a_samples are the sample points the checks will read; their residues
     <a>_p are endpoints of the sums, next to (p-1)/2 and p-1.
+
+    S_n(a) (s), the central sums (central) and sum c^k/k^outer (geom) are
+    read only as left-hand sides, and _evaluate judges and renders a row
+    mod p^e_eff with e_eff = min(e, lhs.aprec, rhs.aprec) <= e, e the
+    modulus exponent its evaluator returns.  No check asks for more than
+    MAX_E, so these three sum mod p**lhs_digits, lhs_digits =
+    min(digits, MAX_E), and give the same rows as at full precision.
     """
 
     def __init__(
@@ -132,6 +139,7 @@ class PrimeContext:
         self.t_sign = t_sign
         self.a_samples = tuple(map(Fraction, a_samples))
         self.m = p**digits
+        self.lhs_digits = min(digits, MAX_E)
         self.half = (p - 1) // 2
         self._memo: dict = {}
 
@@ -186,6 +194,14 @@ class PrimeContext:
             "inv", lambda: kernels.inverse_table(self.p - 1, self.p, self.m)
         )
 
+    def inv_mod(self, e: int) -> list[int]:
+        """inv() reduced mod p**e, one copy per exponent below digits."""
+        if e >= self.digits:
+            return self.inv()
+        return self._cached(
+            ("inv", e), lambda: list(map(mod, self.inv(), repeat(self.p**e)))
+        )
+
     def mhs(self, exps: tuple[int, ...], n: int) -> PAdic:
         return self._at(
             ("mhs", exps), n, self._plan(self.p - 1, len(exps) == 1),
@@ -199,14 +215,15 @@ class PrimeContext:
         same integer for both, and a p-adic integer a shares its entry with
         -1-a through the smaller of their residues mod p**aprec.
         """
+        N = self.lhs_digits
         key = a
         if not a.zero_flag and a.valuation >= 0:
-            aprec = min(self.digits, a.aprec)
+            aprec = min(N, a.aprec)
             u = a.lift(aprec)
             key = (min(u, (-1 - u) % self.p**aprec), aprec)
         return self._at(
             ("s", key), n, self._plan(self.p - 1, False),
-            lambda ends: s_sum(a, ends, self.p, self.digits, self.inv()),
+            lambda ends: s_sum(a, ends, self.p, N, self.inv_mod(N)),
         )
 
     def nested(self, outer: int, factors: tuple, n: int) -> PAdic:
@@ -227,11 +244,13 @@ class PrimeContext:
 
     def central(self, lo: int, hi: int, denom: int) -> PAdic:
         """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * denom^k): C(hi) - C(lo-1), C(0) = 0."""
-        cinv = pow(denom, -1, self.m)
+        N = self.lhs_digits
+        m = self.p**N
+        cinv = pow(denom, -1, m)
 
         def values(ends):
-            prefix = kernels.central_sum(1, ends[-1], cinv, self.p, self.m, self.inv())
-            return [prefix[k] % self.m for k in ends]
+            prefix = kernels.central_sum(1, ends[-1], cinv, self.p, m, self.inv_mod(N))
+            return [prefix[k] % m for k in ends]
 
         def at(k):
             if k < 1:
@@ -239,14 +258,16 @@ class PrimeContext:
             return self._at(("central", denom), k, self._plan(self.p - 1, False), values)
 
         total = at(hi) - at(lo - 1)
-        return PAdic.from_int_exact(total, p=self.p, aprec=self.digits)
+        return PAdic.from_int_exact(total, p=self.p, aprec=N)
 
     def geom(self, c: int, outer: int, n: int) -> PAdic:
         """sum_{k<=n} c^k / k^outer."""
+        N = self.lhs_digits
+        m = self.p**N
 
         def make():
-            val = kernels.geom_power_sum(c % self.m, outer, n, self.p, self.m, self.inv())
-            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
+            val = kernels.geom_power_sum(c % m, outer, n, self.p, m, self.inv_mod(N))
+            return PAdic.from_int_exact(val, p=self.p, aprec=N)
 
         return self._cached(("geom", c, outer, n), make)
 
@@ -602,7 +623,7 @@ def _lem23_scan(ctx, t: PAdic, half_range: bool):
     m4 = p**4
     top = ctx.half if half_range else p - 1
     T = 0 if t.zero_flag else p * t.lift(3) % m4
-    inv = list(map(mod, ctx.inv(), repeat(m4)))
+    inv = ctx.inv_mod(4)
     ik = inv[1 : top + 1]
 
     # closed[k-1] = rhs_k, unreduced, from the prefix sums
@@ -975,6 +996,10 @@ def registry() -> list[CheckDefinition]:
 
 
 _BY_ID = {d.id: d for d in _CATALOG}
+
+# the largest exponent any row is judged at; PrimeContext sums its
+# left-hand sides to this precision
+MAX_E = max(d.modulus_exponent for d in _CATALOG)
 
 
 # ---------------------------------------------------------------------------

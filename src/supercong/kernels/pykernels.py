@@ -6,36 +6,40 @@ by units and no precision is lost.  An inverse table's entries need only be
 congruent to 1/k mod m, so a table built mod a higher power of p serves
 every smaller m unchanged.
 
-The sums run as chains of C-level iterators (islice, map, accumulate) over
-the caller's inverse table.  mhs_sum, weighted_sum, s_sum and central_sum
-return the list of their prefix sums at k = 0..n from one pass, so a caller
-that needs a sum at several endpoints reads them all from one call.  Those
-entries are congruent mod m but not reduced: reducing every entry would cost
-most of the pass, so callers reduce only the entries they read.  Running
-products are reduced mod m at every step.  inverse_table, bernoulli_scaled
-and geom_power_sum return values in [0, m).
+mhs_sum, weighted_sum and geom_power_sum run as chains of C-level
+iterators (islice, map, accumulate) over the caller's inverse table: their
+terms are products of table entries, and only a geometric factor c^k is
+reduced per k.  s_sum and central_sum carry a binomial product that is
+reduced mod m at every k: each is one plain ``for k`` loop, since building
+the step ratio in map stages costs more than the loop itself.  mhs_sum,
+weighted_sum, s_sum and central_sum return the list of their prefix sums at
+k = 0..n from one pass, so a caller that needs a sum at several endpoints
+reads them all from one call.  Those entries are congruent mod m but not
+reduced: reducing every entry would cost most of the pass, so callers
+reduce only the entries they read.  inverse_table, bernoulli_scaled and
+geom_power_sum return values in [0, m).
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, cycle, islice, repeat
-from operator import add, mul, sub
+from itertools import accumulate, cycle, islice, repeat
+from operator import add, mul
 
 def inverse_table(n: int, p: int, m: int) -> list[int]:
-    """inv[k] for k = 1..n (index 0 unused); every k must be a unit mod p.
+    """inv[k] = 1/k mod m for k = 1..n (index 0 unused); m a power of p, n < p.
 
-    Montgomery batch inversion: one modular inverse, 3n multiplications.
+    One pass, one modular product per k: m = (m // k) * k + r gives
+    1/k = -(m // k) / r mod m, with r = m mod k < k already in the table.
+    r is a unit only because m is a power of p and k < p: then k shares no
+    factor with m, so r != 0, and r < p.
     """
-    pref = [1] * (n + 1)
-    acc = 1
-    for k in range(1, n + 1):
-        acc = acc * k % m
-        pref[k] = acc
+    if n >= p:
+        raise ValueError("inverse_table requires n < p")
     inv = [0] * (n + 1)
-    cur = pow(acc, -1, m)
-    for k in range(n, 0, -1):
-        inv[k] = cur * pref[k - 1] % m
-        cur = cur * k % m
+    if n >= 1:
+        inv[1] = 1
+    for k in range(2, n + 1):
+        inv[k] = (m - m // k) * inv[m % k] % m
     return inv
 
 
@@ -117,18 +121,6 @@ def _geometric(c: int, m: int):
         yield g
 
 
-def _product_prefix(ratios, weights, m: int) -> list[int]:
-    """[sum_{j<=k} b_j * w_j for k = 0, 1, ...], b_j = r_1 * ... * r_j mod m.
-
-    Zips the two iterators, so it stops at the shorter one.
-    """
-
-    def mulmod(x, y):
-        return x * y % m
-
-    return list(accumulate(map(mul, accumulate(ratios, mulmod), weights), initial=0))
-
-
 def mhs_sum(exps: tuple[int, ...], n: int, p: int, m: int, inv: list[int]) -> list[int]:
     """[H(a_1,...,a_m; k) for k = 0..n], unreduced, by depth-recursive prefixes (n < p).
 
@@ -204,13 +196,15 @@ def s_sum(a_mod: int, n: int, p: int, m: int, inv: list[int]) -> list[int]:
          if 1 <= k <= n and (k * (k - 1) - c) % m == 0),
         default=n + 1,
     )
-    ratios = map(
-        mul,
-        map(sub, map(mul, range(1, stop), range(stop - 1)), repeat(c)),
-        _powers(_span(inv, 1, stop), 2, m),
-    )
-    out = _product_prefix(ratios, _span(inv, 1, stop), m)
-    out += [out[-1]] * (n + 1 - stop)
+    out = [0] * (n + 1)
+    b = 1
+    s = 0
+    for k in range(1, stop):
+        i = inv[k]
+        b = b * ((k * (k - 1) - c) * i * i) % m
+        s += b * i
+        out[k] = s
+    out[stop:] = [s] * (n + 1 - stop)
     return out
 
 
@@ -222,14 +216,17 @@ def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> 
     factor p from 2k-1 = p, a plain multiplication, so no division by p
     occurs.
     """
-    lo = max(lo, 1)
-    ratios = map(
-        mul,
-        _powers(map(mul, range(2, 4 * hi, 4), _span(inv, 1, hi + 1)), 2, m),
-        repeat(cinv),
-    )
-    weights = chain(repeat(0, lo - 1), _span(inv, lo, hi + 1))
-    return _product_prefix(ratios, weights, m)
+    out = [0] * (hi + 1)
+    b = 1
+    s = 0
+    for k in range(1, hi + 1):
+        i = inv[k]
+        t = (4 * k - 2) * i
+        b = b * (t * t * cinv) % m
+        if k >= lo:
+            s += b * i
+            out[k] = s
+    return out
 
 
 def geom_power_sum(cnum: int, aexp: int, n: int, p: int, m: int, inv: list[int]) -> int:

@@ -19,7 +19,13 @@ from supercong.checks import (
     row_params,
     sweep,
 )
-from supercong.errors import BadParameter, PrimeTooSmall, UnknownCheck
+from supercong.errors import (
+    BadParameter,
+    InsufficientPrecision,
+    PrecisionExhausted,
+    PrimeTooSmall,
+    UnknownCheck,
+)
 from supercong.padic import PAdic
 
 
@@ -156,7 +162,7 @@ class TestPrimeContext:
             points += [ctx.embed(a), ctx.reduce(a).t.shift(1)]
         for n in (ctx.half, p - 1):
             for a in points:
-                assert ctx.s(a, n) == s_sum(a, n, p, ctx.digits, ctx.inv()), (a, n)
+                assert ctx.s(a, n) == s_sum(a, n, p, ctx.lhs_digits, ctx.inv()), (a, n)
             pair = [ctx.s(ctx.embed(Fraction(-k, 3)), n) for k in (1, 2)]
             assert pair[0] is pair[1]
         assert ctx.s(PAdic.zero(p), p - 1).zero_flag
@@ -360,7 +366,7 @@ class TestOnePassPerSignature:
         a = ctx.embed(Fraction(2, 5))
         direct = {
             n: ([mhs(exps, n, p, ctx.digits, inv) for exps in ((1,), (1, -3), (2, 1, 1))],
-                s_sum(a, n, p, ctx.digits, inv))
+                s_sum(a, n, p, ctx.lhs_digits, inv))
             for n in range(p)
         }
         calls = self._recorded(monkeypatch)
@@ -373,3 +379,62 @@ class TestOnePassPerSignature:
         # read stays with its signature
         assert len(calls["mhs_sum"]) == 3 * (1 + p - 3)
         assert len(calls["s_sum"]) == 1 + p - 3
+
+
+class TestPrecisionPlan:
+    """s, central and geom sum mod p^min(digits, MAX_E); every row stays the
+    one a context at full precision gives."""
+
+    SAMPLES = tuple(map(Fraction, ("1/2", "3", "-7/5", "-1", "-3", "0", "7", "49/3")))
+    ALL_IDS = tuple(d.id for d in registry())
+
+    @staticmethod
+    def _rows(ids, p, digits=6, t_sign="minus", a_samples=DEFAULT_A_SAMPLES):
+        ctx = PrimeContext(p, digits=digits, t_sign=t_sign, a_samples=a_samples)
+        return [
+            _evaluate(ctx, defn, params)
+            for defn in (checks._BY_ID[check_id] for check_id in ids)
+            for params in defn.param_space(p, a_samples)
+        ]
+
+    def _same_rows(self, monkeypatch, ids, p, **kwargs):
+        rows = self._rows(ids, p, **kwargs)
+        with monkeypatch.context() as full:
+            # the reference: left sides at all digits
+            full.setattr(checks, "MAX_E", 10**6)
+            assert rows
+            assert rows == self._rows(ids, p, **kwargs)
+
+    def test_evaluator_exponent_is_registered(self):
+        """Run alone, each check is judged at most at its registry exponent,
+        and reaches it; MAX_E bounds them all."""
+        for defn in registry():
+            seen = set()
+            for p in (7, 13, 101, 997):
+                ctx = PrimeContext(p, a_samples=self.SAMPLES)
+                for params in defn.param_space(p, self.SAMPLES):
+                    try:
+                        seen.add(defn.evaluator(ctx, **params)[2])
+                    except (checks._Skip, PrecisionExhausted, InsufficientPrecision):
+                        pass
+            assert max(seen) == defn.modulus_exponent <= checks.MAX_E, (defn.id, seen)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 101, 499, 997])
+    def test_rows_match_full_precision(self, monkeypatch, p):
+        for digits in (4, 6, 9):
+            self._same_rows(monkeypatch, self.ALL_IDS, p, digits=digits)
+        self._same_rows(monkeypatch, self.ALL_IDS, p, t_sign="plus")
+        self._same_rows(monkeypatch, self.ALL_IDS, p, a_samples=self.SAMPLES)
+
+    def test_main_checks_above_table_limit(self, monkeypatch):
+        self._same_rows(monkeypatch, TestPerPrimeTables.MAIN_IDS, 10007)
+
+    @pytest.mark.parametrize("digits", [4, 6, 9])
+    def test_left_sides_at_max_e(self, digits):
+        p = 13
+        want = min(digits, checks.MAX_E)
+        ctx = PrimeContext(p, digits=digits)
+        assert ctx.s(ctx.embed(Fraction(1, 3)), p - 1).aprec == want
+        assert ctx.central(1, p - 1, 16).aprec == want
+        assert ctx.geom(2, 3, p - 1).aprec == want
+        assert ctx.inv_mod(want) == [pow(k, -1, p**want) if k else 0 for k in range(p)]

@@ -93,12 +93,15 @@ def _direct_central(lo, hi, c, m):
 
 @pytest.mark.parametrize("p", PRIMES)
 def test_inverse_table_identical(p):
-    m = p**DIGITS
-    n = p - 1
-    tab = pykernels.inverse_table(n, p, m)
-    assert tab[1:] == [pow(k, -1, m) for k in range(1, n + 1)]
-    for k in range(1, n + 1):
-        assert tab[k] * k % m == 1
+    for m in (p, p**DIGITS, p**9):
+        for n in (0, 1, p - 1):
+            tab = pykernels.inverse_table(n, p, m)
+            assert len(tab) == n + 1
+            assert tab[1:] == [pow(k, -1, m) for k in range(1, n + 1)]
+        for k in range(1, n + 1):
+            assert tab[k] * k % m == 1
+    with pytest.raises(ValueError):
+        pykernels.inverse_table(p, p, p**DIGITS)
 
 
 @pytest.mark.parametrize("p", PRIMES)
