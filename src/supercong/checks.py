@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
@@ -1070,6 +1069,10 @@ def _run_prime(args) -> list[CheckResult]:
     ]
 
 
+def _order(r: CheckResult) -> tuple:
+    return (r.prime, r.check, r.params)
+
+
 def sweep(
     ids,
     primes,
@@ -1078,8 +1081,15 @@ def sweep(
     a_samples: tuple[Fraction, ...] = DEFAULT_A_SAMPLES,
     t_sign: str = "minus",
     fail_fast: bool = False,
+    on_prime: Callable[[int, list[CheckResult]], None] | None = None,
 ) -> list[CheckResult]:
-    """Evaluate checks over primes; output ordered by (prime, id, params).
+    """Evaluate checks over primes; return every row ordered by (prime, id, params).
+
+    Each prime is one chunk of rows, made in this process or, with jobs > 1,
+    on a pool of min(jobs, len(primes)) processes whose ordered imap hands
+    the chunks back in the order of primes.  Each chunk is sorted by
+    (id, params) and passed to on_prime(p, rows) before the next one is
+    taken, so a caller can show a prime's rows while later primes still run.
 
     With fail_fast, stop after the first prime with a fail or precision_error.
     """
@@ -1088,18 +1098,25 @@ def sweep(
         if check_id not in _BY_ID:
             raise UnknownCheck(f"no check named {check_id!r}")
     a_samples = tuple(map(Fraction, a_samples))
+    primes = list(primes)
     work = [(p, ids, digits, a_samples, t_sign) for p in primes]
     if jobs <= 1 or len(work) <= 1:
         pool = contextlib.nullcontext()
         chunks = map(_run_prime, work)
     else:
+        # imported here: a serial run, and every other subcommand, starts faster
+        import multiprocessing
+
         pool = multiprocessing.Pool(processes=min(jobs, len(work)))
         chunks = pool.imap(_run_prime, work)
     results: list[CheckResult] = []
     with pool:
-        for chunk in chunks:
+        for p, chunk in zip(primes, chunks):
+            chunk.sort(key=_order)
+            if on_prime is not None:
+                on_prime(p, chunk)
             results.extend(chunk)
             if fail_fast and any(r.status in ("fail", "precision_error") for r in chunk):
                 break
-    results.sort(key=lambda r: (r.prime, r.check, r.params))
+    results.sort(key=_order)
     return results

@@ -15,10 +15,11 @@ import argparse
 import json
 import os
 import sys
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import oracle
+from . import __version__
 from .checks import DEFAULT_A_SAMPLES, CheckResult, registry, row_params, sweep
 from .errors import SupercongError, UnknownCheck
 from .primes import primes_in_range
@@ -165,34 +166,49 @@ def _row_dict(r: CheckResult) -> dict:
     return row
 
 
-def _emit(results: list[CheckResult], fmt: str, out) -> None:
+_WIDTHS = (16, 6, 24, 15)
+_HEADER = ("check", "p", "params", "status")
+
+
+def _write_header(fmt: str, out) -> None:
+    if fmt == "table":
+        out.write(
+            "  ".join(h.ljust(w) for h, w in zip(_HEADER, _WIDTHS)) + "lhs / rhs\n"
+        )
+
+
+def _write_rows(rows: list[CheckResult], fmt: str, out) -> None:
     if fmt == "jsonl":
-        for r in results:
+        for r in rows:
             out.write(json.dumps(_row_dict(r), sort_keys=True) + "\n")
         return
-    widths = (16, 6, 24, 15)
-    header = ("check", "p", "params", "status")
-    out.write(
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)) + "lhs / rhs\n"
-    )
-    for r in results:
+    for r in rows:
         params = ",".join(r.params)
         body = f"{r.lhs} / {r.rhs}" if r.lhs else ""
         if r.note:
             body = f"{body}  [{r.note}]" if body else f"[{r.note}]"
         cells = (r.check, str(r.prime), params, r.status)
-        out.write("  ".join(c.ljust(w) for c, w in zip(cells, widths)) + body + "\n")
+        out.write("  ".join(c.ljust(w) for c, w in zip(cells, _WIDTHS)) + body + "\n")
 
 
-def _triple_key(check: str, p: int, params: tuple[str, ...], digits: int, t_sign: str) -> str:
-    return "|".join([check, str(p), ",".join(params), str(digits), t_sign])
+def _cache_stamp() -> str:
+    """The package version and a fingerprint of the catalog (ids, exponents
+    and descriptions); rows cached under another stamp are not reused."""
+    import hashlib  # only --cache runs need it
+
+    catalog = "\n".join(
+        f"{d.id}|{d.modulus_exponent}|{d.description}" for d in registry()
+    )
+    return f"{__version__}+{hashlib.sha256(catalog.encode()).hexdigest()[:16]}"
 
 
-def _load_cache(path: str) -> dict[str, CheckResult]:
+def _load_cache(path: str, stamp: str) -> dict[str, CheckResult]:
     """Cached rows by key; a file that does not parse is an I/O error.
 
-    A missing directory is one too, found here so that no sweep runs whose
-    rows could not be saved.
+    Rows keyed under another stamp, which includes every row of a file
+    written before keys held one, are dropped with one line on stderr.
+    A missing directory is an I/O error too, found here so that no sweep
+    runs whose rows could not be saved.
     """
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
@@ -201,9 +217,17 @@ def _load_cache(path: str) -> dict[str, CheckResult]:
         return {}
     with open(path, encoding="utf-8") as fh:
         try:
-            return {key: _result_from_cached(d) for key, d in json.load(fh).items()}
+            rows = {key: _result_from_cached(d) for key, d in json.load(fh).items()}
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise OSError(f"corrupt cache file {path}: {exc!r}") from exc
+    fresh = {key: r for key, r in rows.items() if key.startswith(stamp + "|")}
+    if len(fresh) < len(rows):
+        print(
+            f"cache: ignoring {len(rows) - len(fresh)} rows of {path} written by "
+            f"another version or catalog (this one is {stamp})",
+            file=sys.stderr,
+        )
+    return fresh
 
 
 def _result_from_cached(d: dict) -> CheckResult:
@@ -221,49 +245,75 @@ def _cached_dict(r: CheckResult) -> dict:
 def _run_verify(cfg: RunConfig, out) -> int:
     t_sign = "plus" if cfg.t_sign_diagnostic else "minus"
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
-    cache = _load_cache(cfg.cache) if cfg.cache else {}
+    stamp = _cache_stamp() if cfg.cache else ""
+    cache = _load_cache(cfg.cache, stamp) if cfg.cache else {}
 
-    cached_results: list[CheckResult] = []
+    def key(check_id: str, p: int, params: tuple[str, ...]) -> str:
+        fields = [stamp, check_id, str(p), ",".join(params), str(cfg.digits), t_sign]
+        return "|".join(fields)
+
+    cached: dict[int, list[CheckResult]] = {}
     wanted: list[int] = []
     # a prime can be served fully from cache only if every expected row is there
     for p in primes:
         keys = [
-            _triple_key(check_id, p, params, cfg.digits, t_sign)
+            key(check_id, p, params)
             for check_id in cfg.check_ids
             for params in row_params(check_id, p, cfg.a_samples)
         ]
-        if cache and all(key in cache for key in keys):
-            cached_results.extend(cache[key] for key in keys)
+        if cache and all(k in cache for k in keys):
+            rows = [cache[k] for k in keys]
+            cached[p] = sorted(rows, key=lambda r: (r.check, r.params))
         else:
             wanted.append(p)
 
+    # rows go out in ascending prime order: a computed prime's rows are
+    # printed, after the cached primes below it, as soon as the sweep has it
+    waiting = deque(cached)
+
+    def on_prime(p: int, rows: list[CheckResult]) -> None:
+        while waiting and waiting[0] < p:
+            _write_rows(cached[waiting.popleft()], cfg.format, out)
+        _write_rows(rows, cfg.format, out)
+        out.flush()
+
+    _write_header(cfg.format, out)
     computed = sweep(
         cfg.check_ids, wanted, jobs=cfg.jobs, digits=cfg.digits,
         a_samples=cfg.a_samples, t_sign=t_sign, fail_fast=cfg.fail_fast,
+        on_prime=on_prime,
     )
+    for p in waiting:
+        _write_rows(cached[p], cfg.format, out)
+    out.flush()
 
     if cfg.cache:
         for r in computed:
-            cache[_triple_key(r.check, r.prime, r.params, cfg.digits, t_sign)] = r
+            cache[key(r.check, r.prime, r.params)] = r
         tmp = cfg.cache + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(
-                {key: _cached_dict(r) for key, r in cache.items()}, fh, sort_keys=True
+                {k: _cached_dict(r) for k, r in cache.items()}, fh, sort_keys=True
             )
         os.replace(tmp, cfg.cache)
 
-    results = cached_results + computed
-    results.sort(key=lambda r: (r.prime, r.check, r.params))
-    _emit(results, cfg.format, out)
     if cfg.stats:
         # stderr, so that stdout stays nothing but rows
         print(f"# evaluations: {len(computed)}", file=sys.stderr)
-        print(f"# cached rows reused: {len(cached_results)}", file=sys.stderr)
-    bad = sum(r.status in ("fail", "precision_error") for r in results)
+        print(
+            f"# cached rows reused: {sum(map(len, cached.values()))}", file=sys.stderr
+        )
+    bad = sum(
+        r.status in ("fail", "precision_error")
+        for rows in (computed, *cached.values())
+        for r in rows
+    )
     return 1 if bad else 0
 
 
 def _run_identities(cfg: RunConfig, out) -> int:
+    from . import oracle  # only this subcommand needs the exact oracle
+
     reports = []
     for n in range(1, cfg.n_max + 1):
         reports.append(oracle.sigma_identity("plain", n))

@@ -1,5 +1,6 @@
 """Check registry, verdict plumbing, and the sweep engine."""
 
+import multiprocessing
 from collections import Counter
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from supercong.errors import (
     PrimeTooSmall,
     UnknownCheck,
 )
-from supercong.padic import PAdic
+from supercong.padic import PAdic, congruent_mod
 
 
 class TestRegistry:
@@ -206,11 +207,25 @@ class TestSweep:
             def imap(self, fn, work):
                 return map(fn, work)
 
-        monkeypatch.setattr(checks.multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
         ids = ["eq-1-1", "lem-bridge"]
         rows = sweep(ids, [7, 11, 13], jobs=64)
         assert asked == [3]
         assert rows == sweep(ids, [7, 11, 13], jobs=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_on_prime_sees_each_sorted_chunk_in_prime_order(self, jobs):
+        ids = ["lem-bridge", "eq-1-1", "thm11-half"]
+        primes = [5, 7, 11, 13, 17]
+        seen = []
+        rows = sweep(ids, primes, jobs=jobs, on_prime=lambda p, chunk: seen.append((p, chunk)))
+        assert [p for p, _ in seen] == primes
+        for p, chunk in seen:
+            assert {r.prime for r in chunk} == {p}
+            assert chunk == sorted(chunk, key=lambda r: (r.check, r.params))
+        assert rows == [r for _, chunk in seen for r in chunk]
+        assert rows == sorted(rows, key=lambda r: (r.prime, r.check, r.params))
+        assert rows == sweep(ids, primes, jobs=3 - jobs)
 
     @pytest.mark.parametrize("p", [5, 7, 13])
     def test_row_params_match_sweep(self, p):
@@ -438,3 +453,53 @@ class TestPrecisionPlan:
         assert ctx.central(1, p - 1, 16).aprec == want
         assert ctx.geom(2, 3, p - 1).aprec == want
         assert ctx.inv_mod(want) == [pow(k, -1, p**want) if k else 0 for k in range(p)]
+
+
+class TestSharpness:
+    """Each check's two sides differ mod p^(e+1) at some row, so a refactor
+    that made them read the same sum, or cut both to the same digits, shows.
+
+    The left sides are raised to p^6 (MAX_E patched as TestPrecisionPlan
+    does) at digits 9; no row or knob changes.  lem23-full and lem23-half
+    are not probed: _lem23_scan always works mod p^4, so their sides carry
+    no digit past their exponent.
+    """
+
+    PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 101, 211)
+    UNPROBED = {"lem23-full", "lem23-half"}
+
+    @pytest.fixture(scope="class")
+    def witnesses(self):
+        """The primes at which each check has a row with lhs != rhs mod p^(e+1)."""
+        found = {d.id: set() for d in registry()}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checks, "MAX_E", 6)
+            for p in self.PRIMES:
+                ctx = PrimeContext(p, digits=9, a_samples=DEFAULT_A_SAMPLES)
+                for defn in registry():
+                    for params in defn.param_space(p, DEFAULT_A_SAMPLES):
+                        try:
+                            lhs, rhs, e = defn.evaluator(ctx, **params)[:3]
+                            if not congruent_mod(lhs, rhs, e + 1):
+                                found[defn.id].add(p)
+                        except (checks._Skip, PrecisionExhausted, InsufficientPrecision):
+                            pass
+        return found
+
+    def test_every_probed_check_has_a_witness(self, witnesses):
+        blunt = [i for i, ps in witnesses.items() if not ps and i not in self.UNPROBED]
+        assert blunt == []
+
+    def test_main_theorem_is_tight_mod_p5(self, witnesses):
+        # the paper states eq-1-0 and eq-1-1 mod p^4; mod p^5 they fail at every prime
+        for check_id in ("eq-1-0", "eq-1-1"):
+            assert checks._BY_ID[check_id].modulus_exponent == 4
+            assert witnesses[check_id] == set(self.PRIMES)
+
+    def test_lem23_sides_stop_at_p4(self, witnesses):
+        assert {i for i, ps in witnesses.items() if not ps} == self.UNPROBED
+        ctx = PrimeContext(11, digits=9, a_samples=DEFAULT_A_SAMPLES)
+        for check_id in self.UNPROBED:
+            lhs, rhs, e = checks._BY_ID[check_id].evaluator(ctx, a=Fraction(1, 3))[:3]
+            assert e == 4
+            assert min(z.aprec for z in (lhs, rhs)) == 4

@@ -1,5 +1,7 @@
 """CLI parsing, exit codes, output formats, and the result cache."""
 
+import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -11,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import supercong
-from supercong import cli
+from supercong import checks, cli
+from supercong.checks import registry
 from supercong.cli import RunConfig, UsageError, main, parse_args
 
 # the child interpreter imports the same package as this one
@@ -263,3 +266,160 @@ class TestEndToEnd:
         proc = _run_cli("identities", "--n-max", "15")
         assert proc.returncode == 0
         assert "all identities hold exactly" in proc.stdout
+
+
+# (format, scenario) -> sha256 of stdout, recorded before rows were streamed,
+# when every row was printed after the whole sweep
+STREAM_DIGESTS = {
+    ("jsonl", "no-cache"): "d7237fce408874cfd3cd26f5aee49c3851d2b9e61bc00484bfc2ec17750ec2c5",
+    ("jsonl", "full-cache"): "d7237fce408874cfd3cd26f5aee49c3851d2b9e61bc00484bfc2ec17750ec2c5",
+    ("jsonl", "partial-cache"): "d7237fce408874cfd3cd26f5aee49c3851d2b9e61bc00484bfc2ec17750ec2c5",
+    ("jsonl", "fail-fast"): "4de4ed748943d2280bfb226ee1a7122714e8e532289769e2692652e554628f10",
+    ("jsonl", "below-min-prime"): "99e2121540e39ab2622180118202fddbfa201cf34f4d6d45f968f0d70fddae6e",
+    ("table", "no-cache"): "c2a506c67c89e4aee27a485478ee7fcc3958c0a98f20b5e46fb80cbfc5399eab",
+    ("table", "full-cache"): "c2a506c67c89e4aee27a485478ee7fcc3958c0a98f20b5e46fb80cbfc5399eab",
+    ("table", "partial-cache"): "c2a506c67c89e4aee27a485478ee7fcc3958c0a98f20b5e46fb80cbfc5399eab",
+    ("table", "fail-fast"): "cc77fd978fe9e6424413eb18849d70ed1c5d3e39abc7ebe2af42f78ebd468a05",
+    ("table", "below-min-prime"): "aef6563f78a6277c12ec309f7b47c69e3fa388d19e93ddea6e4f644c010f4480",
+}
+
+_STREAM_IDS = ("eq-1-1", "lem-bridge", "thm11-full")
+
+
+def _stream_scenario(name, fmt, folder):
+    """Run one scenario in this process; the prep runs fill its cache first."""
+    cache = str(folder / f"{name}-{fmt}.json")
+    base = dict(check_ids=_STREAM_IDS, jobs=1, format=fmt)
+    preps, run = {
+        "no-cache": ([], dict(prime_lo=7, prime_hi=43)),
+        "full-cache": ([(7, 43)], dict(prime_lo=7, prime_hi=43, cache=cache)),
+        # cached primes below, between and above the computed ones
+        "partial-cache": (
+            [(7, 11), (23, 29), (41, 43)], dict(prime_lo=7, prime_hi=43, cache=cache)
+        ),
+        # the first computed prime (11) fails; cached primes lie on both sides
+        "fail-fast": (
+            [(7, 7), (23, 43)],
+            dict(prime_lo=7, prime_hi=43, cache=cache, fail_fast=True,
+                 t_sign_diagnostic=True),
+        ),
+        "below-min-prime": ([], dict(prime_lo=2, prime_hi=13)),
+    }[name]
+    for lo, hi in preps:
+        prep = {**run, "prime_lo": lo, "prime_hi": hi, "fail_fast": False}
+        main(RunConfig(**base, **prep), out=io.StringIO())
+    return _run(RunConfig(**base, **run))
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("fmt,name", sorted(STREAM_DIGESTS))
+    def test_stdout_unchanged(self, tmp_path, fmt, name):
+        code, out = _stream_scenario(name, fmt, tmp_path)
+        assert hashlib.sha256(out.encode()).hexdigest() == STREAM_DIGESTS[fmt, name]
+        assert code == (1 if name == "fail-fast" else 0)
+
+    def test_fail_fast_prints_cached_primes_above_the_stop(self, tmp_path):
+        _, out = _stream_scenario("fail-fast", "jsonl", tmp_path)
+        primes = [json.loads(line)["p"] for line in out.splitlines()]
+        assert sorted(set(primes)) == [7, 11, 23, 29, 31, 37, 41, 43]
+        assert primes == sorted(primes)
+
+    def test_table_header_without_rows(self):
+        code, out = _run(RunConfig(check_ids=("eq-1-1",), prime_lo=8, prime_hi=10))
+        assert code == 0
+        assert out.startswith("check ") and out.count("\n") == 1
+
+    def test_first_prime_flushed_before_last_prime_starts(self, monkeypatch):
+        events = []
+
+        class Recorder(io.StringIO):
+            def write(self, text):
+                events.append(("write", text))
+                return super().write(text)
+
+            def flush(self):
+                events.append(("flush",))
+                super().flush()
+
+        run_prime = checks._run_prime
+
+        def recorded(args):
+            events.append(("start", args[0]))
+            return run_prime(args)
+
+        monkeypatch.setattr(checks, "_run_prime", recorded)
+        cfg = RunConfig(check_ids=("eq-1-1", "lem-bridge"), prime_lo=7, prime_hi=19,
+                        jobs=1, format="jsonl")
+        assert main(cfg, out=Recorder()) == 0
+        first_flush = events.index(("flush",))
+        rows = [json.loads(e[1]) for e in events[:first_flush] if e[0] == "write"]
+        assert [(r["p"], r["check"]) for r in rows] == [(7, "eq-1-1"), (7, "lem-bridge")]
+        assert first_flush < events.index(("start", 19))
+
+    def test_rows_of_finished_primes_stay_after_an_error(self, monkeypatch, capsys):
+        run_prime = checks._run_prime
+
+        def failing(args):
+            if args[0] == 13:
+                raise OSError("disk gone")
+            return run_prime(args)
+
+        monkeypatch.setattr(checks, "_run_prime", failing)
+        code, out = _run(RunConfig(check_ids=("lem-bridge",), prime_lo=7, prime_hi=19,
+                                   jobs=1, format="jsonl"))
+        assert code == 3
+        assert [json.loads(line)["p"] for line in out.splitlines()] == [7, 11]
+        assert capsys.readouterr().err == "error: disk gone\n"
+
+
+class TestStaleCache:
+    BASE = dict(check_ids=("lem-bridge",), prime_lo=7, prime_hi=13, stats=True,
+                format="jsonl")
+
+    def _rerun(self, cache, capsys):
+        capsys.readouterr()
+        code, out = _run(RunConfig(**self.BASE, cache=cache))
+        return code, out, capsys.readouterr().err.splitlines()
+
+    def test_rows_of_another_version_are_recomputed(self, tmp_path, capsys, monkeypatch):
+        cache = str(tmp_path / "cache.json")
+        with monkeypatch.context() as old:
+            old.setattr(cli, "__version__", "0.0.1")
+            _, want = _run(RunConfig(**self.BASE, cache=cache))
+        code, out, err = self._rerun(cache, capsys)
+        assert (code, out) == (0, want)
+        assert "# evaluations: 3" in err
+        assert [line for line in err if line.startswith("cache: ignoring 3 rows")]
+        assert len([line for line in err if not line.startswith("#")]) == 1
+        # the rewritten file holds only this version's rows and is reused
+        assert "# evaluations: 0" in self._rerun(cache, capsys)[2]
+
+    def test_rows_of_another_catalog_are_recomputed(self, tmp_path, capsys, monkeypatch):
+        cache = str(tmp_path / "cache.json")
+        edited = [
+            dataclasses.replace(d, description=d.description + " (old wording)")
+            if d.id == "lem-bridge" else d
+            for d in registry()
+        ]
+        with monkeypatch.context() as old:
+            old.setattr(cli, "registry", lambda: edited)
+            _run(RunConfig(**self.BASE, cache=cache))
+        code, _, err = self._rerun(cache, capsys)
+        assert code == 0
+        assert "# evaluations: 3" in err
+
+    def test_old_format_file_is_ignored(self, tmp_path, capsys):
+        cache = tmp_path / "cache.json"
+        _, want = _run(RunConfig(**self.BASE))
+        old = {
+            f"lem-bridge|{p}||6|minus": {
+                "check": "lem-bridge", "p": p, "params": [], "status": "fail",
+                "lhs": "stale", "rhs": "stale", "modulus": f"{p}^1", "note": "",
+            }
+            for p in (7, 11, 13)
+        }
+        cache.write_text(json.dumps(old), encoding="utf-8")
+        code, out, err = self._rerun(str(cache), capsys)
+        assert (code, out) == (0, want)
+        assert "# evaluations: 3" in err
+        assert "stale" not in cache.read_text(encoding="utf-8")
