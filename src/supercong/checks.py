@@ -19,17 +19,16 @@ those endpoints.
 from __future__ import annotations
 
 import contextlib
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
-from operator import add, mod, mul, ne, sub
+from itertools import repeat
+from operator import mod
 from typing import Callable
 
 from . import kernels
 from .bernoulli import _truncate, bernoulli, fermat_quotient, x_constant, x_from_h2
-from .binomial import reduce_point, s_sum
+from .binomial import lem23_scan, reduce_point, s_sum
 from .errors import (
     BadParameter,
     InsufficientPrecision,
@@ -212,14 +211,19 @@ class PrimeContext:
 
         S_n(a) = S_n(-1-a): the two binomials swap, so the kernel returns the
         same integer for both, and a p-adic integer a shares its entry with
-        -1-a through the smaller of their residues mod p**aprec.
+        -1-a through the smaller of their residues mod p**aprec.  At
+        a = -1/2 mod p**aprec, binom(-1/2,k)^2 = binom(2k,k)^2 / 16^k, so
+        S_n(a) is read from the 16^k central pass.
         """
         N = self.lhs_digits
         key = a
         if not a.zero_flag and a.valuation >= 0:
             aprec = min(N, a.aprec)
             u = a.lift(aprec)
-            key = (min(u, (-1 - u) % self.p**aprec), aprec)
+            m = self.p**aprec
+            if (2 * u + 1) % m == 0 and 1 <= n <= self.p - 1:
+                return PAdic.from_int_exact(self._central(16, n), p=self.p, aprec=aprec)
+            key = (min(u, (-1 - u) % m), aprec)
         return self._at(
             ("s", key), n, self._plan(self.p - 1, False),
             lambda ends: s_sum(a, ends, self.p, N, self.inv_mod(N)),
@@ -241,8 +245,10 @@ class PrimeContext:
         top = self.half if doubled else self.p - 1
         return self._at(("nested", outer, factors), n, self._plan(top, True), values)
 
-    def central(self, lo: int, hi: int, denom: int) -> PAdic:
-        """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * denom^k): C(hi) - C(lo-1), C(0) = 0."""
+    def _central(self, denom: int, k: int) -> int:
+        """sum_{j<=k} binom(2j,j)^2 / (j * denom^j) mod p**lhs_digits."""
+        if k < 1:
+            return 0
         N = self.lhs_digits
         m = self.p**N
         cinv = pow(denom, -1, m)
@@ -251,13 +257,12 @@ class PrimeContext:
             prefix = kernels.central_sum(1, ends[-1], cinv, self.p, m, self.inv_mod(N))
             return [prefix[k] % m for k in ends]
 
-        def at(k):
-            if k < 1:
-                return 0
-            return self._at(("central", denom), k, self._plan(self.p - 1, False), values)
+        return self._at(("central", denom), k, self._plan(self.p - 1, False), values)
 
-        total = at(hi) - at(lo - 1)
-        return PAdic.from_int_exact(total, p=self.p, aprec=N)
+    def central(self, lo: int, hi: int, denom: int) -> PAdic:
+        """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * denom^k): C(hi) - C(lo-1), C(0) = 0."""
+        total = self._central(denom, hi) - self._central(denom, lo - 1)
+        return PAdic.from_int_exact(total, p=self.p, aprec=self.lhs_digits)
 
     def geom(self, c: int, outer: int, n: int) -> PAdic:
         """sum_{k<=n} c^k / k^outer."""
@@ -609,71 +614,17 @@ def _ev_eq_1_1(ctx):
 
 
 def _lem23_scan(ctx, t: PAdic, half_range: bool):
-    """Exact mod-p^4 scan of the generalized-binomial product over all k.
+    """Lemma 2.3 mod p^4 at every k in 1..top, by binomial.lem23_scan.
 
-    The product B(k) = binom(pt+k-1, top) * binom(-pt-k-1, top) is carried
-    as a numerator N_k and a denominator D_k, running products mod p^4 that
-    gain (T+k)(T+k+1+top) and (T+k-top)(T+k+1) from k to k+1 (T = pt).
-    D_k is a unit, so B(k) matches the closed form rhs_k exactly when
-    N_k = rhs_k * D_k mod p^4; the only inversion is at the k reported.
-    The row costs O(p) multiplications.
+    Reports B(k) and rhs_k at the first k where they differ, or at k = top.
     """
     p = ctx.p
-    m4 = p**4
     top = ctx.half if half_range else p - 1
-    T = 0 if t.zero_flag else p * t.lift(3) % m4
-    inv = ctx.inv_mod(4)
-    ik = inv[1 : top + 1]
-
-    # closed[k-1] = rhs_k, unreduced, from the prefix sums
-    # O_r(k) = sum_{j<=k} 1/(2j-1)^r (half range) or H(k) = sum_{j<=k} 1/j
-    if half_range:
-        io = inv[1 : 2 * top : 2]
-        tk = list(map(mul, ik, repeat(T)))
-        v = list(map(mul, accumulate(io), repeat(p)))
-        u = list(map(sub, tk, v))
-        # T/k * (1 - T/k + 2pO_1 + (T/k)^2 + 2(pO_1)^2 - 2(T/k)pO_1 - 4TpO_2)
-        # = T/k * (1 + u(u-1) + v(v+1) - 4TpO_2) with u = T/k - pO_1, v = pO_1
-        inner = map(
-            add,
-            map(mul, u, map(sub, u, repeat(1))),
-            map(mul, v, map(add, v, repeat(1))),
-        )
-        o2 = accumulate(map(mul, io, io))
-        inner = map(sub, inner, map(mul, o2, repeat(4 * T * p)))
-        closed = list(map(mul, tk, map(add, inner, repeat(1))))
-    else:
-        # T(T+p)/k^2 * (1 + 2pH(k) - (p + 2T)/k)
-        inner = map(
-            sub,
-            map(add, map(mul, accumulate(ik), repeat(2 * p)), repeat(1)),
-            map(mul, ik, repeat(p + 2 * T)),
-        )
-        closed = list(
-            map(mul, map(mul, map(mul, ik, ik), inner), repeat(T * (T + p) % m4))
-        )
-
-    def mulmod(x, y):
-        return x * y % m4
-
-    n1 = functools.reduce(
-        mulmod, map(mul, range(T, T - top, -1), range(-T - 2, -T - 2 - top, -1)), 1
-    )
-    nums = list(accumulate(
-        map(mul, range(T + 1, T + top), range(T + top + 2, T + 2 * top + 1)),
-        mulmod, initial=n1,
-    ))
-    dens = list(accumulate(
-        map(mul, range(T + 1 - top, T), range(T + 2, T + top + 1)),
-        mulmod, initial=math.factorial(top) ** 2 % m4,
-    ))
-    rhs_dens = map(mod, map(mul, closed, dens), repeat(m4))
-    bad = next(compress(range(top), map(ne, nums, rhs_dens)), None)
-    i = top - 1 if bad is None else bad
-    lhs = PAdic.from_int_exact(nums[i] * pow(dens[i], -1, m4) % m4, p=p, aprec=4)
-    rhs = PAdic.from_int_exact(closed[i] % m4, p=p, aprec=4)
-    note = f"all k in 1..{top}" if bad is None else f"first mismatch at k={i + 1}"
-    return lhs, rhs, 4, note
+    tau = 0 if t.zero_flag else t.lift(3)
+    k, lhs, rhs = lem23_scan(tau, p, half_range, ctx.inv_mod(4))
+    note = f"all k in 1..{top}" if k is None else f"first mismatch at k={k}"
+    lhs = PAdic.from_int_exact(lhs, p=p, aprec=4)
+    return lhs, PAdic.from_int_exact(rhs, p=p, aprec=4), 4, note
 
 
 def _ev_lem23_full(ctx, a):
@@ -868,12 +819,12 @@ _CATALOG: list[CheckDefinition] = [
     ),
     CheckDefinition(
         "tauraso-6k",
-        "sum of binom(2k,k)^2/(k 6^k) over 1..p-1 mod p^3",
+        "sum of binom(2k,k)^2/(k 16^k) over 1..p-1 mod p^3",
         3, _ps_none, _ev_tauraso_6k,
     ),
     CheckDefinition(
         "sun-6k-tail",
-        "tail of the 6^k central-binomial sum vs (7/2)p^2 B_{p-3} mod p^3",
+        "tail of the 16^k central-binomial sum vs (7/2)p^2 B_{p-3} mod p^3",
         3, _ps_none, _ev_sun_6k_tail,
     ),
     CheckDefinition(

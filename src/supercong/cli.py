@@ -343,6 +343,15 @@ def main(config: RunConfig, out=None) -> int:
         if config.command == "list-checks":
             return _run_list_checks(out)
         return _run_verify(config, out)
+    except BrokenPipeError:
+        # the reader of stdout has gone (say, `| head`): the exception stopped
+        # the sweep and its pool at the first failed write; stop without a word
+        if out is sys.stdout:
+            # the interpreter flushes stdout at exit, and would fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

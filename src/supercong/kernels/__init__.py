@@ -10,13 +10,13 @@ independent cross-check.
 backend_name() always returns "python"; perfbench/run.py probes it to
 record which kernels a run used.
 
-mhs_sum, weighted_sum and geom_power_sum, whose terms are products of
-inverse-table entries, are chains of C-level iterators; s_sum and
-central_sum, which carry a product reduced mod m at every k, are one plain
-loop each.  mhs_sum, weighted_sum,
-s_sum and central_sum return the list of their prefix sums at k = 0..n
-(k = 0..hi for central_sum) from one pass.  The entries are congruent mod m
-but not reduced; callers reduce the entries they read.
+mhs_sum and weighted_sum, whose terms are products of inverse-table
+entries, are chains of C-level iterators; s_sum, central_sum and
+geom_power_sum, which carry a product reduced mod m at every k, are one
+plain loop each.  mhs_sum, weighted_sum, s_sum and central_sum return the
+list of their prefix sums at k = 0..n (k = 0..hi for central_sum) from one
+pass.  The entries are congruent mod m but not reduced; callers reduce the
+entries they read.
 
 The kernel names and positional parameters below are read by
 perfbench/tracer.py, whose count hooks take the same parameter lists (for

@@ -6,18 +6,18 @@ by units and no precision is lost.  An inverse table's entries need only be
 congruent to 1/k mod m, so a table built mod a higher power of p serves
 every smaller m unchanged.
 
-mhs_sum, weighted_sum and geom_power_sum run as chains of C-level
-iterators (islice, map, accumulate) over the caller's inverse table: their
-terms are products of table entries, and only a geometric factor c^k is
-reduced per k.  s_sum and central_sum carry a binomial product that is
-reduced mod m at every k: each is one plain ``for k`` loop, since building
-the step ratio in map stages costs more than the loop itself.  mhs_sum,
-weighted_sum, s_sum and central_sum return the list of their prefix sums at
-k = 0..n from one pass, so a caller that needs a sum at several endpoints
-reads them all from one call.  Those entries are congruent mod m but not
-reduced: reducing every entry would cost most of the pass, so callers
-reduce only the entries they read.  inverse_table, bernoulli_scaled and
-geom_power_sum return values in [0, m).
+mhs_sum and weighted_sum run as chains of C-level iterators (islice, map,
+accumulate) over the caller's inverse table: their terms are products of
+table entries, and only a geometric factor c^k is reduced per k.  s_sum,
+central_sum and geom_power_sum carry a product (a binomial, or c^k) that
+is reduced mod m at every k: each is one plain ``for k`` loop, since
+building the step ratio in map stages costs more than the loop itself.
+mhs_sum, weighted_sum, s_sum and central_sum return the list of their
+prefix sums at k = 0..n from one pass, so a caller that needs a sum at
+several endpoints reads them all from one call.  Those entries are
+congruent mod m but not reduced: reducing every entry would cost most of
+the pass, so callers reduce only the entries they read.  inverse_table,
+bernoulli_scaled and geom_power_sum return values in [0, m).
 """
 
 from __future__ import annotations
@@ -230,5 +230,10 @@ def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> 
 
 
 def geom_power_sum(cnum: int, aexp: int, n: int, p: int, m: int, inv: list[int]) -> int:
-    """sum_{k=1}^{n} c^k / k^aexp mod m (n < p)."""
-    return sum(map(mul, _powers(_span(inv, 1, n + 1), aexp, m), _geometric(cnum, m))) % m
+    """sum_{k=1}^{n} c^k / k^aexp mod m (n < p), one loop carrying c^k mod m."""
+    s = 0
+    g = 1
+    for x in _powers(_span(inv, 1, n + 1), aexp, m):
+        g = g * cnum % m
+        s += g * x
+    return s % m

@@ -128,8 +128,8 @@ class TestReducePoint:
 
 
 class TestProductScanCrossCheck:
-    """The O(p) incremental product scan agrees with the direct
-    falling-factorial evaluation of both generalized binomials."""
+    """The O(p) Lemma 2.3 scan agrees with the direct falling-factorial
+    evaluation of both generalized binomials."""
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     @pytest.mark.parametrize("a", [Fraction(-1, 2), Fraction(1, 3), Fraction(2, 5)])
@@ -141,9 +141,9 @@ class TestProductScanCrossCheck:
         pt = a - rp.residue
         top = (p - 1) // 2 if half else p - 1
 
-        # replicate the scan's carried numerator N_k and unit denominator D_k
-        # at each k and compare N_k / D_k with the exact falling-factorial
-        # product of both generalized binomials
+        # the step the scan checks, B(k+1) D_k = B(k) N_k with D_k a unit:
+        # carry N_k and D_k and compare N_k / D_k with the exact
+        # falling-factorial product of both generalized binomials
         m4 = p**4
         T = 0 if t.zero_flag else p * t.lift(3) % m4
         num = 1
@@ -181,7 +181,7 @@ class TestProductScanCrossCheck:
     def test_scan_reports_first_mismatch(self, p):
         # inv[5] off by p corrupts the closed form from the first k that
         # reads it: 1/k at k = 5 (full range), 1/(2k-1) at k = 3 (half range)
-        ctx = _SkewedContext(p, digits=6)
+        ctx = _SkewedContext(p, 5)
         inv = ctx.inv()
         a = Fraction(-1, 2)
         rp = reduce_point(a, p, 6)
@@ -201,14 +201,78 @@ class TestProductScanCrossCheck:
             assert congruent_mod(rhs, want, 4)
             assert not congruent_mod(lhs, rhs, 4)
 
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_mismatch_at_first_k(self, p, half):
+        # inv[1] = 1/1 enters the closed form at k = 1 on both ranges
+        assert _scan_against_oracle(_SkewedContext(p, 1), Fraction(-1, 2), half) == 1
+
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_mismatch_at_last_k(self, p, half):
+        # 1/(p-1) enters the full range only at k = p-1, and 1/(p-2) =
+        # 1/(2k-1) the half range only at k = (p-1)/2
+        top = (p - 1) // 2 if half else p - 1
+        ctx = _SkewedContext(p, p - 2 if half else p - 1)
+        assert _scan_against_oracle(ctx, Fraction(-1, 2), half) == top
+
+    @pytest.mark.parametrize("p", [11, 13])
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("case", ["-1", "p^2-1", "p^2+3"])
+    def test_p_divides_tau(self, p, half, case):
+        # t = -1 and t = p-1 make p divide tau(tau+1), and t = p makes p
+        # divide tau itself; the scan still passes at every k
+        a = {"-1": Fraction(-1), "p^2-1": Fraction(p * p - 1), "p^2+3": Fraction(p * p + 3)}
+        t = reduce_point(a[case], p, 6).t
+        tau = 0 if t.zero_flag else t.lift(3)
+        assert tau * (tau + 1) % p == 0
+        if case == "p^2+3":
+            assert tau % p == 0
+        assert _scan_against_oracle(PrimeContext(p, digits=6), a[case], half) is None
+
 
 class _SkewedContext(PrimeContext):
-    """A context whose inverse table has inv[5] off by p."""
+    """A context whose inverse table has inv[index] off by p."""
+
+    def __init__(self, p, index):
+        super().__init__(p, digits=6)
+        self.index = index
 
     def inv(self):
         table = list(super().inv())
-        table[5] += self.p
+        table[self.index] += self.p
         return table
+
+
+def _scan_against_oracle(ctx, a, half):
+    """Check _lem23_scan at a against the exact product at every k.
+
+    Compares the exact binom(pt+k-1, top) * binom(-pt-k-1, top) with the
+    closed form from ctx's inverse table at k = 1..top, and asserts that
+    the scan reports the first k where they differ (or all k), with the
+    exact product and the closed form at that k.  Returns that k, or None.
+    """
+    p = ctx.p
+    rp = reduce_point(a, p, 6)
+    pt = a - rp.residue
+    top = (p - 1) // 2 if half else p - 1
+    T = 0 if rp.t.zero_flag else p * rp.t.lift(3) % p**4
+    inv = ctx.inv()
+    first = None
+    for k in range(1, top + 1):
+        exact = _embed(
+            oracle.binom_exact(pt + k - 1, top) * oracle.binom_exact(-pt - k - 1, top), p
+        )
+        closed = PAdic.from_int_exact(_closed_form(inv, T, p, k, half), p=p, aprec=4)
+        if not congruent_mod(exact, closed, 4):
+            first = k
+            break
+    lhs, rhs, e, note = _lem23_scan(ctx, rp.t, half)
+    assert e == 4
+    assert note == (f"all k in 1..{top}" if first is None else f"first mismatch at k={first}")
+    assert congruent_mod(lhs, exact, 4)
+    assert congruent_mod(rhs, closed, 4)
+    return first
 
 
 def _closed_form(inv, T, p, k, half):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from supercong import checks, kernels
+from supercong import checks, kernels, oracle
 from supercong.binomial import s_sum
 from supercong.harmonic import mhs
 from supercong.checks import (
@@ -350,7 +350,8 @@ class TestOnePassPerSignature:
         p = 10007
         calls = self._passes(monkeypatch, TestPerPrimeTables.MAIN_IDS, p)
         counts = {name: len(log) for name, log in calls.items()}
-        assert counts == {"mhs_sum": 6, "weighted_sum": 5, "s_sum": 6, "central_sum": 1}
+        # S_n(-1/2) is read from the central pass: 6 signatures, 5 s_sum passes
+        assert counts == {"mhs_sum": 6, "weighted_sum": 5, "s_sum": 5, "central_sum": 1}
         assert {args[1] for args in calls["mhs_sum"]} == {p - 1}
 
     def test_full_catalog_below_table_limit(self, monkeypatch):
@@ -373,6 +374,23 @@ class TestOnePassPerSignature:
         assert {args[1] for args in calls["mhs_sum"]} == {p - 1}
         assert {args[4] for args in calls["weighted_sum"]} == {(p - 1) // 2, p - 1}
         assert {args[1] for args in calls["s_sum"]} == {p - 1}
+
+    @pytest.mark.parametrize("p", [13, 31])
+    def test_minus_half_reads_the_central_pass(self, monkeypatch, p):
+        # binom(-1/2,k)^2 = binom(2k,k)^2 / 16^k, so S_n(-1/2) is the 16^k
+        # central sum; it makes no s_sum pass of its own
+        ctx = PrimeContext(p)
+        a = ctx.embed(Fraction(-1, 2))
+        inv = ctx.inv_mod(ctx.lhs_digits)
+        direct = [s_sum(a, n, p, ctx.lhs_digits, inv) for n in range(1, p)]
+        calls = self._recorded(monkeypatch)
+        got = [ctx.s(a, n) for n in range(1, p)]
+        assert got == direct
+        for n, value in enumerate(got, 1):
+            exact = PAdic.from_rational(oracle.s_sum_exact(Fraction(-1, 2), n), p=p, digits=6)
+            assert congruent_mod(value, exact, ctx.lhs_digits), n
+        assert calls["s_sum"] == []
+        assert ctx.central(1, p - 1, 16) == got[-1]
 
     def test_unplanned_endpoints_match_the_direct_sums(self, monkeypatch):
         p = 13

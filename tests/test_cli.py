@@ -267,6 +267,34 @@ class TestEndToEnd:
         assert proc.returncode == 0
         assert "all identities hold exactly" in proc.stdout
 
+    def test_closed_stdout_stops_quietly(self):
+        # `verify ... | head -1`: the run stops at the first failed write, says
+        # nothing on stderr, exits 3 and leaves no pool process behind.  The
+        # whole output is larger than a pipe's buffer, so a write must fail.
+        path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "supercong.cli", "verify", "--checks", "eq-1-1",
+             "--primes", "7..3000", "--format", "jsonl", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": path}, start_new_session=True,
+        )
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+            err = proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, 9)
+                proc.wait()
+            proc.stderr.close()
+        assert json.loads(first)["p"] == 7
+        assert code == 3
+        assert err == b""
+        # the run had its own process group: no member of it is left
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
 
 # (format, scenario) -> sha256 of stdout, recorded before rows were streamed,
 # when every row was printed after the whole sweep

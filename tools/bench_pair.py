@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Paired benchmark of this checkout against a parent commit.
+
+    python3 tools/bench_pair.py --workload NAME [--parent REV] [--pairs N]
+        [--seeds 0,1,2] [--seconds S]
+
+Extracts REV (default HEAD~1) with `git archive` into a temporary
+directory, then runs `perfbench/run.py --workload NAME --seed SEED
+--seconds S` alternately in that copy and in this checkout's working tree,
+N times each.  Pair i uses seed SEEDS[i mod len(SEEDS)], and the side that
+runs first alternates from pair to pair.  A pair is dropped when either
+side exits nonzero, reports `correct: false` or has failed samples.
+
+Appends one record to BENCH_<NAME>.json at the root of this checkout (a
+JSON list, created if missing): both commits, the seeds, seconds and pair
+counts, each side's median and quartiles of every end-to-end metric over
+the kept pairs, and for each metric the number of pairs in which the
+change read lower (ties count for neither side).  A summary goes to
+stderr.  Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import datetime
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def extract(rev: str, dest: Path) -> None:
+    """Write the tree of rev into dest."""
+    tar = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest)
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
+    """perfbench/run.py's result in tree, or None if the run is not usable."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        return None
+    if not result.get("correct") or result.get("failed", 1) > 0:
+        return None
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) < 2:
+        q1 = med = q3 = values[0]
+    else:
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--parent", default="HEAD~1", metavar="REV")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seeds", default="0")
+    ap.add_argument("--seconds", type=float, default=12.0)
+    args = ap.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+
+    parent_commit = git("rev-parse", args.parent)
+    change_commit = git("describe", "--always", "--dirty", "--abbrev=40")
+    sides: dict[str, list[dict]] = {"parent": [], "change": []}
+    dropped = 0
+    with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
+        parent_tree = Path(tmp)
+        extract(parent_commit, parent_tree)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for i in range(args.pairs):
+            seed = seeds[i % len(seeds)]
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            got = {side: run_once(trees[side], args.workload, seed, args.seconds)
+                   for side in order}
+            if None in got.values():
+                dropped += 1
+                print(f"pair {i}: seed {seed}, dropped", file=sys.stderr)
+                continue
+            for side in sides:
+                sides[side].append(got[side])
+            print(f"pair {i}: seed {seed}, wall_s {got['parent'].get('wall_s')} -> "
+                  f"{got['change'].get('wall_s')}", file=sys.stderr)
+
+    kept = len(sides["parent"])
+    metrics = {}
+    if kept:
+        for name in sides["parent"][0]:
+            before = [run[name] for run in sides["parent"]]
+            after = [run[name] for run in sides["change"]]
+            metrics[name] = {
+                "parent": summary(before),
+                "change": summary(after),
+                "change_won": sum(a < b for a, b in zip(after, before)),
+            }
+    record = {
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "workload": args.workload,
+        "parent_commit": parent_commit,
+        "change_commit": change_commit,
+        "seeds": seeds,
+        "seconds": args.seconds,
+        "pairs": kept,
+        "pairs_dropped": dropped,
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "metrics": metrics,
+    }
+    path = ROOT / f"BENCH_{args.workload}.json"
+    records = json.loads(path.read_text()) if path.exists() else []
+    records.append(record)
+    path.write_text(json.dumps(records, indent=1) + "\n")
+    for name, m in metrics.items():
+        print(f"{name}: parent {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, "
+              f"{m['parent']['q3']:.4g}] -> change {m['change']['median']:.4g} "
+              f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}], change won "
+              f"{m['change_won']} of {kept}", file=sys.stderr)
+    return 0 if kept else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
