@@ -4,9 +4,9 @@ B_n is computed only for the indices asked for, from the power sum
 sum_{k<p} k^n: it gives p*B_n mod p**(N+1) once a few lower p*B_j are
 subtracted, each needed to about two fewer digits than the one before
 (Buhler-Crandall-Ernvall-Metsankyla-Shokrollahi 2001; Harvey 2010).  That
-is O(N*p) work per index, memoized per (p, N); each exponent's power sum is
-taken once, at the modulus of the outermost call, and reduced for the lower
-ones.  A power sum makes one pow per prime k and one product
+is O(N*p) work per index, memoized for the current prime; each exponent's
+power sum is taken once, at the modulus of the outermost call, and reduced
+for the lower ones.  A power sum makes one pow per prime k and one product
 q^n * (k/q)^n per composite k, with q read from a single
 smallest-prime-factor table grown to the largest p asked for.
 Indices with (p-1) | n are rejected (von Staudt-Clausen: not p-integral),
@@ -60,9 +60,13 @@ def _exact_bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _scaled(n: int, p: int, e: int, top: int = 0) -> int:
     """p*B_n mod p**e (B_1 = -1/2) for 0 <= n <= 2p, from one power sum.
+
+    Memoized for one prime: a full-catalog prime asks about 4 * digits + 4
+    entries (28 at 6 digits), and p is in every key, so a sweep reuses none
+    of them at the next prime.
 
     sum_{k<p} k^n = sum_{i=0}^{n} C(n,i)/(i+1) p^i (p*B_{n-i}), so p*B_n is
     the power sum less its terms i >= 1.  Such a term vanishes mod p**e once
@@ -165,7 +169,7 @@ def x_harmonic(p: int, N: int, inv: list[int]) -> PAdic:
     """
     if p <= 5 or N < _X_APREC_HARMONIC + 1:
         raise BadParameter("x_harmonic requires p > 5 and N >= 3")
-    return x_from_h2(mhs((2,), p - 1, p, N, inv))
+    return x_from_h2(mhs((2,), (p - 1,), p, N, inv)[0])
 
 
 def x_from_h2(h2: PAdic) -> PAdic:

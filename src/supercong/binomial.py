@@ -3,8 +3,8 @@ scan of Lemma 2.3's generalized-binomial product.
 
 S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k carries both generalized
 binomials from k-1 to k; since n < p every division is by a unit, so the
-kernel sums exactly modulo a power of p, at every endpoint up to its top in
-one pass.
+kernel sums exactly modulo a power of p in one pass, and s_sum reads the
+sum at each endpoint of a tuple from it.
 """
 
 from __future__ import annotations
@@ -31,34 +31,31 @@ class ReducedPoint:
 
 
 def s_sum(
-    a: PAdic, n: int | tuple[int, ...], p: int, N: int, inv: list[int]
-) -> PAdic | tuple[PAdic, ...]:
-    """S_n(a) = sum_{k=1}^{n} binom(a,k) binom(-1-a,k) / k, n <= p-1.
+    a: PAdic, ends: tuple[int, ...], p: int, N: int, inv: list[int]
+) -> tuple[PAdic, ...]:
+    """(S_n(a) for n in ends), all n <= p-1.
 
-    inv is an inverse table mod p**N covering 1..n.  The result is known
-    mod p**min(N, aprec of a); the kernel reads the same table at a shorter
-    modulus, since its entries are still congruent to 1/k there.  For a
-    tuple of endpoints n, returns the tuple of S_k(a) for k in n, read from
-    one kernel pass to max(n).
+    S_n(a) = sum_{k=1}^{n} binom(a,k) binom(-1-a,k) / k.  inv is an inverse
+    table mod p**N covering 1..max(ends).  Each value is known mod
+    p**min(N, aprec of a) and read from one kernel pass to max(ends); the
+    kernel reads the same table at a shorter modulus, since its entries are
+    still congruent to 1/k there.
     """
-    ends = n if isinstance(n, tuple) else (n,)
     top = max(ends)
     if top > p - 1:
         raise BadParameter("s_sum requires n <= p-1")
     if a.prime != p:
         raise BadParameter("prime mismatch")
     if top < 1 or a.zero_flag:
-        vals = (PAdic.zero(p),) * len(ends)
-    elif a.valuation < 0:
+        return (PAdic.zero(p),) * len(ends)
+    if a.valuation < 0:
         raise BadParameter("s_sum requires a in Z_p")
-    else:
-        aprec = min(N, a.aprec)
-        prefix = kernels.s_sum(a.lift(aprec), top, p, p**aprec, inv)
-        vals = tuple(
-            PAdic.zero(p) if k < 1 else PAdic.from_int_exact(prefix[k], p=p, aprec=aprec)
-            for k in ends
-        )
-    return vals if isinstance(n, tuple) else vals[0]
+    aprec = min(N, a.aprec)
+    prefix = kernels.s_sum(a.lift(aprec), top, p, p**aprec, inv)
+    return tuple(
+        PAdic.zero(p) if k < 1 else PAdic.from_int_exact(prefix[k], p=p, aprec=aprec)
+        for k in ends
+    )
 
 
 def reduce_point(a: Fraction, p: int, N: int) -> ReducedPoint:

@@ -127,9 +127,8 @@ def mhs_sum(exps: tuple[int, ...], n: int, p: int, m: int, inv: list[int]) -> li
     Level i is the prefix sum P_i(k) = sum_{j<=k} w_i(j) * P_{i-1}(j-1),
     P_0 = 1, with weight w_i(j) = inv[j]**|a_i|, times (-1)**j when a_i < 0.
     The levels are chained iterators, so the whole list is one pass over k.
+    exps is nonempty: harmonic.mhs rejects the empty signature.
     """
-    if not exps:
-        return [1] * (n + 1)
     weights = []
     for a in exps:
         w = _powers(_span(inv, 1, n + 1), abs(a), m)
@@ -152,10 +151,10 @@ def weighted_sum(
 ) -> list[int]:
     """[sum_{j<=k} [(-1)^j] c^j j^(-aexp) prod(prefix^power) for k = 0..n], unreduced.
 
-    factors entries are (kind, r, power) with kind in
-    {"harmonic", "odd", "signed", "h2k"}; each prefix is a running sum of
-    its addends, so the whole list is one pass over k.  "odd" and "h2k"
-    read inv up to 2n.
+    factors entries are (kind, r, power), each prefix a running sum of its
+    addends: "harmonic" sums 1/j^r, "odd" 1/(2j-1)^r and "h2k" H(2j) (r
+    unused), so the whole list is one pass over k.  "odd" and "h2k" read
+    inv up to 2n.
     """
     terms = _powers(_span(inv, 1, n + 1), aexp, m)
     if cnum is not None:
@@ -167,8 +166,6 @@ def weighted_sum(
             addends = _powers(_span(inv, 1, n + 1), r, m)
         elif kind == "odd":
             addends = _powers(_span(inv, 1, 2 * n, 2), r, m)
-        elif kind == "signed":
-            addends = _alternating(_powers(_span(inv, 1, n + 1), r, m))
         elif kind == "h2k":
             addends = map(add, _span(inv, 1, 2 * n, 2), _span(inv, 2, 2 * n + 1, 2))
         else:

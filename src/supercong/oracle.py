@@ -1,9 +1,8 @@
 """Exact rational ground truth: brute-force MHS, binomial sums, identities.
 
-Everything here is computed with arbitrary-precision rationals and no
-modular reduction; these are the independent oracles the fast modular
-paths are tested against.  gmpy2.mpq is used internally when available
-(identical semantics, much faster); public results are plain Fractions.
+Everything here is computed in Fraction, with no modular reduction;
+these are the independent oracles the fast modular paths are tested
+against.
 """
 
 from __future__ import annotations
@@ -12,11 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
-
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
 
 __all__ = [
     "IdentityReport",
@@ -41,24 +35,20 @@ class IdentityReport:
     equal: bool
 
 
-def _frac(q) -> Fraction:
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 def _mhs_terms(sig: tuple[int, ...], n: int):
     """(largest index, term) for each term of H(sig; n), by the naive nested loop."""
     if n > 200:
         raise ValueError("brute-force mhs capped at n <= 200")
     for ks in combinations(range(1, n + 1), len(sig)):
-        term = _Q(1)
+        term = Fraction(1)
         for a, k in zip(sig, ks):
-            term *= _Q((-1) ** k if a < 0 else 1, k ** abs(a))
+            term *= Fraction((-1) ** k if a < 0 else 1, k ** abs(a))
         yield (ks[-1] if ks else 0), term
 
 
 def mhs_exact(sig: tuple[int, ...], n: int) -> Fraction:
     """H(a_1,...,a_m; n) by the naive O(n^m) nested loop."""
-    return _frac(sum((term for _, term in _mhs_terms(sig, n)), _Q(0)))
+    return sum((term for _, term in _mhs_terms(sig, n)), Fraction(0))
 
 
 def mhs_exact_upto(sig: tuple[int, ...], n: int) -> list[Fraction]:
@@ -67,25 +57,24 @@ def mhs_exact_upto(sig: tuple[int, ...], n: int) -> list[Fraction]:
     Each term is added to the bucket of its largest index, and the buckets
     are prefix-summed; no prefix recursion over the signature is involved.
     """
-    buckets = [_Q(0)] * (n + 1)
+    buckets = [Fraction(0)] * (n + 1)
     for top, term in _mhs_terms(sig, n):
         buckets[top] += term
-    return [_frac(total) for total in accumulate(buckets)]
+    return list(accumulate(buckets))
 
 
 def harmonic_exact(n: int) -> Fraction:
-    return _frac(sum((_Q(1, k) for k in range(1, n + 1)), _Q(0)))
+    return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
 def odd_harmonic_exact(r: int, k: int) -> Fraction:
-    return _frac(sum((_Q(1, (2 * j - 1) ** r) for j in range(1, k + 1)), _Q(0)))
+    return sum((Fraction(1, (2 * j - 1) ** r) for j in range(1, k + 1)), Fraction(0))
 
 
 # the weighted-sum kernel's prefix factors (kind, r) at k, summed from scratch
 _PREFIX = {
     "harmonic": lambda r, k: mhs_exact((r,), k),
     "odd": odd_harmonic_exact,
-    "signed": lambda r, k: mhs_exact((-r,), k),
     "h2k": lambda r, k: harmonic_exact(2 * k),
 }
 
@@ -107,24 +96,24 @@ def weighted_sum_exact(outer: int, signed: bool, c: int, factors, n: int) -> Fra
 
 def binom_exact(a: Fraction, k: int) -> Fraction:
     """binom(a, k) for rational a, by the falling product."""
-    out = _Q(1)
-    a = _Q(a.numerator, a.denominator) if isinstance(a, Fraction) else _Q(a)
+    out = Fraction(1)
+    a = Fraction(a)
     for j in range(k):
-        out *= (a - j) / _Q(j + 1)
-    return _frac(out)
+        out *= (a - j) / (j + 1)
+    return out
 
 
 def s_sum_exact(a: Fraction, n: int) -> Fraction:
     """S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k, exactly."""
-    aq = _Q(Fraction(a).numerator, Fraction(a).denominator)
-    b1 = _Q(1)
-    b2 = _Q(1)
-    total = _Q(0)
+    aq = Fraction(a)
+    b1 = Fraction(1)
+    b2 = Fraction(1)
+    total = Fraction(0)
     for k in range(1, n + 1):
-        b1 *= (aq - (k - 1)) / _Q(k)
-        b2 *= (-aq - k) / _Q(k)
-        total += b1 * b2 / _Q(k)
-    return _frac(total)
+        b1 *= (aq - (k - 1)) / k
+        b2 *= (-aq - k) / k
+        total += b1 * b2 / k
+    return total
 
 
 def sigma_identity(which: str, n: int) -> IdentityReport:
@@ -137,21 +126,21 @@ def sigma_identity(which: str, n: int) -> IdentityReport:
     """
     if which not in ("plain", "weighted"):
         raise ValueError(f"unknown sigma identity {which!r}")
-    lhs = _Q(0)
-    odd1 = _Q(0)
-    odd2 = _Q(0)
-    rhs = _Q(0)
+    lhs = Fraction(0)
+    odd1 = Fraction(0)
+    odd2 = Fraction(0)
+    rhs = Fraction(0)
     for k in range(1, n + 1):
-        odd1 += _Q(1, 2 * k - 1)
-        odd2 += _Q(1, (2 * k - 1) ** 2)
-        base = _Q(comb(n, k) * (-4) ** k, k * k * comb(2 * k, k))
+        odd1 += Fraction(1, 2 * k - 1)
+        odd2 += Fraction(1, (2 * k - 1) ** 2)
+        base = Fraction(comb(n, k) * (-4) ** k, k * k * comb(2 * k, k))
         if which == "plain":
             lhs += base
-            rhs += _Q(-2, k) * odd1
+            rhs += Fraction(-2, k) * odd1
         else:
             lhs += base * odd1
-            rhs += _Q(-2, k) * odd2
-    return IdentityReport(f"sigma-{which}", n, _frac(lhs), _frac(rhs), lhs == rhs)
+            rhs += Fraction(-2, k) * odd2
+    return IdentityReport(f"sigma-{which}", n, lhs, rhs, lhs == rhs)
 
 
 def structural_identity(which: str, n: int, a: Fraction | None = None) -> IdentityReport:
@@ -163,33 +152,31 @@ def structural_identity(which: str, n: int, a: Fraction | None = None) -> Identi
     """
     if which == "shuffle11":
         lhs = 2 * _sum_pair(1, 1, n)
-        h1 = sum((_Q(1, k) for k in range(1, n + 1)), _Q(0))
-        h2 = sum((_Q(1, k * k) for k in range(1, n + 1)), _Q(0))
+        h1 = sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+        h2 = sum((Fraction(1, k * k) for k in range(1, n + 1)), Fraction(0))
         rhs = h1 * h1 - h2
     elif which == "shuffle22":
         lhs = 2 * _sum_pair(2, 2, n)
-        h2 = sum((_Q(1, k * k) for k in range(1, n + 1)), _Q(0))
-        h4 = sum((_Q(1, k**4) for k in range(1, n + 1)), _Q(0))
+        h2 = sum((Fraction(1, k * k) for k in range(1, n + 1)), Fraction(0))
+        h4 = sum((Fraction(1, k**4) for k in range(1, n + 1)), Fraction(0))
         rhs = h2 * h2 - h4
     elif which == "telescope":
         if a is None or a == 0:
             raise ValueError("telescope needs a nonzero rational a")
         a = Fraction(a)
-        diff = s_sum_exact(a, n) - s_sum_exact(a - 1, n)
-        lhs = _Q(diff.numerator, diff.denominator)
-        two_over_a = _Q(2 * a.denominator, a.numerator)
-        prod = binom_exact(a - 1, n) * binom_exact(-a - 1, n)
-        rhs = -two_over_a + two_over_a * _Q(prod.numerator, prod.denominator)
+        lhs = s_sum_exact(a, n) - s_sum_exact(a - 1, n)
+        two_over_a = Fraction(2 * a.denominator, a.numerator)
+        rhs = -two_over_a + two_over_a * binom_exact(a - 1, n) * binom_exact(-a - 1, n)
     else:
         raise ValueError(f"unknown structural identity {which!r}")
-    return IdentityReport(which, n, _frac(_Q(lhs)), _frac(_Q(rhs)), lhs == rhs)
+    return IdentityReport(which, n, lhs, rhs, lhs == rhs)
 
 
 def _sum_pair(r1: int, r2: int, n: int):
     """H(r1, r2; n) by a direct double loop (exact)."""
-    total = _Q(0)
-    inner = _Q(0)
+    total = Fraction(0)
+    inner = Fraction(0)
     for k2 in range(2, n + 1):
-        inner += _Q(1, (k2 - 1) ** r1)
-        total += inner * _Q(1, k2**r2)
+        inner += Fraction(1, (k2 - 1) ** r1)
+        total += inner * Fraction(1, k2**r2)
     return total

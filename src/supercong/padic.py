@@ -116,9 +116,6 @@ class PAdic:
             return None
         return self.valuation + self.digits
 
-    def is_bounded_zero(self) -> bool:
-        return not self.zero_flag and self.digits == 0
-
     def lift(self, aprec: int) -> int:
         """Integer congruent to the value modulo ``p**aprec`` (requires valuation >= 0)."""
         if self.zero_flag:
@@ -244,13 +241,6 @@ class PAdic:
         for _ in range(e):
             out = out * self
         return out
-
-    def __str__(self) -> str:
-        if self.zero_flag:
-            return "0"
-        if self.digits == 0:
-            return f"O({self.prime}^{self.valuation})"
-        return f"{self.prime}^{self.valuation} * {self.unit} mod {self.prime}^{self.aprec}"
 
 
 def congruent_mod(x: PAdic, y: PAdic, e: int) -> bool:

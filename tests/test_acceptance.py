@@ -104,7 +104,7 @@ def test_criterion_4_spot_values_p7():
             assert x.lift(2) % 49 == 38
         # H_6 = 49/20, valuation 2
         assert oracle.harmonic_exact(6) == Fraction(49, 20)
-        h6 = mhs((1,), 6, 7, 6, inv)
+        (h6,) = mhs((1,), (6,), 7, 6, inv)
         assert h6.valuation == 2
         # H_6 = 2 p^2 X mod 7^4
         rhs = x_constant(7, 6).shift(2).scale(2)
@@ -147,7 +147,7 @@ def test_criterion_6_oracle_equivalence_grid():
             inv = kernels.inverse_table(p - 1, p, p**4)
             for sig, exact_at in exact_upto.items():
                 for n in range(1, n_hi + 1):
-                    got = mhs(sig, n, p, 4, inv)
+                    (got,) = mhs(sig, (n,), p, 4, inv)
                     exact = exact_at[n]
                     if exact == 0:
                         want = PAdic.zero(p)

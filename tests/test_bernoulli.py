@@ -1,5 +1,6 @@
 """Bernoulli numbers, Fermat quotients, and the constant X."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -197,6 +198,23 @@ class TestSievedPowerSum:
         triangle = pykernels.bernoulli_scaled(2 * p, p, p**7)
         for (n, e), value in asked.items():
             assert value == triangle[n] % p**e, (n, e)
+
+    def test_memo_stays_bounded_over_a_sweep(self, monkeypatch):
+        # p is in every key, so a sweep never reads an earlier prime's
+        # entries again: the memo keeps a bounded number of them, and the
+        # rows are those of an unbounded memo
+        ids = [d.id for d in registry()]
+        primes = primes_in_range(7, 100)
+        scaled = bernoulli_mod._scaled
+        scaled.cache_clear()
+        rows = sweep(ids, primes, jobs=1)
+        info = scaled.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < info.misses
+        unbounded = functools.lru_cache(maxsize=None)(scaled.__wrapped__)
+        monkeypatch.setattr(bernoulli_mod, "_scaled", unbounded)
+        assert sweep(ids, primes, jobs=1) == rows
+        assert unbounded.cache_info().currsize == info.misses
 
     def test_smallest_prime_factors_by_trial_division(self):
         spf = smallest_prime_factors(2000)

@@ -61,7 +61,7 @@ class TestSSum:
     @pytest.mark.parametrize("p", [7, 11, 13])
     @pytest.mark.parametrize("a", [Fraction(-1, 2), Fraction(1, 3), Fraction(5)])
     def test_matches_oracle(self, p, a):
-        got = s_sum(_embed(a, p, 6), p - 1, p, 6, _inv(p, 6))
+        (got,) = s_sum(_embed(a, p, 6), (p - 1,), p, 6, _inv(p, 6))
         want = _embed(oracle.s_sum_exact(a, p - 1), p)
         assert congruent_mod(got, want, min(6, got.aprec))
 
@@ -69,17 +69,17 @@ class TestSSum:
     def test_short_a_reads_deeper_table(self, p):
         # a known to 3 digits; the table mod p^6 is read at modulus p^3 as is
         a = Fraction(-1, 3)
-        got = s_sum(_embed(a, p, 3), p - 1, p, 6, _inv(p, 6))
+        (got,) = s_sum(_embed(a, p, 3), (p - 1,), p, 6, _inv(p, 6))
         assert got.aprec == 3
         assert congruent_mod(got, _embed(oracle.s_sum_exact(a, p - 1), p), 3)
 
     @pytest.mark.parametrize("a", [Fraction(-1, 2), Fraction(5), Fraction(0)])
     def test_endpoints_from_one_pass(self, a, monkeypatch):
-        # a tuple of endpoints gives the single-endpoint values from one pass
+        # several endpoints give the single-endpoint values from one pass
         p, N, inv = 13, 6, _inv(13, 6)
         ends = (0, 1, 6, 12, 4)
         x = _embed(a, p, N)
-        single = tuple(s_sum(x, k, p, N, inv) for k in ends)
+        single = tuple(s_sum(x, (k,), p, N, inv)[0] for k in ends)
         calls = []
 
         def counted(*args, _kernel=kernels.s_sum):
@@ -94,12 +94,12 @@ class TestSSum:
             s_sum(x, (1, 13), p, N, inv)
 
     def test_trivial_cases(self):
-        assert s_sum(PAdic.zero(7), 6, 7, 6, _inv(7, 6)).zero_flag
-        assert s_sum(_embed(1, 7, 6), 0, 7, 6, _inv(7, 6)).zero_flag
+        assert s_sum(PAdic.zero(7), (6,), 7, 6, _inv(7, 6))[0].zero_flag
+        assert s_sum(_embed(1, 7, 6), (0,), 7, 6, _inv(7, 6))[0].zero_flag
         with pytest.raises(BadParameter):
-            s_sum(_embed(Fraction(1, 7), 7, 6), 6, 7, 6, _inv(7, 6))
+            s_sum(_embed(Fraction(1, 7), 7, 6), (6,), 7, 6, _inv(7, 6))
         with pytest.raises(BadParameter):
-            s_sum(_embed(1, 7, 6), 7, 7, 6, _inv(7, 6))
+            s_sum(_embed(1, 7, 6), (7,), 7, 6, _inv(7, 6))
 
 
 class TestReducePoint:

@@ -295,6 +295,28 @@ class TestEndToEnd:
         with pytest.raises(ProcessLookupError):
             os.killpg(proc.pid, 0)
 
+    def test_traced_run_prints_the_plain_run_bytes(self, tmp_path):
+        # perfbench/tracer.py rebinds the kernels, harmonic.mhs, binomial.s_sum
+        # and bernoulli.mhs by name and counts kernel work from their
+        # positional parameters; its run must still give the plain CLI's rows
+        args = ["verify", "--format", "jsonl", "--checks", "all", "--primes", "7..13",
+                "--jobs", "1"]
+        tracer = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        traced = subprocess.run(
+            [sys.executable, str(tracer), "trace", str(tmp_path / "s.tsv"), *args],
+            capture_output=True, env=env,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "supercong.cli", *args], capture_output=True, env=env
+        )
+        assert traced.returncode == 0, traced.stderr
+        assert plain.returncode == 0, plain.stderr
+        report = json.loads(traced.stdout)
+        assert (report["exit"], report["rows_bad"]) == (0, 0)
+        assert report["digest"] == hashlib.sha256(plain.stdout).hexdigest()
+
 
 # (format, scenario) -> sha256 of stdout, recorded before rows were streamed,
 # when every row was printed after the whole sweep

@@ -25,16 +25,16 @@ def _inv(p: int, N: int) -> list[int]:
 class TestSignature:
     def test_validation(self):
         with pytest.raises(BadParameter):
-            mhs((), 5, 7, 6, _inv(7, 6))
+            mhs((), (5,), 7, 6, _inv(7, 6))
         with pytest.raises(BadParameter):
-            mhs((1, 0), 5, 7, 6, _inv(7, 6))
+            mhs((1, 0), (5,), 7, 6, _inv(7, 6))
 
 
 class TestMhsValues:
     # frozen exact values, computed by brute-force rational summation
     def test_h6_exact(self):
         assert oracle.harmonic_exact(6) == Fraction(49, 20)
-        x = mhs((1,), 6, 7, 6, _inv(7, 6))
+        (x,) = mhs((1,), (6,), 7, 6, _inv(7, 6))
         assert x.valuation == 2
         assert congruent_mod(x, _embed(Fraction(49, 20), 7, 8), 6)
 
@@ -42,29 +42,29 @@ class TestMhsValues:
         # H(1,2;4) = sum_{j<k<=4} 1/(j k^2) = 1/4 + (1+1/2)/9 + (1+1/2+1/3)/16
         expect = oracle.mhs_exact((1, 2), 4)
         assert expect == Fraction(1, 4) + Fraction(3, 2, _normalize=True) / 9 + Fraction(11, 6) / 16
-        got = mhs((1, 2), 4, 11, 6, _inv(11, 6))
+        (got,) = mhs((1, 2), (4,), 11, 6, _inv(11, 6))
         assert congruent_mod(got, _embed(expect, 11, 6), 6)
 
     def test_alternating_value(self):
         expect = oracle.mhs_exact((-2,), 5)
         assert expect == sum(Fraction((-1) ** k, k * k) for k in range(1, 6))
-        got = mhs((-2,), 5, 7, 6, _inv(7, 6))
+        (got,) = mhs((-2,), (5,), 7, 6, _inv(7, 6))
         assert congruent_mod(got, _embed(expect, 7, 6), 6)
 
     def test_short_range_is_zero(self):
-        assert mhs((1, 2), 1, 7, 6, _inv(7, 6)).zero_flag
+        assert mhs((1, 2), (1,), 7, 6, _inv(7, 6))[0].zero_flag
 
     def test_range_from_p_raises(self):
         # n = p would divide by p; the modular kernel covers only n < p
         with pytest.raises(BadParameter):
-            mhs((1,), 7, 7, 4, _inv(7, 4))
+            mhs((1,), (7,), 7, 4, _inv(7, 4))
 
     def test_range_cap(self):
         with pytest.raises(BadParameter):
-            mhs((1,), 49, 7, 4, _inv(7, 4))
+            mhs((1,), (49,), 7, 4, _inv(7, 4))
 
     def test_endpoints_from_one_pass(self, monkeypatch):
-        # a tuple of endpoints gives one value per endpoint, each equal to the
+        # several endpoints give one value per endpoint, each equal to the
         # single-endpoint call, from one kernel pass; n < depth is exact zero
         calls = []
 
@@ -75,7 +75,7 @@ class TestMhsValues:
         p, N, inv = 13, 5, _inv(13, 5)
         ends = (0, 1, 6, 3, 12)
         for exps in ((1,), (1, -3), (2, 1, 1)):
-            single = [mhs(exps, k, p, N, inv) for k in ends]
+            single = [mhs(exps, (k,), p, N, inv)[0] for k in ends]
             monkeypatch.setattr(kernels, "mhs_sum", counted)
             got = mhs(exps, ends, p, N, inv)
             monkeypatch.undo()
@@ -97,7 +97,7 @@ class TestOracleEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(sig=_sigs, n=st.integers(min_value=1, max_value=30), p=st.sampled_from([7, 11, 13]))
     def test_mhs_matches_oracle(self, sig, n, p):
-        got = mhs(tuple(sig), min(n, p - 1), p, 5, _inv(p, 5))
+        (got,) = mhs(tuple(sig), (min(n, p - 1),), p, 5, _inv(p, 5))
         expect = oracle.mhs_exact(tuple(sig), min(n, p - 1))
         want = _embed(expect, p, 7)
         if want.zero_flag:
@@ -111,9 +111,9 @@ class TestOracleEquivalence:
         # sum_{j<=k} 1/(2j-1)^r = H(r; 2k-1) - H(r; k-1) / 2^r
         p = 13
         inv = _inv(p, 5)
-        got = mhs((r,), 2 * k - 1, p, 5, inv)
+        (got,) = mhs((r,), (2 * k - 1,), p, 5, inv)
         if k > 1:
-            got = got - mhs((r,), k - 1, p, 5, inv).scale(Fraction(1, 2**r))
+            got = got - mhs((r,), (k - 1,), p, 5, inv)[0].scale(Fraction(1, 2**r))
         expect = oracle.odd_harmonic_exact(r, k)
         assert congruent_mod(got, _embed(expect, p, 7), 5)
 
@@ -128,7 +128,7 @@ class TestNestedSum:
             (2, False, 1, (("odd", 1, 2),)),
             (2, False, 1, (("odd", 2, 1),)),
             (2, False, 1, (("h2k", 1, 1),)),
-            (1, True, 1, (("signed", 2, 1),)),
+            (1, True, 1, (("harmonic", 2, 1),)),
             (3, False, 2, ()),
         ],
     )
