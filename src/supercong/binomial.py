@@ -10,7 +10,7 @@ sum at each endpoint of a tuple from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, compress, islice, repeat
 from operator import add, mod, mul, sub
@@ -22,12 +22,8 @@ from .padic import PAdic
 __all__ = ["ReducedPoint", "lem23_scan", "s_sum", "reduce_point"]
 
 
-@dataclass(frozen=True)
-class ReducedPoint:
-    """Decomposition a = p*t + residue with residue in {0,...,p-1}."""
-
-    residue: int
-    t: PAdic
+# the decomposition a = p*t + residue, residue in {0,...,p-1} and t a PAdic
+ReducedPoint = namedtuple("ReducedPoint", "residue t")
 
 
 def s_sum(

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import repeat
 from operator import mod
-from typing import Callable
 
 from . import kernels
 from .bernoulli import _truncate, bernoulli, fermat_quotient, x_constant, x_from_h2
@@ -73,25 +73,20 @@ class _Skip(Exception):
     """Raised by an evaluator when a precondition fails for (p, params)."""
 
 
-@dataclass(frozen=True)
-class CheckDefinition:
-    id: str
-    description: str
-    modulus_exponent: int
-    param_space: Callable[[int, tuple[Fraction, ...]], list[dict]]
-    evaluator: Callable
+# A catalog entry: param_space(p, a_samples) lists the params dicts of its
+# rows, and evaluator(ctx, **params) returns (lhs, rhs, e[, note]).
+CheckDefinition = namedtuple(
+    "CheckDefinition", "id description modulus_exponent param_space evaluator"
+)
 
-
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    prime: int
-    params: tuple[str, ...]
-    status: str
-    lhs: str
-    rhs: str
-    modulus: str
-    note: str = ""
+# One row: params rendered as "name=value" strings, lhs and rhs rendered
+# mod the modulus the row was judged at, and status one of pass, fail,
+# skipped or precision_error.
+CheckResult = namedtuple(
+    "CheckResult",
+    "check prime params status lhs rhs modulus note",
+    defaults=("",),
+)
 
 
 def render_padic(x: PAdic, p: int, e: int) -> str:
@@ -1033,14 +1028,15 @@ def sweep(
     t_sign: str = "minus",
     fail_fast: bool = False,
     on_prime: Callable[[int, list[CheckResult]], None] | None = None,
-) -> list[CheckResult]:
+) -> list[CheckResult] | None:
     """Evaluate checks over primes; return every row ordered by (prime, id, params).
 
     Each prime is one chunk of rows, made in this process or, with jobs > 1,
     on a pool of min(jobs, len(primes)) processes whose ordered imap hands
     the chunks back in the order of primes.  Each chunk is sorted by
-    (id, params) and passed to on_prime(p, rows) before the next one is
-    taken, so a caller can show a prime's rows while later primes still run.
+    (id, params).  With on_prime, each chunk is passed to on_prime(p, rows)
+    before the next one is taken, so a caller can show a prime's rows while
+    later primes still run; the rows are not kept, and sweep returns None.
 
     With fail_fast, stop after the first prime with a fail or precision_error.
     """
@@ -1064,10 +1060,13 @@ def sweep(
     with pool:
         for p, chunk in zip(primes, chunks):
             chunk.sort(key=_order)
-            if on_prime is not None:
+            if on_prime is None:
+                results.extend(chunk)
+            else:
                 on_prime(p, chunk)
-            results.extend(chunk)
             if fail_fast and any(r.status in ("fail", "precision_error") for r in chunk):
                 break
+    if on_prime is not None:
+        return None
     results.sort(key=_order)
     return results

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -27,8 +26,13 @@ from .primes import primes_in_range
 __all__ = ["RunConfig", "parse_args", "main", "main_entry"]
 
 
-@dataclass
 class RunConfig:
+    """The settings of one run.
+
+    RunConfig(**fields) sets the named fields; the others keep the class
+    defaults below.  Every default is immutable, so instances share them.
+    """
+
     command: str = "verify"
     check_ids: tuple[str, ...] = ()
     prime_lo: int = 7
@@ -42,6 +46,12 @@ class RunConfig:
     t_sign_diagnostic: bool = False
     stats: bool = False
     n_max: int = 200
+
+    def __init__(self, **fields) -> None:
+        for name, value in fields.items():
+            if name not in RunConfig.__annotations__:
+                raise TypeError(f"RunConfig has no field {name!r}")
+            setattr(self, name, value)
 
 
 class UsageError(Exception):
@@ -268,17 +278,25 @@ def _run_verify(cfg: RunConfig, out) -> int:
             wanted.append(p)
 
     # rows go out in ascending prime order: a computed prime's rows are
-    # printed, after the cached primes below it, as soon as the sweep has it
+    # printed, after the cached primes below it, as soon as the sweep has it;
+    # they are then only counted, and kept only in the cache to be written
     waiting = deque(cached)
+    computed = bad = 0
 
     def on_prime(p: int, rows: list[CheckResult]) -> None:
+        nonlocal computed, bad
         while waiting and waiting[0] < p:
             _write_rows(cached[waiting.popleft()], cfg.format, out)
         _write_rows(rows, cfg.format, out)
         out.flush()
+        computed += len(rows)
+        bad += sum(r.status in ("fail", "precision_error") for r in rows)
+        if cfg.cache:
+            for r in rows:
+                cache[key(r.check, r.prime, r.params)] = r
 
     _write_header(cfg.format, out)
-    computed = sweep(
+    sweep(
         cfg.check_ids, wanted, jobs=cfg.jobs, digits=cfg.digits,
         a_samples=cfg.a_samples, t_sign=t_sign, fail_fast=cfg.fail_fast,
         on_prime=on_prime,
@@ -288,8 +306,6 @@ def _run_verify(cfg: RunConfig, out) -> int:
     out.flush()
 
     if cfg.cache:
-        for r in computed:
-            cache[key(r.check, r.prime, r.params)] = r
         tmp = cfg.cache + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(
@@ -299,13 +315,13 @@ def _run_verify(cfg: RunConfig, out) -> int:
 
     if cfg.stats:
         # stderr, so that stdout stays nothing but rows
-        print(f"# evaluations: {len(computed)}", file=sys.stderr)
+        print(f"# evaluations: {computed}", file=sys.stderr)
         print(
             f"# cached rows reused: {sum(map(len, cached.values()))}", file=sys.stderr
         )
-    bad = sum(
+    bad += sum(
         r.status in ("fail", "precision_error")
-        for rows in (computed, *cached.values())
+        for rows in cached.values()
         for r in rows
     )
     return 1 if bad else 0

@@ -8,13 +8,17 @@ every smaller m unchanged.
 
 mhs_sum and weighted_sum run as chains of C-level iterators (islice, map,
 accumulate) over the caller's inverse table: their terms are products of
-table entries, and only a geometric factor c^k is reduced per k.  s_sum,
-central_sum and geom_power_sum carry a product (a binomial, or c^k) that
-is reduced mod m at every k: each is one plain ``for k`` loop, since
-building the step ratio in map stages costs more than the loop itself.
-mhs_sum, weighted_sum, s_sum and central_sum return the list of their
-prefix sums at k = 0..n from one pass, so a caller that needs a sum at
-several endpoints reads them all from one call.  Those entries are
+table entries, and only a geometric factor c^k is reduced per k.  They read
+inv[k]**r mod m for r >= 2 from power lists built once per (table, m): a
+one-slot cache holds the last table by reference (compared with ``is``),
+its modulus and one reduced list per exponent, and a call with another
+table or modulus empties it.  r = 1 reads the table itself, so the cache
+never copies it.  s_sum, central_sum and geom_power_sum carry a product (a
+binomial, or c^k) that is reduced mod m at every k: each is one plain
+``for k`` loop, since building the step ratio in map stages costs more than
+the loop itself.  mhs_sum, weighted_sum, s_sum and central_sum return the
+list of their prefix sums at k = 0..n from one pass, so a caller that needs
+a sum at several endpoints reads them all from one call.  Those entries are
 congruent mod m but not reduced: reducing every entry would cost most of
 the pass, so callers reduce only the entries they read.  inverse_table,
 bernoulli_scaled and geom_power_sum return values in [0, m).
@@ -108,6 +112,36 @@ def _powers(terms, r: int, m: int):
     return map(pow, terms, repeat(r))
 
 
+# the one-slot power cache: the table, its modulus, and r -> [x**r % m for x]
+_cached_table: list[int] | None = None
+_cached_m = 0
+_cached_powers: dict[int, list[int]] = {}
+
+
+def _table_powers(inv: list[int], r: int, m: int) -> list[int]:
+    """inv[k]**r mod m for every index of inv, r >= 2, built once per (inv, m, r)."""
+    global _cached_table, _cached_m, _cached_powers
+    if inv is not _cached_table or m != _cached_m:
+        _cached_table, _cached_m, _cached_powers = inv, m, {}
+    pows = _cached_powers.get(r)
+    if pows is None:
+        pows = _cached_powers[r] = list(map(pow, inv, repeat(r), repeat(m)))
+    return pows
+
+
+def _inverse_powers(inv: list[int], r: int, m: int, start: int, stop: int, step: int = 1):
+    """inv[k]**r, congruent mod m, for k in range(start, stop, step).
+
+    r = 1 reads inv and r >= 2 its cached power list; other r, which no
+    production caller passes, are raised per entry.
+    """
+    if r == 1:
+        return _span(inv, start, stop, step)
+    if r >= 2:
+        return _span(_table_powers(inv, r, m), start, stop, step)
+    return _powers(_span(inv, start, stop, step), r, m)
+
+
 def _alternating(terms):
     """(-1)**k * x_k for k = 1, 2, ..."""
     return map(mul, terms, cycle((-1, 1)))
@@ -131,7 +165,7 @@ def mhs_sum(exps: tuple[int, ...], n: int, p: int, m: int, inv: list[int]) -> li
     """
     weights = []
     for a in exps:
-        w = _powers(_span(inv, 1, n + 1), abs(a), m)
+        w = _inverse_powers(inv, abs(a), m, 1, n + 1)
         weights.append(_alternating(w) if a < 0 else w)
     prefix = accumulate(weights[0], initial=0)
     for w in weights[1:]:
@@ -156,16 +190,16 @@ def weighted_sum(
     unused), so the whole list is one pass over k.  "odd" and "h2k" read
     inv up to 2n.
     """
-    terms = _powers(_span(inv, 1, n + 1), aexp, m)
+    terms = _inverse_powers(inv, aexp, m, 1, n + 1)
     if cnum is not None:
         terms = map(mul, terms, _geometric(cnum, m))
     if signed:
         terms = _alternating(terms)
     for kind, r, power in factors:
         if kind == "harmonic":
-            addends = _powers(_span(inv, 1, n + 1), r, m)
+            addends = _inverse_powers(inv, r, m, 1, n + 1)
         elif kind == "odd":
-            addends = _powers(_span(inv, 1, 2 * n, 2), r, m)
+            addends = _inverse_powers(inv, r, m, 1, 2 * n, 2)
         elif kind == "h2k":
             addends = map(add, _span(inv, 1, 2 * n, 2), _span(inv, 2, 2 * n + 1, 2))
         else:

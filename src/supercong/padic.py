@@ -18,12 +18,17 @@ Values built through :meth:`PAdic.from_rational` carry their exact rational
 alongside, which lets subtraction recognise a provable zero.  Arithmetic on
 values without that witness raises :class:`PrecisionExhausted` if every
 known digit cancels.
+
+PAdic is a slotted, immutable class: ``__init__`` validates and sets the
+six fields, assignment raises, and ``==`` and ``hash`` ignore the witness.
+:meth:`PAdic.scale` splits each constant c = p**v * num/den once, in a
+bounded memo keyed on (c, p).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     BadParameter,
@@ -50,28 +55,82 @@ def vp_fraction(q: Fraction, p: int) -> int:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-@dataclass(frozen=True)
-class PAdic:
-    prime: int
-    valuation: int
-    unit: int
-    digits: int
-    zero_flag: bool = False
-    rat: Fraction | None = field(default=None, compare=False, repr=False)
+@lru_cache(maxsize=128)
+def _split(c: int | Fraction, p: int) -> tuple[int, int, int]:
+    """(v, num, den) with c = p**v * num / den and num, den coprime to p; c != 0.
 
-    def __post_init__(self) -> None:
-        if self.zero_flag:
-            return
-        if self.digits < 0:
-            raise ValueError("digits must be >= 0")
-        if self.digits == 0:
-            if self.unit != 0:
-                raise ValueError("bounded zero must have unit 0")
-        else:
-            if not (0 < self.unit < self.prime**self.digits):
-                raise ValueError("unit out of range")
-            if self.unit % self.prime == 0:
-                raise ValueError("unit must be coprime to p")
+    The catalog scales by a few dozen constants, some of them functions of
+    p, so a bounded memo keeps each prime's splits and drops old primes'.
+    """
+    if isinstance(c, int):
+        num, den = c, 1
+    else:
+        num, den = c.numerator, c.denominator
+    v = 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v, num, den
+
+
+class PAdic:
+    __slots__ = ("prime", "valuation", "unit", "digits", "zero_flag", "rat")
+
+    def __init__(
+        self,
+        prime: int,
+        valuation: int,
+        unit: int,
+        digits: int,
+        zero_flag: bool = False,
+        rat: Fraction | None = None,
+    ) -> None:
+        if not zero_flag:
+            if digits < 0:
+                raise ValueError("digits must be >= 0")
+            if digits == 0:
+                if unit != 0:
+                    raise ValueError("bounded zero must have unit 0")
+            else:
+                if not (0 < unit < prime**digits):
+                    raise ValueError("unit out of range")
+                if unit % prime == 0:
+                    raise ValueError("unit must be coprime to p")
+        _set_prime(self, prime)
+        _set_valuation(self, valuation)
+        _set_unit(self, unit)
+        _set_digits(self, digits)
+        _set_zero_flag(self, zero_flag)
+        _set_rat(self, rat)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}: PAdic is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}: PAdic is immutable")
+
+    def _key(self) -> tuple:
+        return (self.prime, self.valuation, self.unit, self.digits, self.zero_flag)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PAdic:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"PAdic(prime={self.prime!r}, valuation={self.valuation!r}, "
+            f"unit={self.unit!r}, digits={self.digits!r}, zero_flag={self.zero_flag!r})"
+        )
+
+    def __reduce__(self):
+        return PAdic, (*self._key(), self.rat)
 
     # -- constructors ------------------------------------------------------
 
@@ -214,23 +273,23 @@ class PAdic:
         """Multiply by p**j (exact)."""
         if self.zero_flag:
             return self
-        rat = None if self.rat is None else self.rat * Fraction(self.prime) ** j
+        rat = self.rat
+        if rat is not None:
+            rat = rat * self.prime**j if j >= 0 else rat / self.prime ** -j
         return PAdic(self.prime, self.valuation + j, self.unit, self.digits, rat=rat)
 
     def scale(self, c: int | Fraction) -> "PAdic":
         """Multiply by an exact rational constant without losing digits."""
-        c = Fraction(c)
-        if c == 0:
+        if not c:
             return PAdic.zero(self.prime)
         if self.zero_flag:
             return self
         p = self.prime
-        vc = vp_fraction(c, p)
+        vc, num, den = _split(c, p)
         if self.digits == 0:
             return PAdic(p, self.valuation + vc, 0, 0)
-        uc = c / Fraction(p) ** vc
         m = p**self.digits
-        unit = self.unit * (uc.numerator % m) * pow(uc.denominator, -1, m) % m
+        unit = self.unit * num * pow(den, -1, m) % m
         rat = None if self.rat is None else self.rat * c
         return PAdic(p, self.valuation + vc, unit, self.digits, rat=rat)
 
@@ -241,6 +300,14 @@ class PAdic:
         for _ in range(e):
             out = out * self
         return out
+
+
+# the slots' own setters: __init__ writes the fields through them, past the
+# __setattr__ that makes instances immutable, at less cost per field than
+# object.__setattr__
+_set_prime, _set_valuation, _set_unit, _set_digits, _set_zero_flag, _set_rat = (
+    PAdic.__dict__[name].__set__ for name in PAdic.__slots__
+)
 
 
 def congruent_mod(x: PAdic, y: PAdic, e: int) -> bool:

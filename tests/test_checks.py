@@ -219,12 +219,14 @@ class TestSweep:
         ids = ["lem-bridge", "eq-1-1", "thm11-half"]
         primes = [5, 7, 11, 13, 17]
         seen = []
-        rows = sweep(ids, primes, jobs=jobs, on_prime=lambda p, chunk: seen.append((p, chunk)))
+        kept = sweep(ids, primes, jobs=jobs, on_prime=lambda p, chunk: seen.append((p, chunk)))
+        # the chunks went to on_prime only: sweep keeps no rows of its own
+        assert kept is None
         assert [p for p, _ in seen] == primes
         for p, chunk in seen:
             assert {r.prime for r in chunk} == {p}
             assert chunk == sorted(chunk, key=lambda r: (r.check, r.params))
-        assert rows == [r for _, chunk in seen for r in chunk]
+        rows = [r for _, chunk in seen for r in chunk]
         assert rows == sorted(rows, key=lambda r: (r.prime, r.check, r.params))
         assert rows == sweep(ids, primes, jobs=3 - jobs)
 

@@ -1,6 +1,5 @@
 """CLI parsing, exit codes, output formats, and the result cache."""
 
-import dataclasses
 import hashlib
 import io
 import json
@@ -447,7 +446,7 @@ class TestStaleCache:
     def test_rows_of_another_catalog_are_recomputed(self, tmp_path, capsys, monkeypatch):
         cache = str(tmp_path / "cache.json")
         edited = [
-            dataclasses.replace(d, description=d.description + " (old wording)")
+            d._replace(description=d.description + " (old wording)")
             if d.id == "lem-bridge" else d
             for d in registry()
         ]
@@ -473,3 +472,69 @@ class TestStaleCache:
         assert (code, out) == (0, want)
         assert "# evaluations: 3" in err
         assert "stale" not in cache.read_text(encoding="utf-8")
+
+
+class TestRowCounts:
+    """The exit code and --stats counts, now that computed rows are counted
+    per prime and not kept: all passing rows, one precision_error row, and
+    cached rows next to computed ones."""
+
+    BASE = dict(check_ids=("eq-1-1", "lem-bridge"), prime_lo=7, prime_hi=19,
+                stats=True, format="jsonl", jobs=1)
+
+    @staticmethod
+    def _spoil(monkeypatch, prime):
+        """Turn the first row at prime into a precision_error."""
+        run_prime = checks._run_prime
+
+        def spoiled(args):
+            rows = run_prime(args)
+            if args[0] == prime:
+                rows[0] = rows[0]._replace(status="precision_error", note="spoiled")
+            return rows
+
+        monkeypatch.setattr(checks, "_run_prime", spoiled)
+
+    def _counts(self, capsys, **extra):
+        capsys.readouterr()
+        code, out = _run(RunConfig(**{**self.BASE, **extra}))
+        err = capsys.readouterr().err.splitlines()
+        stats = [line for line in err if line.startswith("#")]
+        statuses = [json.loads(line)["status"] for line in out.splitlines()]
+        return code, statuses, stats
+
+    def test_all_pass(self, capsys):
+        code, statuses, stats = self._counts(capsys)
+        assert (code, statuses) == (0, ["pass"] * 10)
+        assert stats == ["# evaluations: 10", "# cached rows reused: 0"]
+
+    def test_precision_error_row(self, capsys, monkeypatch):
+        self._spoil(monkeypatch, 13)
+        code, statuses, stats = self._counts(capsys)
+        assert code == 1
+        assert statuses.count("precision_error") == 1 and len(statuses) == 10
+        assert stats == ["# evaluations: 10", "# cached rows reused: 0"]
+
+    def test_cached_and_computed_mix(self, tmp_path, capsys, monkeypatch):
+        cache = str(tmp_path / "cache.json")
+        self._counts(capsys, prime_hi=11, cache=cache)
+        code, statuses, stats = self._counts(capsys, cache=cache)
+        assert (code, statuses) == (0, ["pass"] * 10)
+        assert stats == ["# evaluations: 6", "# cached rows reused: 4"]
+        # a bad row read from the cache sets the exit code as a computed one does
+        bad_cache = str(tmp_path / "bad.json")
+        with monkeypatch.context() as spoiled:
+            self._spoil(spoiled, 7)
+            assert self._counts(capsys, prime_hi=7, cache=bad_cache)[0] == 1
+        code, statuses, stats = self._counts(capsys, cache=bad_cache)
+        assert code == 1 and statuses.count("precision_error") == 1
+        assert stats == ["# evaluations: 8", "# cached rows reused: 2"]
+        # and a bad computed row next to cached good ones
+        self._spoil(monkeypatch, 17)
+        code, statuses, stats = self._counts(capsys, cache=cache)
+        assert code == 0 and stats == ["# evaluations: 0", "# cached rows reused: 10"]
+        fresh = str(tmp_path / "fresh.json")
+        self._counts(capsys, prime_hi=11, cache=fresh)
+        code, statuses, stats = self._counts(capsys, cache=fresh)
+        assert code == 1 and statuses.count("precision_error") == 1
+        assert stats == ["# evaluations: 6", "# cached rows reused: 4"]

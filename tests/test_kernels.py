@@ -475,3 +475,82 @@ class TestShortInverseTable:
         self._pinned(
             lambda inv: pykernels.central_sum(lo, n, cinv, self.P, self.M, inv), n
         )
+
+
+class TestPowerCache:
+    """mhs_sum and weighted_sum read inv[k]**r mod m from power lists that a
+    one-slot cache keeps per (table, m): results must not depend on which
+    table or modulus the cache held before a call.
+    """
+
+    P = 101
+    N = 50  # "odd" prefixes read inv up to 2N - 1 = P - 2
+
+    @staticmethod
+    def _factors(r):
+        return (("harmonic", r, 1), ("odd", r, 2))
+
+    def _check(self, r, sign, m, inv):
+        p, n = self.P, self.N
+        for exps in ((sign * r,), (sign * r, r)):
+            got = pykernels.mhs_sum(exps, n, p, m, inv)[n] % m
+            assert got == _direct_mhs(exps, n, m), (exps, m)
+        signed = sign < 0
+        got = pykernels.weighted_sum(r, signed, None, self._factors(r), n, p, m, inv)[n] % m
+        assert got == _direct_weighted(r, signed, None, self._factors(r), n, m), (r, m)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_one_table_under_two_moduli(self, r, sign):
+        p = self.P
+        inv = pykernels.inverse_table(p - 1, p, p**6)
+        for m in (p**3, p**6, p**3):
+            self._check(r, sign, m, inv)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_two_equal_tables_interleaved(self, r, sign):
+        p, m = self.P, self.P**4
+        first = pykernels.inverse_table(p - 1, p, m)
+        second = list(first)
+        # a table mod a higher power holds other integers, congruent mod m
+        wider = pykernels.inverse_table(p - 1, p, p**7)
+        for inv in (first, second, first, wider, second):
+            self._check(r, sign, m, inv)
+
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_each_table_is_read_for_its_own_entries(self, r):
+        # an entry off by one is no longer an inverse: the sum follows the table
+        p, n, m = self.P, self.N, self.P**4
+        good = pykernels.inverse_table(p - 1, p, m)
+        skewed = list(good)
+        skewed[7] += 1
+        for inv in (good, skewed, good):
+            want = sum(inv[k] ** r for k in range(1, n + 1)) % m
+            assert pykernels.mhs_sum((r,), n, p, m, inv)[n] % m == want
+
+    def test_cache_keeps_reduced_lists_for_r_from_2_only(self):
+        p, m = self.P, self.P**4
+        inv = pykernels.inverse_table(p - 1, p, m)
+        for r in range(1, 7):
+            self._check(r, 1, m, inv)
+        assert pykernels._cached_table is inv and pykernels._cached_m == m
+        assert sorted(pykernels._cached_powers) == [2, 3, 4, 5, 6]
+        for r, pows in pykernels._cached_powers.items():
+            assert pows == [pow(x, r, m) for x in inv]
+
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    def test_short_table_raises_after_a_full_one(self, r):
+        p, n, m = self.P, self.N, self.P**4
+        full = pykernels.inverse_table(p - 1, p, m)
+        self._check(r, -1, m, full)
+        short = pykernels.inverse_table(n - 1, p, m)
+        with pytest.raises(IndexError):
+            pykernels.mhs_sum((r,), n, p, m, short)
+        with pytest.raises(IndexError):
+            pykernels.weighted_sum(r, False, None, (), n, p, m, short)
+        # odd prefixes read up to 2n - 1
+        with pytest.raises(IndexError):
+            pykernels.weighted_sum(
+                1, False, None, (("odd", r, 1),), n, p, m, full[: 2 * n - 1]
+            )

@@ -1,5 +1,7 @@
 """Capped-precision p-adic arithmetic: constructors, ops, congruence."""
 
+import functools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,10 @@ from supercong.errors import (
     InsufficientPrecision,
     PrecisionExhausted,
 )
+from supercong import padic
+from supercong.checks import registry, sweep
 from supercong.padic import PAdic, congruent_mod, vp_fraction, vp_int
+from supercong.primes import primes_in_range
 
 P = 7
 
@@ -149,6 +154,124 @@ class TestArithmetic:
             x.lift(9)
         with pytest.raises(BadParameter):
             emb(Fraction(3, 7)).lift(2)
+
+
+def _scale_by_fraction(x: PAdic, c) -> PAdic:
+    """x * c the way scale once did it: through Fraction(c) and vp_fraction."""
+    c = Fraction(c)
+    p = x.prime
+    vc = vp_fraction(c, p)
+    if x.digits == 0:
+        return PAdic(p, x.valuation + vc, 0, 0)
+    uc = c / Fraction(p) ** vc
+    m = p**x.digits
+    unit = x.unit * (uc.numerator % m) * pow(uc.denominator, -1, m) % m
+    rat = None if x.rat is None else x.rat * c
+    return PAdic(p, x.valuation + vc, unit, x.digits, rat=rat)
+
+
+class TestValueObject:
+    def test_assignment_raises(self):
+        x = emb(Fraction(3, 5))
+        for name in ("prime", "valuation", "unit", "digits", "zero_flag", "rat"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        with pytest.raises(AttributeError):
+            x.other = 1
+        assert x == emb(Fraction(3, 5))
+
+    def test_eq_and_hash_ignore_the_witness(self):
+        with_rat = emb(Fraction(3, 5))
+        without = PAdic(P, with_rat.valuation, with_rat.unit, with_rat.digits)
+        assert with_rat.rat == Fraction(3, 5) and without.rat is None
+        assert with_rat == without and hash(with_rat) == hash(without)
+        assert len({with_rat, without}) == 1
+        assert with_rat != emb(Fraction(3, 5), digits=5)
+        assert with_rat != (P, 0, with_rat.unit, 6, False)
+
+    def test_pickle_round_trip_keeps_the_witness(self):
+        x = emb(Fraction(-14, 3))
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.rat == x.rat
+
+    def test_validation(self):
+        for args in ((7, 0, 3, -1), (7, 0, 3, 0), (7, 0, 0, 2), (7, 0, 49, 2), (7, 0, 14, 2)):
+            with pytest.raises(ValueError):
+                PAdic(*args)
+        assert PAdic(7, 3, 0, 0).digits == 0
+        assert PAdic(7, 0, 0, 0, zero_flag=True).zero_flag
+
+
+class TestScale:
+    CONSTANTS = [
+        1, -1, 2, -4, 7, 14, -49, 12,
+        Fraction(7, 2), Fraction(21, 2), Fraction(7, 6), Fraction(-1, 2),
+        Fraction(2, 7), Fraction(-5, 49), Fraction(1, 4), Fraction(6, 1),
+    ]
+
+    @pytest.mark.parametrize("c", CONSTANTS, ids=str)
+    def test_matches_the_fraction_route(self, c):
+        values = [
+            emb(Fraction(3, 5)),  # with a witness
+            emb(Fraction(-98, 3), digits=4),
+            PAdic.from_int_exact(7 * 123, p=P, aprec=6),  # without one
+            PAdic.from_int_exact(0, p=P, aprec=5),  # bounded zero
+        ]
+        for x in values:
+            got, want = x.scale(c), _scale_by_fraction(x, c)
+            assert got == want
+            assert got.rat == want.rat
+            assert (got.valuation, got.unit, got.digits) == (
+                want.valuation, want.unit, want.digits
+            )
+
+    def test_int_constants_build_no_fraction(self, monkeypatch):
+        padic._split.cache_clear()
+        x = PAdic.from_int_exact(3, p=P, aprec=6)  # no witness to multiply
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(
+            Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)
+        )
+        for c, split in ((3, (0, 3, 1)), (-14, (1, -2, 1)), (49, (2, 1, 1))):
+            assert padic._split(c, P) == split
+            assert x.scale(c) == _scale_by_fraction(x, c)
+            built.clear()
+            x.scale(c)
+            assert built == []
+
+    def test_zero_and_exact_zero(self):
+        assert emb(Fraction(3, 5)).scale(0).zero_flag
+        assert emb(Fraction(3, 5)).scale(Fraction(0)).zero_flag
+        assert PAdic.zero(P).scale(Fraction(7, 2)).zero_flag
+
+    def test_shift_multiplies_the_witness_by_powers_of_p(self):
+        x = emb(Fraction(3, 5))
+        for j in (-3, -1, 0, 2):
+            y = x.shift(j)
+            assert y.rat == Fraction(3, 5) * Fraction(P) ** j
+            assert (y.valuation, y.unit, y.digits) == (j, x.unit, x.digits)
+
+    def test_split_memo_stays_bounded_over_a_sweep(self, monkeypatch):
+        # (c, p) keys carry p, so a sweep never reads an earlier prime's
+        # splits again: the memo keeps a bounded number of them, and the rows
+        # are those of an unbounded memo
+        ids = [d.id for d in registry()]
+        primes = primes_in_range(7, 500)
+        split = padic._split
+        split.cache_clear()
+        rows = sweep(ids, primes, jobs=1)
+        info = split.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < info.misses
+        # one prime's constants fit, so each is split once per prime
+        assert info.hits > info.misses
+        unbounded = functools.lru_cache(maxsize=None)(split.__wrapped__)
+        monkeypatch.setattr(padic, "_split", unbounded)
+        assert sweep(ids, primes, jobs=1) == rows
+        assert unbounded.cache_info().currsize == info.misses
 
 
 class TestCongruentMod:

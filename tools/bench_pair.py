@@ -12,17 +12,20 @@ runs first alternates from pair to pair.  A pair is dropped when either
 side exits nonzero, reports `correct: false` or has failed samples.
 
 Appends one record to BENCH_<NAME>.json at the root of this checkout (a
-JSON list, created if missing): both commits, the seeds, seconds and pair
-counts, each side's median and quartiles of every end-to-end metric over
-the kept pairs, and for each metric the number of pairs in which the
-change read lower (ties count for neither side).  A summary goes to
-stderr.  Uses the standard library only.
+JSON list, created if missing): both commits, each side's src_sha256 (the
+hash of its src/ that perfbench/run.py records, so that a record made from
+an uncommitted working tree still names the code it measured), the seeds,
+seconds and pair counts, each side's median and quartiles of every
+end-to-end metric over the kept pairs, and for each metric the number of
+pairs in which the change read lower (ties count for neither side).  A
+summary goes to stderr.  Uses the standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
 import datetime
+import hashlib
 import io
 import json
 import os
@@ -50,6 +53,15 @@ def extract(rev: str, dest: Path) -> None:
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
         tf.extractall(dest)
+
+
+def src_sha256(tree: Path) -> str:
+    """sha256 of tree's src/, computed as perfbench/run.py's context() does."""
+    src = hashlib.sha256()
+    for path in sorted((tree / "src").rglob("*")):
+        if path.is_file() and path.suffix in (".py", ".pyx", ".c"):
+            src.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
+    return src.hexdigest()
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | None:
@@ -99,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         parent_tree = Path(tmp)
         extract(parent_commit, parent_tree)
         trees = {"parent": parent_tree, "change": ROOT}
+        hashes = {side: src_sha256(tree) for side, tree in trees.items()}
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -129,6 +142,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload,
         "parent_commit": parent_commit,
         "change_commit": change_commit,
+        "src_sha256": hashes,
         "seeds": seeds,
         "seconds": args.seconds,
         "pairs": kept,
