@@ -23,8 +23,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
-from itertools import repeat
-from operator import mod
+from functools import cache
 
 from . import kernels
 from .bernoulli import _truncate, bernoulli, fermat_quotient, x_constant, x_from_h2
@@ -103,15 +102,9 @@ def render_padic(x: PAdic, p: int, e: int) -> str:
 class PrimeContext:
     """Per-prime cache of the inverse table, the sums and recurring constants.
 
+    Every value works mod p**digits: one inverse table, one modulus m.
     a_samples are the sample points the checks will read; their residues
     <a>_p are endpoints of the sums, next to (p-1)/2 and p-1.
-
-    S_n(a) (s), the central sums (central) and sum c^k/k^outer (geom) are
-    read only as left-hand sides, and _evaluate judges and renders a row
-    mod p^e_eff with e_eff = min(e, lhs.aprec, rhs.aprec) <= e, e the
-    modulus exponent its evaluator returns.  No check asks for more than
-    MAX_E, so these three sum mod p**lhs_digits, lhs_digits =
-    min(digits, MAX_E), and give the same rows as at full precision.
     """
 
     def __init__(
@@ -132,7 +125,6 @@ class PrimeContext:
         self.t_sign = t_sign
         self.a_samples = tuple(map(Fraction, a_samples))
         self.m = p**digits
-        self.lhs_digits = min(digits, MAX_E)
         self.half = (p - 1) // 2
         self._memo: dict = {}
 
@@ -187,14 +179,6 @@ class PrimeContext:
             "inv", lambda: kernels.inverse_table(self.p - 1, self.p, self.m)
         )
 
-    def inv_mod(self, e: int) -> list[int]:
-        """inv() reduced mod p**e, one copy per exponent below digits."""
-        if e >= self.digits:
-            return self.inv()
-        return self._cached(
-            ("inv", e), lambda: list(map(mod, self.inv(), repeat(self.p**e)))
-        )
-
     def mhs(self, exps: tuple[int, ...], n: int) -> PAdic:
         return self._at(
             ("mhs", exps), n, self._plan(self.p - 1, len(exps) == 1),
@@ -210,7 +194,7 @@ class PrimeContext:
         a = -1/2 mod p**aprec, binom(-1/2,k)^2 = binom(2k,k)^2 / 16^k, so
         S_n(a) is read from the 16^k central pass.
         """
-        N = self.lhs_digits
+        N = self.digits
         key = a
         if not a.zero_flag and a.valuation >= 0:
             aprec = min(N, a.aprec)
@@ -221,7 +205,7 @@ class PrimeContext:
             key = (min(u, (-1 - u) % m), aprec)
         return self._at(
             ("s", key), n, self._plan(self.p - 1, False),
-            lambda ends: s_sum(a, ends, self.p, N, self.inv_mod(N)),
+            lambda ends: s_sum(a, ends, self.p, N, self.inv()),
         )
 
     def nested(self, outer: int, factors: tuple, n: int) -> PAdic:
@@ -241,15 +225,14 @@ class PrimeContext:
         return self._at(("nested", outer, factors), n, self._plan(top, True), values)
 
     def _central(self, denom: int, k: int) -> int:
-        """sum_{j<=k} binom(2j,j)^2 / (j * denom^j) mod p**lhs_digits."""
+        """sum_{j<=k} binom(2j,j)^2 / (j * denom^j) mod p**digits."""
         if k < 1:
             return 0
-        N = self.lhs_digits
-        m = self.p**N
+        m = self.m
         cinv = pow(denom, -1, m)
 
         def values(ends):
-            prefix = kernels.central_sum(1, ends[-1], cinv, self.p, m, self.inv_mod(N))
+            prefix = kernels.central_sum(1, ends[-1], cinv, self.p, m, self.inv())
             return [prefix[k] % m for k in ends]
 
         return self._at(("central", denom), k, self._plan(self.p - 1, False), values)
@@ -257,16 +240,15 @@ class PrimeContext:
     def central(self, lo: int, hi: int, denom: int) -> PAdic:
         """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * denom^k): C(hi) - C(lo-1), C(0) = 0."""
         total = self._central(denom, hi) - self._central(denom, lo - 1)
-        return PAdic.from_int_exact(total, p=self.p, aprec=self.lhs_digits)
+        return PAdic.from_int_exact(total, p=self.p, aprec=self.digits)
 
     def geom(self, c: int, outer: int, n: int) -> PAdic:
         """sum_{k<=n} c^k / k^outer."""
-        N = self.lhs_digits
-        m = self.p**N
+        m = self.m
 
         def make():
-            val = kernels.geom_power_sum(c % m, outer, n, self.p, m, self.inv_mod(N))
-            return PAdic.from_int_exact(val, p=self.p, aprec=N)
+            val = kernels.geom_power_sum(c % m, outer, n, self.p, m, self.inv())
+            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
 
         return self._cached(("geom", c, outer, n), make)
 
@@ -392,7 +374,7 @@ def _ps_members(*members):
 
 
 def _ps_samples(p, a_samples):
-    return [{"a": a} for a in a_samples if Fraction(a).denominator % p != 0]
+    return [{"a": a} for a in a_samples if a.denominator % p != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +598,7 @@ def _lem23_scan(ctx, t: PAdic, half_range: bool):
     p = ctx.p
     top = ctx.half if half_range else p - 1
     tau = 0 if t.zero_flag else t.lift(3)
-    k, lhs, rhs = lem23_scan(tau, p, half_range, ctx.inv_mod(4))
+    k, lhs, rhs = lem23_scan(tau, p, half_range, ctx.inv())
     note = f"all k in 1..{top}" if k is None else f"first mismatch at k={k}"
     lhs = PAdic.from_int_exact(lhs, p=p, aprec=4)
     return lhs, PAdic.from_int_exact(rhs, p=p, aprec=4), 4, note
@@ -942,8 +924,8 @@ def registry() -> list[CheckDefinition]:
 
 _BY_ID = {d.id: d for d in _CATALOG}
 
-# the largest exponent any row is judged at; PrimeContext sums its
-# left-hand sides to this precision
+# the largest exponent any row is judged at; _run_prime's first context
+# works mod p**MAX_E
 MAX_E = max(d.modulus_exponent for d in _CATALOG)
 
 
@@ -955,22 +937,30 @@ def _render_params(params: dict) -> tuple[str, ...]:
     return tuple(f"{k}={v}" for k, v in params.items())
 
 
-def _evaluate(ctx: PrimeContext, defn: CheckDefinition, params: dict) -> CheckResult:
+def _evaluate(ctx: PrimeContext, defn: CheckDefinition, params: dict, full=None) -> CheckResult:
+    """defn's row at params, judged mod p^e_eff, e_eff = min(e, lhs.aprec,
+    rhs.aprec) and e the exponent the evaluator returns.
+
+    A skipped row, and one with e_eff = e, is settled: a context with more
+    digits gives the same bytes.  Any other row (PrecisionExhausted,
+    InsufficientPrecision or e_eff < e) is evaluated again in full() when
+    full is given, and that row is returned.
+    """
     rendered = _render_params(params)
     p = ctx.p
     try:
         out = defn.evaluator(ctx, **params)
     except _Skip as exc:
-        return CheckResult(
-            defn.id, p, rendered, "skipped", "", "", "", note=str(exc)
-        )
+        return CheckResult(defn.id, p, rendered, "skipped", "", "", "", note=str(exc))
     except (PrecisionExhausted, InsufficientPrecision) as exc:
-        return CheckResult(
-            defn.id, p, rendered, "precision_error", "", "", "", note=str(exc)
-        )
+        if full is not None:
+            return _evaluate(full(), defn, params)
+        return CheckResult(defn.id, p, rendered, "precision_error", "", "", "", note=str(exc))
     lhs, rhs, e = out[0], out[1], out[2]
     note = out[3] if len(out) > 3 else ""
     e_eff = min([e] + [z.aprec for z in (lhs, rhs) if z.aprec is not None])
+    if e_eff < e and full is not None:
+        return _evaluate(full(), defn, params)
     ok = congruent_mod(lhs, rhs, e_eff)
     if not ok:
         status = "fail"
@@ -1003,13 +993,20 @@ def row_params(
 
 
 def _run_prime(args) -> list[CheckResult]:
+    """One prime's rows, from a context mod p**MAX_E: no row is judged above
+    p^MAX_E.  A row it does not settle is evaluated again in a context at
+    digits, built at most once, on first need (never when digits = MAX_E).
+    """
     p, ids, digits, a_samples, t_sign = args
     if p < MIN_PRIME:
         note = f"p below min_prime {MIN_PRIME}"
         return [CheckResult(i, p, (), "skipped", "", "", "", note=note) for i in ids]
-    ctx = PrimeContext(p, digits=digits, t_sign=t_sign, a_samples=a_samples)
+    ctx = PrimeContext(p, min(digits, MAX_E), t_sign, a_samples)
+    full = None
+    if digits > MAX_E:
+        full = cache(lambda: PrimeContext(p, digits, t_sign, a_samples))
     return [
-        _evaluate(ctx, defn, params)
+        _evaluate(ctx, defn, params, full)
         for defn in (_BY_ID[check_id] for check_id in ids)
         for params in defn.param_space(p, a_samples)
     ]

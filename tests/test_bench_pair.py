@@ -1,0 +1,22 @@
+"""tools/bench_pair.py measures the working tree from a clean copy."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_pair():
+    spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "tools" / "bench_pair.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_change_side_copy_has_the_working_tree_source_and_no_bytecode(tmp_path):
+    bench_pair = _bench_pair()
+    bench_pair.copy_worktree(tmp_path)
+    assert bench_pair.src_sha256(tmp_path) == bench_pair.src_sha256(ROOT)
+    assert (tmp_path / "perfbench" / "run.py").is_file()
+    assert not any((tmp_path / "src").rglob("__pycache__"))
+    assert not any((tmp_path / "src").rglob("*.pyc"))

@@ -15,7 +15,7 @@ from supercong.bernoulli import (
     x_constant,
     x_harmonic,
 )
-from supercong.checks import registry, sweep
+from supercong.checks import DEFAULT_A_SAMPLES, PrimeContext, _evaluate, registry, sweep
 from supercong.errors import BadParameter
 from supercong.kernels import pykernels
 from supercong.padic import PAdic, congruent_mod
@@ -170,17 +170,19 @@ class TestSievedPowerSum:
         monkeypatch.setattr(bernoulli_mod, "_power_sum", record)
         bernoulli_mod._scaled.cache_clear()
         sweep([d.id for d in registry()], [p], jobs=1)
-        # B_{p-3} and B_{2p-4}, and the lower indices their power sums subtract
-        want = set(range(p - 13, p - 2, 2)) | set(range(2 * p - 10, 2 * p - 3, 2))
+        # B_{p-3} and B_{2p-4}, and the lower indices their power sums
+        # subtract; the sweep's contexts work mod p^4, so p*B_n is asked mod p^5
+        want = set(range(p - 11, p - 2, 2)) | set(range(2 * p - 8, 2 * p - 3, 2))
         assert {n for n, _, _ in asked} == want
+        assert {(q, m) for _, q, m in asked} == {(p, p**5)}
         for n, q, m in asked:
-            assert q == p
             assert power_sum(n, p, m) == _naive_power_sum(n, p, m), (n, m)
 
-    def test_one_power_sum_per_exponent(self, monkeypatch):
+    @staticmethod
+    def _check_power_sums(monkeypatch, rows, top, power_sums):
         # the recursion asks lower indices at lower moduli; they share the
-        # power sums of the outermost modulus p^7, one per exponent, and every
-        # p*B_n asked, at any modulus, is the triangle's
+        # power sums of the outermost modulus p^top, one per exponent, and
+        # every p*B_n asked, at any modulus, is the triangle's
         p = 997
         asked = {}
         scaled = bernoulli_mod._scaled
@@ -192,12 +194,29 @@ class TestSievedPowerSum:
         monkeypatch.setattr(bernoulli_mod, "_scaled", record)
         scaled.cache_clear()
         bernoulli_mod._power_sum.cache_clear()
-        sweep([d.id for d in registry()], [p], jobs=1)
-        assert bernoulli_mod._power_sum.cache_info().misses == 10
-        assert {e for n, e in asked if n > 1 and n % 2 == 0} == {1, 3, 5, 7}
-        triangle = pykernels.bernoulli_scaled(2 * p, p, p**7)
+        assert {r.status for r in rows(p)} == {"pass", "skipped"}
+        assert bernoulli_mod._power_sum.cache_info().misses == power_sums
+        assert {e for n, e in asked if n > 1 and n % 2 == 0} == set(range(1, top + 1, 2))
+        triangle = pykernels.bernoulli_scaled(2 * p, p, p**top)
         for (n, e), value in asked.items():
             assert value == triangle[n] % p**e, (n, e)
+
+    def test_one_power_sum_per_exponent(self, monkeypatch):
+        # the sweep's contexts work mod p^4: p*B_n mod p^5
+        ids = [d.id for d in registry()]
+        self._check_power_sums(monkeypatch, lambda p: sweep(ids, [p], jobs=1), 5, 8)
+
+    def test_one_power_sum_per_exponent_at_six_digits(self, monkeypatch):
+        # every row evaluated directly in a context at 6 digits: p*B_n mod p^7
+        def rows(p):
+            ctx = PrimeContext(p, digits=6, a_samples=DEFAULT_A_SAMPLES)
+            return [
+                _evaluate(ctx, d, params)
+                for d in registry()
+                for params in d.param_space(p, DEFAULT_A_SAMPLES)
+            ]
+
+        self._check_power_sums(monkeypatch, rows, 7, 10)
 
     def test_memo_stays_bounded_over_a_sweep(self, monkeypatch):
         # p is in every key, so a sweep never reads an earlier prime's

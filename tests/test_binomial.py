@@ -36,9 +36,9 @@ class TestCentralBinom:
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_matches_comb(self, p):
-        # PrimeContext sums its left sides, central included, mod p^lhs_digits
+        # PrimeContext sums every value, central included, mod p^digits
         ctx = PrimeContext(p, digits=6)
-        e = ctx.lhs_digits
+        e = ctx.digits
         for k in range(1, p):
             got = ctx.central(k, k, 16)
             assert congruent_mod(got, _embed(_central_exact(k, k, 16), p), e)

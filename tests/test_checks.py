@@ -163,7 +163,7 @@ class TestPrimeContext:
             points += [ctx.embed(a), ctx.reduce(a).t.shift(1)]
         for n in (ctx.half, p - 1):
             for a in points:
-                (direct,) = s_sum(a, (n,), p, ctx.lhs_digits, ctx.inv())
+                (direct,) = s_sum(a, (n,), p, ctx.digits, ctx.inv())
                 assert ctx.s(a, n) == direct, (a, n)
             pair = [ctx.s(ctx.embed(Fraction(-k, 3)), n) for k in (1, 2)]
             assert pair[0] is pair[1]
@@ -384,14 +384,13 @@ class TestOnePassPerSignature:
         # central sum; it makes no s_sum pass of its own
         ctx = PrimeContext(p)
         a = ctx.embed(Fraction(-1, 2))
-        inv = ctx.inv_mod(ctx.lhs_digits)
-        direct = [s_sum(a, (n,), p, ctx.lhs_digits, inv)[0] for n in range(1, p)]
+        direct = [s_sum(a, (n,), p, ctx.digits, ctx.inv())[0] for n in range(1, p)]
         calls = self._recorded(monkeypatch)
         got = [ctx.s(a, n) for n in range(1, p)]
         assert got == direct
         for n, value in enumerate(got, 1):
             exact = PAdic.from_rational(oracle.s_sum_exact(Fraction(-1, 2), n), p=p, digits=6)
-            assert congruent_mod(value, exact, ctx.lhs_digits), n
+            assert congruent_mod(value, exact, ctx.digits), n
         assert calls["s_sum"] == []
         assert ctx.central(1, p - 1, 16) == got[-1]
 
@@ -403,7 +402,7 @@ class TestOnePassPerSignature:
         direct = {
             n: ([mhs(exps, (n,), p, ctx.digits, inv)[0]
                  for exps in ((1,), (1, -3), (2, 1, 1))],
-                s_sum(a, (n,), p, ctx.lhs_digits, inv)[0])
+                s_sum(a, (n,), p, ctx.digits, inv)[0])
             for n in range(p)
         }
         calls = self._recorded(monkeypatch)
@@ -418,9 +417,23 @@ class TestOnePassPerSignature:
         assert len(calls["s_sum"]) == 1 + p - 3
 
 
+def _built_contexts(monkeypatch):
+    """The contexts _run_prime builds from now on, in order."""
+    built = []
+
+    class Recorded(PrimeContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(checks, "PrimeContext", Recorded)
+    return built
+
+
 class TestPrecisionPlan:
-    """s, central and geom sum mod p^min(digits, MAX_E); every row stays the
-    one a context at full precision gives."""
+    """_run_prime evaluates each row in a context mod p^MAX_E and evaluates
+    the rows that context does not settle again at digits; every row is the
+    one a context at digits gives directly."""
 
     SAMPLES = tuple(map(Fraction, ("1/2", "3", "-7/5", "-1", "-3", "0", "7", "49/3")))
     ALL_IDS = tuple(d.id for d in registry())
@@ -434,13 +447,10 @@ class TestPrecisionPlan:
             for params in defn.param_space(p, a_samples)
         ]
 
-    def _same_rows(self, monkeypatch, ids, p, **kwargs):
-        rows = self._rows(ids, p, **kwargs)
-        with monkeypatch.context() as full:
-            # the reference: left sides at all digits
-            full.setattr(checks, "MAX_E", 10**6)
-            assert rows
-            assert rows == self._rows(ids, p, **kwargs)
+    def _same_rows(self, ids, p, digits=6, t_sign="minus", a_samples=DEFAULT_A_SAMPLES):
+        rows = checks._run_prime((p, ids, digits, a_samples, t_sign))
+        assert rows
+        assert rows == self._rows(ids, p, digits, t_sign, a_samples)
 
     def test_evaluator_exponent_is_registered(self):
         """Run alone, each check is judged at most at its registry exponent,
@@ -457,34 +467,74 @@ class TestPrecisionPlan:
             assert max(seen) == defn.modulus_exponent <= checks.MAX_E, (defn.id, seen)
 
     @pytest.mark.parametrize("p", [7, 11, 13, 101, 499, 997])
-    def test_rows_match_full_precision(self, monkeypatch, p):
+    def test_rows_match_full_precision(self, p):
         for digits in (4, 6, 9):
-            self._same_rows(monkeypatch, self.ALL_IDS, p, digits=digits)
-        self._same_rows(monkeypatch, self.ALL_IDS, p, t_sign="plus")
-        self._same_rows(monkeypatch, self.ALL_IDS, p, a_samples=self.SAMPLES)
+            self._same_rows(self.ALL_IDS, p, digits=digits)
+        self._same_rows(self.ALL_IDS, p, t_sign="plus")
+        self._same_rows(self.ALL_IDS, p, a_samples=self.SAMPLES)
 
-    def test_main_checks_above_table_limit(self, monkeypatch):
-        self._same_rows(monkeypatch, TestPerPrimeTables.MAIN_IDS, 10007)
+    def test_main_checks_above_table_limit(self):
+        self._same_rows(TestPerPrimeTables.MAIN_IDS, 10007)
 
     @pytest.mark.parametrize("digits", [4, 6, 9])
-    def test_left_sides_at_max_e(self, digits):
+    def test_left_sides_at_max_e(self, monkeypatch, digits):
+        # every sum of the first context works mod p^MAX_E, and the default
+        # samples leave no row for a second context
         p = 13
-        want = min(digits, checks.MAX_E)
-        ctx = PrimeContext(p, digits=digits)
+        built = _built_contexts(monkeypatch)
+        rows = checks._run_prime((p, self.ALL_IDS, digits, DEFAULT_A_SAMPLES, "minus"))
+        assert {r.status for r in rows} == {"pass", "skipped"}
+        (ctx,) = built
+        want = checks.MAX_E
+        assert (ctx.digits, ctx.m) == (want, p**want)
+        assert ctx.inv() == [pow(k, -1, p**want) if k else 0 for k in range(p)]
         assert ctx.s(ctx.embed(Fraction(1, 3)), p - 1).aprec == want
         assert ctx.central(1, p - 1, 16).aprec == want
         assert ctx.geom(2, 3, p - 1).aprec == want
-        assert ctx.inv_mod(want) == [pow(k, -1, p**want) if k else 0 for k in range(p)]
+        assert ctx.mhs((2,), p - 1).aprec == want
+
+
+class TestRetry:
+    """A row the context mod p^MAX_E does not settle is the row of a context
+    at digits, built once per prime and only on first need."""
+
+    MINUS_ONE = (Fraction(-1),)
+
+    @pytest.mark.parametrize("check_id, p", [("thm11-full", 13), ("sun-param", 17)])
+    def test_unsettled_row_is_the_full_context_row(self, monkeypatch, check_id, p):
+        defn = checks._BY_ID[check_id]
+        params = {"a": Fraction(-1)}
+        first = PrimeContext(p, digits=checks.MAX_E, a_samples=self.MINUS_ONE)
+        with pytest.raises(PrecisionExhausted):
+            defn.evaluator(first, **params)
+        assert _evaluate(first, defn, params).status == "precision_error"
+        want = _evaluate(PrimeContext(p, digits=6, a_samples=self.MINUS_ONE), defn, params)
+        assert want.status == "pass"
+        built = _built_contexts(monkeypatch)
+        assert checks._run_prime((p, (check_id,), 6, self.MINUS_ONE, "minus")) == [want]
+        assert [ctx.digits for ctx in built] == [checks.MAX_E, 6]
+
+    def test_full_context_built_once_per_prime(self, monkeypatch):
+        # at p = 17 both rows at a = -1 need p^6; they share one context
+        built = _built_contexts(monkeypatch)
+        rows = checks._run_prime((17, ("sun-param", "thm11-full"), 6, self.MINUS_ONE, "minus"))
+        assert [r.status for r in rows] == ["pass", "pass"]
+        assert [ctx.digits for ctx in built] == [checks.MAX_E, 6]
+
+    def test_no_second_context_at_max_e_digits(self, monkeypatch):
+        built = _built_contexts(monkeypatch)
+        (row,) = checks._run_prime((13, ("thm11-full",), 4, self.MINUS_ONE, "minus"))
+        assert row.status == "precision_error"
+        assert [ctx.digits for ctx in built] == [checks.MAX_E]
 
 
 class TestSharpness:
     """Each check's two sides differ mod p^(e+1) at some row, so a refactor
     that made them read the same sum, or cut both to the same digits, shows.
 
-    The left sides are raised to p^6 (MAX_E patched as TestPrecisionPlan
-    does) at digits 9; no row or knob changes.  lem23-full and lem23-half
-    are not probed: _lem23_scan always works mod p^4, so their sides carry
-    no digit past their exponent.
+    Every value of PrimeContext(p, digits=9) is known mod p^9; no row or
+    knob changes.  lem23-full and lem23-half are not probed: _lem23_scan
+    always works mod p^4, so their sides carry no digit past their exponent.
     """
 
     PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 101, 211)
@@ -494,18 +544,16 @@ class TestSharpness:
     def witnesses(self):
         """The primes at which each check has a row with lhs != rhs mod p^(e+1)."""
         found = {d.id: set() for d in registry()}
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(checks, "MAX_E", 6)
-            for p in self.PRIMES:
-                ctx = PrimeContext(p, digits=9, a_samples=DEFAULT_A_SAMPLES)
-                for defn in registry():
-                    for params in defn.param_space(p, DEFAULT_A_SAMPLES):
-                        try:
-                            lhs, rhs, e = defn.evaluator(ctx, **params)[:3]
-                            if not congruent_mod(lhs, rhs, e + 1):
-                                found[defn.id].add(p)
-                        except (checks._Skip, PrecisionExhausted, InsufficientPrecision):
-                            pass
+        for p in self.PRIMES:
+            ctx = PrimeContext(p, digits=9, a_samples=DEFAULT_A_SAMPLES)
+            for defn in registry():
+                for params in defn.param_space(p, DEFAULT_A_SAMPLES):
+                    try:
+                        lhs, rhs, e = defn.evaluator(ctx, **params)[:3]
+                        if not congruent_mod(lhs, rhs, e + 1):
+                            found[defn.id].add(p)
+                    except (checks._Skip, PrecisionExhausted, InsufficientPrecision):
+                        pass
         return found
 
     def test_every_probed_check_has_a_witness(self, witnesses):

@@ -538,3 +538,17 @@ class TestRowCounts:
         code, statuses, stats = self._counts(capsys, cache=fresh)
         assert code == 1 and statuses.count("precision_error") == 1
         assert stats == ["# evaluations: 6", "# cached rows reused: 4"]
+
+
+class TestRetriedRow:
+    def test_row_retried_at_digits_prints_the_full_context_row(self):
+        # thm11-full at a = -1, p = 13 runs out of precision mod 13^4; the
+        # row printed at --digits 6 is the one a context at 6 digits gives
+        a = Fraction(-1)
+        ctx = checks.PrimeContext(13, digits=6, a_samples=(a,))
+        row = checks._evaluate(ctx, checks._BY_ID["thm11-full"], {"a": a})
+        assert row.status == "pass"
+        code, out = _run(RunConfig(check_ids=("thm11-full",), prime_lo=13, prime_hi=13,
+                                   digits=6, a_samples=(a,), jobs=1, format="jsonl"))
+        assert code == 0
+        assert out == json.dumps(cli._row_dict(row), sort_keys=True) + "\n"

@@ -5,20 +5,25 @@
         [--seeds 0,1,2] [--seconds S]
 
 Extracts REV (default HEAD~1) with `git archive` into a temporary
-directory, then runs `perfbench/run.py --workload NAME --seed SEED
---seconds S` alternately in that copy and in this checkout's working tree,
-N times each.  Pair i uses seed SEEDS[i mod len(SEEDS)], and the side that
-runs first alternates from pair to pair.  A pair is dropped when either
-side exits nonzero, reports `correct: false` or has failed samples.
+directory, and copies this checkout's working tree next to it: every file
+git tracks or would track, as it is on disk, so uncommitted edits are
+measured and no `__pycache__` is carried over.  Then runs
+`perfbench/run.py --workload NAME --seed SEED --seconds S` alternately in
+the two copies, N times each, with PYTHONDONTWRITEBYTECODE=1, so that every
+process compiles its source on both sides.  Pair i uses seed
+SEEDS[i mod len(SEEDS)], and the side that runs first alternates from pair
+to pair.  A pair is dropped when either side exits nonzero, reports
+`correct: false` or has failed samples.
 
 Appends one record to BENCH_<NAME>.json at the root of this checkout (a
 JSON list, created if missing): both commits, each side's src_sha256 (the
 hash of its src/ that perfbench/run.py records, so that a record made from
 an uncommitted working tree still names the code it measured), the seeds,
 seconds and pair counts, each side's median and quartiles of every
-end-to-end metric over the kept pairs, and for each metric the number of
-pairs in which the change read lower (ties count for neither side).  A
-summary goes to stderr.  Uses the standard library only.
+end-to-end metric over the kept pairs, for each metric the number of
+pairs in which the change read lower (ties count for neither side), and
+whether either copy's src/ held a `__pycache__` after the runs.  A summary
+goes to stderr.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,6 +61,16 @@ def extract(rev: str, dest: Path) -> None:
         tf.extractall(dest)
 
 
+def copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files into dest."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split("\0")):
+        path = ROOT / name
+        if path.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(path, dest / name)
+
+
 def src_sha256(tree: Path) -> str:
     """sha256 of tree's src/, computed as perfbench/run.py's context() does."""
     src = hashlib.sha256()
@@ -70,6 +86,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict | Non
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
     )
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -108,9 +125,9 @@ def main(argv: list[str] | None = None) -> int:
     sides: dict[str, list[dict]] = {"parent": [], "change": []}
     dropped = 0
     with tempfile.TemporaryDirectory(prefix="bench_pair-") as tmp:
-        parent_tree = Path(tmp)
-        extract(parent_commit, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        trees = {side: Path(tmp) / side for side in sides}
+        extract(parent_commit, trees["parent"])
+        copy_worktree(trees["change"])
         hashes = {side: src_sha256(tree) for side, tree in trees.items()}
         for i in range(args.pairs):
             seed = seeds[i % len(seeds)]
@@ -125,6 +142,8 @@ def main(argv: list[str] | None = None) -> int:
                 sides[side].append(got[side])
             print(f"pair {i}: seed {seed}, wall_s {got['parent'].get('wall_s')} -> "
                   f"{got['change'].get('wall_s')}", file=sys.stderr)
+        bytecode = {side: any((tree / "src").rglob("__pycache__"))
+                    for side, tree in trees.items()}
 
     kept = len(sides["parent"])
     metrics = {}
@@ -143,6 +162,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": parent_commit,
         "change_commit": change_commit,
         "src_sha256": hashes,
+        "bytecode_cache": bytecode,
         "seeds": seeds,
         "seconds": args.seconds,
         "pairs": kept,
