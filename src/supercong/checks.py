@@ -2,9 +2,11 @@
 
 Each check pairs a directly-summed left-hand side with an independently
 computed closed-form right-hand side and compares them modulo p**e via
-congruent_mod.  Checks are pure functions of (prime, params); the sweep
-evaluates a set of checks over a prime range with an optional process
-pool and emits results deterministically ordered by (prime, id, params).
+congruent_mod.  Each check is declared once, by @_check on its evaluator,
+and the catalog lists them in definition order.  Checks are pure functions
+of (prime, params); the sweep evaluates a set of checks over a prime range
+with an optional process pool and emits results deterministically ordered
+by (prime, id, params).
 
 Shared per-prime quantities (the inverse table every sum reads, the
 constant X, Fermat quotients, B_{p-3}, H(3,1;(p-1)/2), the binomial sums
@@ -72,8 +74,9 @@ class _Skip(Exception):
     """Raised by an evaluator when a precondition fails for (p, params)."""
 
 
-# A catalog entry: param_space(p, a_samples) lists the params dicts of its
-# rows, and evaluator(ctx, **params) returns (lhs, rhs, e[, note]).
+# A catalog entry, made by @_check: param_space(p, a_samples) lists the
+# params dicts of its rows, and evaluator(ctx, **params) returns
+# (lhs, rhs, e[, note]) with e at most modulus_exponent.
 CheckDefinition = namedtuple(
     "CheckDefinition", "id description modulus_exponent param_space evaluator"
 )
@@ -201,7 +204,7 @@ class PrimeContext:
             u = a.lift(aprec)
             m = self.p**aprec
             if (2 * u + 1) % m == 0 and 1 <= n <= self.p - 1:
-                return PAdic.from_int_exact(self._central(16, n), p=self.p, aprec=aprec)
+                return PAdic.from_int_exact(self._central(n), p=self.p, aprec=aprec)
             key = (min(u, (-1 - u) % m), aprec)
         return self._at(
             ("s", key), n, self._plan(self.p - 1, False),
@@ -224,22 +227,22 @@ class PrimeContext:
         top = self.half if doubled else self.p - 1
         return self._at(("nested", outer, factors), n, self._plan(top, True), values)
 
-    def _central(self, denom: int, k: int) -> int:
-        """sum_{j<=k} binom(2j,j)^2 / (j * denom^j) mod p**digits."""
+    def _central(self, k: int) -> int:
+        """sum_{j<=k} binom(2j,j)^2 / (j * 16^j) mod p**digits."""
         if k < 1:
             return 0
         m = self.m
-        cinv = pow(denom, -1, m)
+        cinv = pow(16, -1, m)
 
         def values(ends):
             prefix = kernels.central_sum(1, ends[-1], cinv, self.p, m, self.inv())
             return [prefix[k] % m for k in ends]
 
-        return self._at(("central", denom), k, self._plan(self.p - 1, False), values)
+        return self._at("central", k, self._plan(self.p - 1, False), values)
 
-    def central(self, lo: int, hi: int, denom: int) -> PAdic:
-        """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * denom^k): C(hi) - C(lo-1), C(0) = 0."""
-        total = self._central(denom, hi) - self._central(denom, lo - 1)
+    def central(self, lo: int, hi: int) -> PAdic:
+        """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * 16^k): C(hi) - C(lo-1), C(0) = 0."""
+        total = self._central(hi) - self._central(lo - 1)
         return PAdic.from_int_exact(total, p=self.p, aprec=self.digits)
 
     def geom(self, c: int, outer: int, n: int) -> PAdic:
@@ -323,7 +326,41 @@ class PrimeContext:
 
 
 # ---------------------------------------------------------------------------
-# parameter spaces
+# the catalog: each evaluator declares its check with @_check
+
+_CATALOG: list[CheckDefinition] = []
+
+
+def _check(check_id: str, e: int, space, description: str):
+    """Append the decorated evaluator's check to the catalog, in definition
+    order: its rows are space(p, a_samples), each judged at most mod p^e."""
+
+    def register(evaluator):
+        _CATALOG.append(CheckDefinition(check_id, description, e, space, evaluator))
+        return evaluator
+
+    return register
+
+
+def _fixed(rows):
+    """The param_space of rows that depend neither on p nor on the samples:
+    one tuple, built once."""
+    rows = tuple(rows)
+    return lambda p, a_samples: rows
+
+
+def _ps_samples(p, a_samples):
+    return [{"a": a} for a in a_samples if a.denominator % p != 0]
+
+
+_NO_PARAMS = _fixed([{}])
+_AR = _fixed({"a": a, "r": r} for a in range(1, 7) for r in range(1, 7) if a * r <= 6)
+# a + b odd and at most 5
+_AB_ROWS = [{"a": a, "b": b} for a in range(1, 5) for b in range(1, 6 - a) if (a + b) % 2]
+_AB = _fixed(_AB_ROWS)
+_AB_VARIANT = _fixed(
+    dict(ab, variant=v) for ab in _AB_ROWS for v in ("neg-first", "neg-second")
+)
 
 _ODD_FACTOR = ("odd", 1, 1)
 _ODD_SQ_FACTOR = ("odd", 1, 2)
@@ -332,55 +369,11 @@ _HARM_FACTOR = ("harmonic", 1, 1)
 _H2K_FACTOR = ("h2k", 1, 1)
 
 
-def _ps_none(p, a_samples):
-    return [{}]
+# evaluators: each returns (lhs, rhs, e[, note]), e at most the one it registers
 
 
-def _ps_ar(p, a_samples):
-    return [
-        {"a": a, "r": r} for a in range(1, 7) for r in range(1, 7) if a * r <= 6
-    ]
-
-
-def _ps_a_small(lo, hi):
-    def ps(p, a_samples):
-        return [{"a": a} for a in range(lo, hi + 1)]
-
-    return ps
-
-
-def _ps_ab(p, a_samples):
-    return [
-        {"a": a, "b": b}
-        for a in range(1, 5)
-        for b in range(1, 5)
-        if (a + b) % 2 == 1 and a + b <= 5
-    ]
-
-
-def _ps_ab_variant(p, a_samples):
-    return [
-        dict(base, variant=v)
-        for base in _ps_ab(p, a_samples)
-        for v in ("neg-first", "neg-second")
-    ]
-
-
-def _ps_members(*members):
-    def ps(p, a_samples):
-        return [{"member": m} for m in members]
-
-    return ps
-
-
-def _ps_samples(p, a_samples):
-    return [{"a": a} for a in a_samples if a.denominator % p != 0]
-
-
-# ---------------------------------------------------------------------------
-# evaluators: each returns (lhs, rhs, e) or (lhs, rhs, e, note)
-
-
+@_check("known-i", 3, _AR,
+        "repeated-exponent harmonic sums over 1..p-1 vs Bernoulli closed form")
 def _ev_known_i(ctx, a, r):
     ar = a * r
     if ctx.p <= ar + 2:
@@ -395,6 +388,8 @@ def _ev_known_i(ctx, a, r):
     return lhs, rhs, 2
 
 
+@_check("known-ii", 2, _fixed({"a": a} for a in range(1, 6)),
+        "power sums over the half range vs Fermat-quotient/Bernoulli values")
 def _ev_known_ii(ctx, a):
     if ctx.p <= a + 2:
         raise _Skip(f"requires p > {a + 2}")
@@ -409,6 +404,8 @@ def _ev_known_ii(ctx, a):
     return lhs, rhs, 2
 
 
+@_check("known-iii", 1, _AB,
+        "depth-2 harmonic sums over 1..p-1, odd total weight, mod p")
 def _ev_known_iii(ctx, a, b):
     if ctx.p <= a + b + 1:
         raise _Skip(f"requires p > {a + b + 1}")
@@ -418,6 +415,8 @@ def _ev_known_iii(ctx, a, b):
     return lhs, rhs, 1
 
 
+@_check("known-iv", 1, _AB,
+        "depth-2 harmonic sums over the half range, odd total weight, mod p")
 def _ev_known_iv(ctx, a, b):
     if ctx.p <= a + b:
         raise _Skip(f"requires p > {a + b}")
@@ -429,6 +428,8 @@ def _ev_known_iv(ctx, a, b):
     return lhs, rhs, 1
 
 
+@_check("known-v", 2, _fixed({"a": a} for a in range(2, 6)),
+        "alternating power sums over 1..p-1 vs Bernoulli closed form")
 def _ev_known_v(ctx, a):
     lhs = ctx.mhs((-a,), ctx.p - 1)
     p, N = ctx.p, ctx.digits
@@ -443,6 +444,8 @@ def _ev_known_v(ctx, a):
     return lhs, rhs, 2
 
 
+@_check("known-vi", 1, _AB_VARIANT,
+        "depth-2 sums with one alternating slot, odd total weight, mod p")
 def _ev_known_vi(ctx, a, b, variant):
     sig = (-a, b) if variant == "neg-first" else (a, -b)
     lhs = ctx.mhs(sig, ctx.p - 1)
@@ -457,11 +460,15 @@ def _ev_known_vi(ctx, a, b, variant):
 _VII_ZERO_SIGS = {"H(-4)": (-4,), "H(2,2)": (2, 2), "H(1,3)": (1, 3)}
 
 
+@_check("known-vii-zero", 1, _fixed({"member": m} for m in _VII_ZERO_SIGS),
+        "three weight-4 sums over 1..p-1 that vanish mod p")
 def _ev_known_vii_zero(ctx, member):
     lhs = ctx.mhs(_VII_ZERO_SIGS[member], ctx.p - 1)
     return lhs, PAdic.zero(ctx.p), 1
 
 
+@_check("known-vii-2m1", 2, _NO_PARAMS,
+        "H(2,-1;p-1) against its X / Fermat-quotient expansion mod p^2")
 def _ev_known_vii_2m1(ctx):
     lhs = ctx.mhs((2, -1), ctx.p - 1)
     rhs = (
@@ -480,12 +487,19 @@ _VII_CLUSTER = {
 }
 
 
+@_check("known-vii-cluster", 2, _fixed({"member": m} for m in _VII_CLUSTER),
+        "four weight-3 sums that all reduce to 3X mod p^2")
 def _ev_known_vii_cluster(ctx, member):
     sig, coeff = _VII_CLUSTER[member]
     lhs = ctx.mhs(sig, ctx.p - 1).scale(coeff)
     return lhs, ctx.x().scale(3), 2
 
 
+@_check(
+    "known-viii-a", 3,
+    _fixed({"member": m} for m in ("harmonic-number", "full-range", "half-range")),
+    "H_{p-1}/p and the two quadratic sums against -4pX mod p^3",
+)
 def _ev_known_viii_a(ctx, member):
     rhs = ctx.x().shift(1).scale(-4)
     if member == "harmonic-number":
@@ -500,22 +514,30 @@ def _ev_known_viii_a(ctx, member):
     return lhs, rhs, 3
 
 
+@_check("known-viii-b", 2, _NO_PARAMS,
+        "cubic power sum over the half range against 12X mod p^2")
 def _ev_known_viii_b(ctx):
     return ctx.mhs((3,), ctx.half), ctx.x().scale(12), 2
 
 
+@_check("tauraso-6k", 3, _NO_PARAMS,
+        "sum of binom(2k,k)^2/(k 16^k) over 1..p-1 mod p^3")
 def _ev_tauraso_6k(ctx):
-    lhs = ctx.central(1, ctx.p - 1, 16)
+    lhs = ctx.central(1, ctx.p - 1)
     rhs = ctx.mhs((1,), ctx.half).scale(-2)
     return lhs, rhs, 3
 
 
+@_check("sun-6k-tail", 3, _NO_PARAMS,
+        "tail of the 16^k central-binomial sum vs (7/2)p^2 B_{p-3} mod p^3")
 def _ev_sun_6k_tail(ctx):
-    lhs = ctx.central(ctx.half + 1, ctx.p - 1, 16)
+    lhs = ctx.central(ctx.half + 1, ctx.p - 1)
     rhs = ctx.b_pm3().shift(2).scale(Fraction(7, 2))
     return lhs, rhs, 3
 
 
+@_check("tauraso-param", 2, _ps_samples,
+        "S_{p-1}(a) mod p^2 for sampled p-adic integers a")
 def _ev_tauraso_param(ctx, a):
     rp = ctx.reduce(a)
     n, t = rp.residue, rp.t
@@ -524,6 +546,8 @@ def _ev_tauraso_param(ctx, a):
     return lhs, rhs, 2
 
 
+@_check("sun-param", 3, _ps_samples,
+        "S_{p-1}(a) mod p^3 with the Bernoulli correction term")
 def _ev_sun_param(ctx, a):
     rp = ctx.reduce(a)
     n, t = rp.residue, rp.t
@@ -537,6 +561,8 @@ def _ev_sun_param(ctx, a):
     return lhs, rhs, 3
 
 
+@_check("thm11-full", 4, _ps_samples,
+        "S_{p-1}(a) mod p^4: the full-range main expansion")
 def _ev_thm11_full(ctx, a):
     n, t, note = ctx.theorem_t(a)
     lhs = ctx.s(ctx.embed(a), ctx.p - 1)
@@ -554,6 +580,8 @@ def _ev_thm11_full(ctx, a):
     return lhs, rhs, 4, note
 
 
+@_check("thm11-half", 4, _ps_samples,
+        "S_{(p-1)/2}(a) mod p^4: the half-range main expansion")
 def _ev_thm11_half(ctx, a):
     n, t, note = ctx.theorem_t(a)
     if n > ctx.half:
@@ -576,16 +604,19 @@ def _ev_thm11_half(ctx, a):
     return lhs, rhs, 4, note
 
 
+@_check("eq-1-0", 4, _NO_PARAMS, "sum of binom(2k,k)^2/(k 16^k) over 1..p-1 mod p^4")
 def _ev_eq_1_0(ctx):
-    lhs = ctx.central(1, ctx.p - 1, 16)
+    lhs = ctx.central(1, ctx.p - 1)
     rhs = ctx.mhs((1,), ctx.half).scale(-2) - ctx.nested(
         3, (_HARM_FACTOR,), ctx.half
     ).shift(3)
     return lhs, rhs, 4
 
 
+@_check("eq-1-1", 4, _NO_PARAMS,
+        "tail of the 16^k central-binomial sum vs -(21/2)H_{p-1} mod p^4")
 def _ev_eq_1_1(ctx):
-    lhs = ctx.central(ctx.half + 1, ctx.p - 1, 16)
+    lhs = ctx.central(ctx.half + 1, ctx.p - 1)
     rhs = ctx.mhs((1,), ctx.p - 1).scale(Fraction(-21, 2))
     return lhs, rhs, 4
 
@@ -604,14 +635,19 @@ def _lem23_scan(ctx, t: PAdic, half_range: bool):
     return lhs, PAdic.from_int_exact(rhs, p=p, aprec=4), 4, note
 
 
+@_check("lem23-full", 4, _ps_samples,
+        "generalized-binomial product over 1..p-1, every k, mod p^4")
 def _ev_lem23_full(ctx, a):
     return _lem23_scan(ctx, ctx.reduce(a).t, False)
 
 
+@_check("lem23-half", 4, _ps_samples,
+        "generalized-binomial product over the half range, every k, mod p^4")
 def _ev_lem23_half(ctx, a):
     return _lem23_scan(ctx, ctx.reduce(a).t, True)
 
 
+@_check("lem24-full", 4, _ps_samples, "S_{p-1}(pt) = 4p^2 t X mod p^4")
 def _ev_lem24_full(ctx, a):
     t = ctx.reduce(a).t
     lhs = ctx.s(t.shift(1), ctx.p - 1)
@@ -619,6 +655,8 @@ def _ev_lem24_full(ctx, a):
     return lhs, rhs, 4
 
 
+@_check("lem24-half", 4, _ps_samples,
+        "S_{(p-1)/2}(pt) = -12p^2 t^2 X + 14 p^2 t X mod p^4")
 def _ev_lem24_half(ctx, a):
     t = ctx.reduce(a).t
     lhs = ctx.s(t.shift(1), ctx.half)
@@ -627,6 +665,7 @@ def _ev_lem24_half(ctx, a):
     return lhs, rhs, 4
 
 
+@_check("lem25-ds1", 2, _NO_PARAMS, "sum of odd-harmonic prefixes over k^2 mod p^2")
 def _ev_lem25_ds1(ctx):
     lhs = ctx.nested(2, (_ODD_FACTOR,), ctx.half)
     rhs = (
@@ -637,12 +676,14 @@ def _ev_lem25_ds1(ctx):
     return lhs, rhs, 2
 
 
+@_check("lem25-ds2", 1, _NO_PARAMS, "sum of H_k/k^3 over the half range mod p")
 def _ev_lem25_ds2(ctx):
     lhs = ctx.nested(3, (_HARM_FACTOR,), ctx.half)
     rhs = (ctx.q2() * ctx.b_pm3()).scale(4) - ctx.h31()
     return lhs, rhs, 1
 
 
+@_check("lem25-ds3", 2, _NO_PARAMS, "sum of squared-odd prefixes over k mod p^2")
 def _ev_lem25_ds3(ctx):
     lhs = ctx.nested(1, (_ODD2_FACTOR,), ctx.half)
     rhs = (
@@ -654,12 +695,14 @@ def _ev_lem25_ds3(ctx):
     return lhs, rhs, 2
 
 
+@_check("lem-bridge", 1, _NO_PARAMS, "H(1,3;(p-1)/2) = 4 H(1,-3;p-1) mod p")
 def _ev_lem_bridge(ctx):
     lhs = ctx.mhs((1, 3), ctx.half)
     rhs = ctx.mhs((1, -3), ctx.p - 1).scale(4)
     return lhs, rhs, 1
 
 
+@_check("lem26", 1, _NO_PARAMS, "three half-range odd-prefix sums cancel mod p")
 def _ev_lem26(ctx):
     parts = [
         ctx.nested(2, (_ODD_SQ_FACTOR,), ctx.half),
@@ -669,6 +712,7 @@ def _ev_lem26(ctx):
     return ctx.int_sum(parts), PAdic.zero(ctx.p), 1
 
 
+@_check("lem31", 4, _NO_PARAMS, "H_{(p-1)/2} via Fermat-quotient powers and X, mod p^4")
 def _ev_lem31(ctx):
     q = ctx.q2()
     lhs = ctx.mhs((1,), ctx.half)
@@ -682,6 +726,7 @@ def _ev_lem31(ctx):
     return lhs, rhs, 4
 
 
+@_check("thm12", 2, _NO_PARAMS, "sum of 2^k/k^3 over 1..p-1 mod p^2")
 def _ev_thm12(ctx):
     q = ctx.q2()
     lhs = ctx.geom(2, 3, ctx.p - 1)
@@ -695,18 +740,23 @@ def _ev_thm12(ctx):
     return lhs, rhs, 2
 
 
+@_check("proofstep-u1", 1, _NO_PARAMS, "squared odd-prefix sum vs 2H(1,-3;p-1) mod p")
 def _ev_proofstep_u1(ctx):
     lhs = ctx.nested(2, (_ODD_SQ_FACTOR,), ctx.half)
     rhs = ctx.mhs((1, -3), ctx.p - 1).scale(2)
     return lhs, rhs, 1
 
 
+@_check("proofstep-u2", 1, _NO_PARAMS,
+        "squared-odd-term prefix sum vs -2H(-2,2;p-1) mod p")
 def _ev_proofstep_u2(ctx):
     lhs = ctx.nested(2, (_ODD2_FACTOR,), ctx.half)
     rhs = ctx.mhs((-2, 2), ctx.p - 1).scale(-2)
     return lhs, rhs, 1
 
 
+@_check("proofstep-u3", 1, _NO_PARAMS,
+        "odd-prefix sum over k^3 vs its depth-2 reduction mod p")
 def _ev_proofstep_u3(ctx):
     lhs = ctx.nested(3, (_ODD_FACTOR,), ctx.half)
     rhs = ctx.mhs((1, -3), ctx.p - 1).scale(4) - ctx.mhs((1, 3), ctx.half).scale(
@@ -715,12 +765,16 @@ def _ev_proofstep_u3(ctx):
     return lhs, rhs, 1
 
 
+@_check("proofstep-h2k", 2, _NO_PARAMS,
+        "sum of H_{2k}/k^2 over the half range vs -9X mod p^2")
 def _ev_proofstep_h2k(ctx):
     lhs = ctx.nested(2, (_H2K_FACTOR,), ctx.half)
     rhs = ctx.x().scale(-9)
     return lhs, rhs, 2
 
 
+@_check("proofstep-1221", 2, _NO_PARAMS,
+        "H(2,1;(p-1)/2) against its X / h31 expansion mod p^2")
 def _ev_proofstep_1221(ctx):
     lhs = ctx.mhs((2, 1), ctx.half)
     rhs = (
@@ -729,192 +783,6 @@ def _ev_proofstep_1221(ctx):
         - ctx.h31().shift(1)
     )
     return lhs, rhs, 2
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-_CATALOG: list[CheckDefinition] = [
-    CheckDefinition(
-        "known-i",
-        "repeated-exponent harmonic sums over 1..p-1 vs Bernoulli closed form",
-        3, _ps_ar, _ev_known_i,
-    ),
-    CheckDefinition(
-        "known-ii",
-        "power sums over the half range vs Fermat-quotient/Bernoulli values",
-        2, _ps_a_small(1, 5), _ev_known_ii,
-    ),
-    CheckDefinition(
-        "known-iii",
-        "depth-2 harmonic sums over 1..p-1, odd total weight, mod p",
-        1, _ps_ab, _ev_known_iii,
-    ),
-    CheckDefinition(
-        "known-iv",
-        "depth-2 harmonic sums over the half range, odd total weight, mod p",
-        1, _ps_ab, _ev_known_iv,
-    ),
-    CheckDefinition(
-        "known-v",
-        "alternating power sums over 1..p-1 vs Bernoulli closed form",
-        2, _ps_a_small(2, 5), _ev_known_v,
-    ),
-    CheckDefinition(
-        "known-vi",
-        "depth-2 sums with one alternating slot, odd total weight, mod p",
-        1, _ps_ab_variant, _ev_known_vi,
-    ),
-    CheckDefinition(
-        "known-vii-zero",
-        "three weight-4 sums over 1..p-1 that vanish mod p",
-        1, _ps_members("H(-4)", "H(2,2)", "H(1,3)"), _ev_known_vii_zero,
-    ),
-    CheckDefinition(
-        "known-vii-2m1",
-        "H(2,-1;p-1) against its X / Fermat-quotient expansion mod p^2",
-        2, _ps_none, _ev_known_vii_2m1,
-    ),
-    CheckDefinition(
-        "known-vii-cluster",
-        "four weight-3 sums that all reduce to 3X mod p^2",
-        2,
-        _ps_members("H(1,2)", "H(2,1)", "H(-3)", "H(1,-2)"),
-        _ev_known_vii_cluster,
-    ),
-    CheckDefinition(
-        "known-viii-a",
-        "H_{p-1}/p and the two quadratic sums against -4pX mod p^3",
-        3,
-        _ps_members("harmonic-number", "full-range", "half-range"),
-        _ev_known_viii_a,
-    ),
-    CheckDefinition(
-        "known-viii-b",
-        "cubic power sum over the half range against 12X mod p^2",
-        2, _ps_none, _ev_known_viii_b,
-    ),
-    CheckDefinition(
-        "tauraso-6k",
-        "sum of binom(2k,k)^2/(k 16^k) over 1..p-1 mod p^3",
-        3, _ps_none, _ev_tauraso_6k,
-    ),
-    CheckDefinition(
-        "sun-6k-tail",
-        "tail of the 16^k central-binomial sum vs (7/2)p^2 B_{p-3} mod p^3",
-        3, _ps_none, _ev_sun_6k_tail,
-    ),
-    CheckDefinition(
-        "tauraso-param",
-        "S_{p-1}(a) mod p^2 for sampled p-adic integers a",
-        2, _ps_samples, _ev_tauraso_param,
-    ),
-    CheckDefinition(
-        "sun-param",
-        "S_{p-1}(a) mod p^3 with the Bernoulli correction term",
-        3, _ps_samples, _ev_sun_param,
-    ),
-    CheckDefinition(
-        "thm11-full",
-        "S_{p-1}(a) mod p^4: the full-range main expansion",
-        4, _ps_samples, _ev_thm11_full,
-    ),
-    CheckDefinition(
-        "thm11-half",
-        "S_{(p-1)/2}(a) mod p^4: the half-range main expansion",
-        4, _ps_samples, _ev_thm11_half,
-    ),
-    CheckDefinition(
-        "eq-1-0",
-        "sum of binom(2k,k)^2/(k 16^k) over 1..p-1 mod p^4",
-        4, _ps_none, _ev_eq_1_0,
-    ),
-    CheckDefinition(
-        "eq-1-1",
-        "tail of the 16^k central-binomial sum vs -(21/2)H_{p-1} mod p^4",
-        4, _ps_none, _ev_eq_1_1,
-    ),
-    CheckDefinition(
-        "lem23-full",
-        "generalized-binomial product over 1..p-1, every k, mod p^4",
-        4, _ps_samples, _ev_lem23_full,
-    ),
-    CheckDefinition(
-        "lem23-half",
-        "generalized-binomial product over the half range, every k, mod p^4",
-        4, _ps_samples, _ev_lem23_half,
-    ),
-    CheckDefinition(
-        "lem24-full",
-        "S_{p-1}(pt) = 4p^2 t X mod p^4",
-        4, _ps_samples, _ev_lem24_full,
-    ),
-    CheckDefinition(
-        "lem24-half",
-        "S_{(p-1)/2}(pt) = -12p^2 t^2 X + 14 p^2 t X mod p^4",
-        4, _ps_samples, _ev_lem24_half,
-    ),
-    CheckDefinition(
-        "lem25-ds1",
-        "sum of odd-harmonic prefixes over k^2 mod p^2",
-        2, _ps_none, _ev_lem25_ds1,
-    ),
-    CheckDefinition(
-        "lem25-ds2",
-        "sum of H_k/k^3 over the half range mod p",
-        1, _ps_none, _ev_lem25_ds2,
-    ),
-    CheckDefinition(
-        "lem25-ds3",
-        "sum of squared-odd prefixes over k mod p^2",
-        2, _ps_none, _ev_lem25_ds3,
-    ),
-    CheckDefinition(
-        "lem-bridge",
-        "H(1,3;(p-1)/2) = 4 H(1,-3;p-1) mod p",
-        1, _ps_none, _ev_lem_bridge,
-    ),
-    CheckDefinition(
-        "lem26",
-        "three half-range odd-prefix sums cancel mod p",
-        1, _ps_none, _ev_lem26,
-    ),
-    CheckDefinition(
-        "lem31",
-        "H_{(p-1)/2} via Fermat-quotient powers and X, mod p^4",
-        4, _ps_none, _ev_lem31,
-    ),
-    CheckDefinition(
-        "thm12",
-        "sum of 2^k/k^3 over 1..p-1 mod p^2",
-        2, _ps_none, _ev_thm12,
-    ),
-    CheckDefinition(
-        "proofstep-u1",
-        "squared odd-prefix sum vs 2H(1,-3;p-1) mod p",
-        1, _ps_none, _ev_proofstep_u1,
-    ),
-    CheckDefinition(
-        "proofstep-u2",
-        "squared-odd-term prefix sum vs -2H(-2,2;p-1) mod p",
-        1, _ps_none, _ev_proofstep_u2,
-    ),
-    CheckDefinition(
-        "proofstep-u3",
-        "odd-prefix sum over k^3 vs its depth-2 reduction mod p",
-        1, _ps_none, _ev_proofstep_u3,
-    ),
-    CheckDefinition(
-        "proofstep-h2k",
-        "sum of H_{2k}/k^2 over the half range vs -9X mod p^2",
-        2, _ps_none, _ev_proofstep_h2k,
-    ),
-    CheckDefinition(
-        "proofstep-1221",
-        "H(2,1;(p-1)/2) against its X / h31 expansion mod p^2",
-        2, _ps_none, _ev_proofstep_1221,
-    ),
-]
 
 
 def registry() -> list[CheckDefinition]:

@@ -40,10 +40,10 @@ class TestCentralBinom:
         ctx = PrimeContext(p, digits=6)
         e = ctx.digits
         for k in range(1, p):
-            got = ctx.central(k, k, 16)
+            got = ctx.central(k, k)
             assert congruent_mod(got, _embed(_central_exact(k, k, 16), p), e)
         for lo in (1, (p + 1) // 2):
-            got = ctx.central(lo, p - 1, 16)
+            got = ctx.central(lo, p - 1)
             assert congruent_mod(got, _embed(_central_exact(lo, p - 1, 16), p), e)
 
     @pytest.mark.parametrize("p", [7, 11, 13])
@@ -52,9 +52,9 @@ class TestCentralBinom:
         # so its square gives the k-th term valuation exactly 2
         ctx = PrimeContext(p, digits=6)
         for k in range((p + 1) // 2, p):
-            assert ctx.central(k, k, 16).valuation == 2
+            assert ctx.central(k, k).valuation == 2
         for k in range(1, (p + 1) // 2):
-            assert ctx.central(k, k, 16).valuation == 0
+            assert ctx.central(k, k).valuation == 0
 
 
 class TestSSum:

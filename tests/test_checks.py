@@ -13,8 +13,8 @@ from supercong.checks import (
     DEFAULT_A_SAMPLES,
     CheckDefinition,
     PrimeContext,
+    _NO_PARAMS,
     _evaluate,
-    _ps_none,
     registry,
     render_padic,
     row_params,
@@ -90,7 +90,7 @@ class TestRunCheck:
 
 class TestVerdictPlumbing:
     def _defn(self, evaluator):
-        return CheckDefinition("fixture", "fixture", 2, _ps_none, evaluator)
+        return CheckDefinition("fixture", "fixture", 2, _NO_PARAMS, evaluator)
 
     def test_corrupted_rhs_fails(self):
         def ev(ctx):
@@ -273,14 +273,12 @@ class TestRegressionAnchors:
     def test_central_sum_denominator_6_fails(self):
         # ...while denominator 6 fails already mod p, at every tested prime;
         # this pins the implemented reading of the two central-sum checks
-        from supercong.checks import _BY_ID
-
         for p in (7, 11, 13):
             ctx = PrimeContext(p)
-            lhs = ctx.central(1, p - 1, 6)
+            cinv = pow(6, -1, ctx.m)
+            total = kernels.central_sum(1, p - 1, cinv, p, ctx.m, ctx.inv())[p - 1]
+            lhs = PAdic.from_int_exact(total % ctx.m, p=p, aprec=ctx.digits)
             rhs = ctx.mhs((1,), ctx.half).scale(-2)
-            from supercong.padic import congruent_mod
-
             assert not congruent_mod(lhs, rhs, 1)
 
     @pytest.mark.parametrize("p", [7, 11, 13])
@@ -392,7 +390,7 @@ class TestOnePassPerSignature:
             exact = PAdic.from_rational(oracle.s_sum_exact(Fraction(-1, 2), n), p=p, digits=6)
             assert congruent_mod(value, exact, ctx.digits), n
         assert calls["s_sum"] == []
-        assert ctx.central(1, p - 1, 16) == got[-1]
+        assert ctx.central(1, p - 1) == got[-1]
 
     def test_unplanned_endpoints_match_the_direct_sums(self, monkeypatch):
         p = 13
@@ -489,7 +487,7 @@ class TestPrecisionPlan:
         assert (ctx.digits, ctx.m) == (want, p**want)
         assert ctx.inv() == [pow(k, -1, p**want) if k else 0 for k in range(p)]
         assert ctx.s(ctx.embed(Fraction(1, 3)), p - 1).aprec == want
-        assert ctx.central(1, p - 1, 16).aprec == want
+        assert ctx.central(1, p - 1).aprec == want
         assert ctx.geom(2, 3, p - 1).aprec == want
         assert ctx.mhs((2,), p - 1).aprec == want
 

@@ -552,3 +552,80 @@ class TestRetriedRow:
                                    digits=6, a_samples=(a,), jobs=1, format="jsonl"))
         assert code == 0
         assert out == json.dumps(cli._row_dict(row), sort_keys=True) + "\n"
+
+
+_SAMPLE_ROWS = "a=-1/2 a=1/3 a=-1/3 a=2/5 a=-2/3 a=5 a=1/4"
+_AB_ROWS = "a=1;b=2 a=1;b=4 a=2;b=1 a=2;b=3 a=3;b=2 a=4;b=1"
+
+
+class TestCatalogPinned:
+    """The catalog's bytes: a moved id, order, exponent, description or
+    parameter row fails here, and so does any change to the cache stamp."""
+
+    # sha256 of `supercong list-checks` stdout
+    LIST_CHECKS_SHA256 = "6c74de44087007cf689b6e23165884d8e2e40e384c23135f2422a4e5c06b6b53"
+    CACHE_STAMP = "0.1.0+ab83d7891a64ca45"
+    # row_params(id, 13, DEFAULT_A_SAMPLES) per check, in catalog order: rows
+    # apart by one space, the "name=value" strings of a row by ";"
+    ROWS_AT_13 = [
+        ("known-i", "a=1;r=1 a=1;r=2 a=1;r=3 a=1;r=4 a=1;r=5 a=1;r=6 a=2;r=1 "
+                    "a=2;r=2 a=2;r=3 a=3;r=1 a=3;r=2 a=4;r=1 a=5;r=1 a=6;r=1"),
+        ("known-ii", "a=1 a=2 a=3 a=4 a=5"),
+        ("known-iii", _AB_ROWS),
+        ("known-iv", _AB_ROWS),
+        ("known-v", "a=2 a=3 a=4 a=5"),
+        ("known-vi", " ".join(
+            f"{ab};variant={v}" for ab in _AB_ROWS.split() for v in ("neg-first", "neg-second")
+        )),
+        ("known-vii-zero", "member=H(-4) member=H(2,2) member=H(1,3)"),
+        ("known-vii-2m1", ""),
+        ("known-vii-cluster", "member=H(1,2) member=H(2,1) member=H(-3) member=H(1,-2)"),
+        ("known-viii-a", "member=harmonic-number member=full-range member=half-range"),
+        ("known-viii-b", ""),
+        ("tauraso-6k", ""),
+        ("sun-6k-tail", ""),
+        ("tauraso-param", _SAMPLE_ROWS),
+        ("sun-param", _SAMPLE_ROWS),
+        ("thm11-full", _SAMPLE_ROWS),
+        ("thm11-half", _SAMPLE_ROWS),
+        ("eq-1-0", ""),
+        ("eq-1-1", ""),
+        ("lem23-full", _SAMPLE_ROWS),
+        ("lem23-half", _SAMPLE_ROWS),
+        ("lem24-full", _SAMPLE_ROWS),
+        ("lem24-half", _SAMPLE_ROWS),
+        ("lem25-ds1", ""),
+        ("lem25-ds2", ""),
+        ("lem25-ds3", ""),
+        ("lem-bridge", ""),
+        ("lem26", ""),
+        ("lem31", ""),
+        ("thm12", ""),
+        ("proofstep-u1", ""),
+        ("proofstep-u2", ""),
+        ("proofstep-u3", ""),
+        ("proofstep-h2k", ""),
+        ("proofstep-1221", ""),
+    ]
+
+    def test_list_checks_stdout(self):
+        proc = _run_cli("list-checks")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == self.LIST_CHECKS_SHA256
+
+    def test_cache_stamp(self):
+        assert cli._cache_stamp() == self.CACHE_STAMP
+
+    def test_row_params_at_13(self):
+        got = [
+            (d.id, checks.row_params(d.id, 13, checks.DEFAULT_A_SAMPLES))
+            for d in registry()
+        ]
+        # "" is the one row of a check without params
+        want = [
+            (check_id, [tuple(filter(None, row.split(";"))) for row in rows.split(" ")])
+            for check_id, rows in self.ROWS_AT_13
+        ]
+        assert got == want
+        assert sum(len(rows) for _, rows in got) == 131

@@ -23,7 +23,8 @@ seconds and pair counts, each side's median and quartiles of every
 end-to-end metric over the kept pairs, for each metric the number of
 pairs in which the change read lower (ties count for neither side), and
 whether either copy's src/ held a `__pycache__` after the runs.  A summary
-goes to stderr.  Uses the standard library only.
+goes to stderr.  An unknown workload or malformed seeds exit with status 2
+before any tree is extracted.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 
 def git(*args: str) -> str:
@@ -110,13 +114,16 @@ def summary(values: list[float]) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, choices=WORKLOADS)
     ap.add_argument("--parent", default="HEAD~1", metavar="REV")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seeds", default="0")
     ap.add_argument("--seconds", type=float, default=12.0)
     args = ap.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",")]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        ap.error(f"bad --seeds {args.seeds!r}: want comma-separated integers")
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
