@@ -13,9 +13,9 @@ constant X, Fermat quotients, B_{p-3}, H(3,1;(p-1)/2), the binomial sums
 S_n(a) and the embedding and split of each sample a) are cached on a
 PrimeContext.  Each sum the checks read is a signature (the exponents of a
 harmonic sum, the point a of S_n(a), ...) read at a few endpoints n that
-are known before any sum runs: (p-1)/2, p-1 and <a>_p of each sample.
-The context makes one kernel pass per signature and keeps its values at
-those endpoints.
+the context fixes when it is built: (p-1)/2, p-1 and <a>_p of each sample.
+It makes one kernel pass per signature, on the first request, and keeps
+the values at those endpoints; no other n is ever read.
 """
 
 from __future__ import annotations
@@ -107,7 +107,11 @@ class PrimeContext:
 
     Every value works mod p**digits: one inverse table, one modulus m.
     a_samples are the sample points the checks will read; their residues
-    <a>_p are endpoints of the sums, next to (p-1)/2 and p-1.
+    <a>_p are endpoints of the sums, next to (p-1)/2 and p-1.  The
+    expansions of S_n(a) read the depth-1 harmonic sums and the nested sums
+    at <a>_p; S_n(a) itself, the central sums and the deeper harmonic sums
+    are read only at (p-1)/2 and p-1.  A sum read at any other n raises
+    KeyError.
     """
 
     def __init__(
@@ -130,6 +134,13 @@ class PrimeContext:
         self.m = p**digits
         self.half = (p - 1) // 2
         self._memo: dict = {}
+        # the endpoints a sum's one pass keeps: (p-1)/2 and p-1, and for the
+        # sums the expansions of S_n(a) read, also <a>_p of each sample
+        self._ends = (self.half, p - 1)
+        residues = {
+            self.reduce(a).residue for a in self.a_samples if a.denominator % p != 0
+        }
+        self._ends_res = tuple(sorted(residues.union(self._ends)))
 
     def _cached(self, key, make):
         val = self._memo.get(key)
@@ -138,40 +149,15 @@ class PrimeContext:
             self._memo[key] = val
         return val
 
-    def _plan(self, top: int, residues: bool) -> frozenset[int]:
-        """The endpoints up to top that a sum's one pass keeps: (p-1)/2 and
-        p-1, and with residues also <a>_p of each sample.
+    def _at(self, key, n: int, ends: tuple[int, ...], values):
+        """The sum named key at n, an endpoint of ends.
 
-        The expansions of S_n(a) read the depth-1 harmonic sums and the
-        nested sums at <a>_p; S_n(a) itself, the central sums and the deeper
-        harmonic sums are read only at (p-1)/2 and p-1.
+        The first request makes the one pass: values(ends) returns one value
+        per endpoint of the sorted tuple ends, and the values are kept.
         """
-
-        def make():
-            ends = {self.half, self.p - 1}
-            if residues:
-                ends |= {
-                    self.reduce(a).residue
-                    for a in self.a_samples
-                    if a.denominator % self.p != 0
-                }
-            return frozenset(k for k in ends if k <= top)
-
-        return self._cached(("plan", top, residues), make)
-
-    def _at(self, key, n: int, plan: frozenset[int], values):
-        """The sum named key at n, from one kernel pass per signature.
-
-        The first request makes one pass that keeps the values at the
-        endpoints of plan and at n; values(ends) makes that pass and returns
-        one value per endpoint of the sorted tuple ends.  An n not kept makes
-        one more pass that adds it.
-        """
-        kept = self._memo.get(key, {})
-        if n not in kept:
-            ends = tuple(sorted(plan | kept.keys() | {n}))
-            kept = dict(zip(ends, values(ends)))
-            self._memo[key] = kept
+        kept = self._memo.get(key)
+        if kept is None:
+            kept = self._memo[key] = dict(zip(ends, values(ends)))
         return kept[n]
 
     # -- kernel-backed primitives -------------------------------------------
@@ -184,7 +170,7 @@ class PrimeContext:
 
     def mhs(self, exps: tuple[int, ...], n: int) -> PAdic:
         return self._at(
-            ("mhs", exps), n, self._plan(self.p - 1, len(exps) == 1),
+            ("mhs", exps), n, self._ends_res if len(exps) == 1 else self._ends,
             lambda ends: mhs(exps, ends, self.p, self.digits, self.inv()),
         )
 
@@ -207,7 +193,7 @@ class PrimeContext:
                 return PAdic.from_int_exact(self._central(n), p=self.p, aprec=aprec)
             key = (min(u, (-1 - u) % m), aprec)
         return self._at(
-            ("s", key), n, self._plan(self.p - 1, False),
+            ("s", key), n, self._ends,
             lambda ends: s_sum(a, ends, self.p, N, self.inv()),
         )
 
@@ -224,8 +210,10 @@ class PrimeContext:
                 for k in ends
             ]
 
-        top = self.half if doubled else self.p - 1
-        return self._at(("nested", outer, factors), n, self._plan(top, True), values)
+        ends = self._ends_res
+        if doubled:
+            ends = ends[: ends.index(self.half) + 1]
+        return self._at(("nested", outer, factors), n, ends, values)
 
     def _central(self, k: int) -> int:
         """sum_{j<=k} binom(2j,j)^2 / (j * 16^j) mod p**digits."""
@@ -238,7 +226,7 @@ class PrimeContext:
             prefix = kernels.central_sum(1, ends[-1], cinv, self.p, m, self.inv())
             return [prefix[k] % m for k in ends]
 
-        return self._at("central", k, self._plan(self.p - 1, False), values)
+        return self._at("central", k, self._ends, values)
 
     def central(self, lo: int, hi: int) -> PAdic:
         """sum_{k=lo}^{hi} binom(2k,k)^2 / (k * 16^k): C(hi) - C(lo-1), C(0) = 0."""

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .checks import DEFAULT_A_SAMPLES, CheckResult, registry, row_params, sweep
-from .errors import SupercongError, UnknownCheck
+from .errors import SupercongError
 from .primes import primes_in_range
 
 __all__ = ["RunConfig", "parse_args", "main", "main_entry"]
@@ -263,19 +263,18 @@ def _run_verify(cfg: RunConfig, out) -> int:
         return "|".join(fields)
 
     cached: dict[int, list[CheckResult]] = {}
-    wanted: list[int] = []
-    # a prime can be served fully from cache only if every expected row is there
-    for p in primes:
+    # a prime can be served fully from cache only if every expected row is
+    # there; without cached rows no key is built
+    for p in primes if cache else ():
         keys = [
             key(check_id, p, params)
             for check_id in cfg.check_ids
             for params in row_params(check_id, p, cfg.a_samples)
         ]
-        if cache and all(k in cache for k in keys):
+        if all(k in cache for k in keys):
             rows = [cache[k] for k in keys]
             cached[p] = sorted(rows, key=lambda r: (r.check, r.params))
-        else:
-            wanted.append(p)
+    wanted = [p for p in primes if p not in cached]
 
     # rows go out in ascending prime order: a computed prime's rows are
     # printed, after the cached primes below it, as soon as the sweep has it;
@@ -371,7 +370,7 @@ def main(config: RunConfig, out=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (UnknownCheck, SupercongError) as exc:
+    except SupercongError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,15 +11,16 @@ backend_name() always returns "python"; perfbench/run.py probes it to
 record which kernels a run used.
 
 mhs_sum and weighted_sum, whose terms are products of inverse-table
-entries, are chains of C-level iterators.  They read inv[k]**r mod m, for
-r >= 2, from power lists that a one-slot cache in pykernels builds once
-per (table, m): it holds the last table by reference, compared with
-``is``, and a new table or modulus empties it.  s_sum, central_sum and
-geom_power_sum, which carry a product reduced mod m at every k, are one
-plain loop each.  mhs_sum, weighted_sum, s_sum and central_sum return the
-list of their prefix sums at k = 0..n (k = 0..hi for central_sum) from one
-pass.  The entries are congruent mod m but not reduced; callers reduce the
-entries they read.
+entries, are chains of C-level iterators.  They and geom_power_sum read
+inv[k]**r mod m from the table itself for r = 1 and, for any other r >= 0,
+from a power list that a one-slot cache in pykernels builds once per
+(table, m, r): it holds the last table by reference, compared with ``is``,
+and a new table or modulus empties it.  A negative r raises ValueError.
+s_sum, central_sum and geom_power_sum, which carry a product reduced mod m
+at every k, are one plain loop each.  mhs_sum, weighted_sum, s_sum and
+central_sum return the list of their prefix sums at k = 0..n (k = 0..hi for
+central_sum) from one pass.  The entries are congruent mod m but not
+reduced; callers reduce the entries they read.
 
 The kernel names and positional parameters below are read by
 perfbench/tracer.py, whose count hooks take the same parameter lists (for

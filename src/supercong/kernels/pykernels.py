@@ -8,20 +8,23 @@ every smaller m unchanged.
 
 mhs_sum and weighted_sum run as chains of C-level iterators (islice, map,
 accumulate) over the caller's inverse table: their terms are products of
-table entries, and only a geometric factor c^k is reduced per k.  They read
-inv[k]**r mod m for r >= 2 from power lists built once per (table, m): a
-one-slot cache holds the last table by reference (compared with ``is``),
-its modulus and one reduced list per exponent, and a call with another
-table or modulus empties it.  r = 1 reads the table itself, so the cache
-never copies it.  s_sum, central_sum and geom_power_sum carry a product (a
-binomial, or c^k) that is reduced mod m at every k: each is one plain
-``for k`` loop, since building the step ratio in map stages costs more than
-the loop itself.  mhs_sum, weighted_sum, s_sum and central_sum return the
-list of their prefix sums at k = 0..n from one pass, so a caller that needs
-a sum at several endpoints reads them all from one call.  Those entries are
-congruent mod m but not reduced: reducing every entry would cost most of
-the pass, so callers reduce only the entries they read.  inverse_table,
-bernoulli_scaled and geom_power_sum return values in [0, m).
+table entries, and only a geometric factor c^k is reduced per k.
+weighted_sum raises a prefix to a power other than 1 as pow(x, power, m).
+mhs_sum, weighted_sum and geom_power_sum read inv[k]**r mod m by one path:
+r = 1 reads the table itself, so the cache never copies it, and any other
+r >= 0 reads a power list built once per (table, m, r).  A one-slot cache
+holds the last table by reference (compared with ``is``), its modulus and
+one reduced list per exponent, and a call with another table or modulus
+empties it.  A negative r raises ValueError.  s_sum, central_sum and
+geom_power_sum carry a product (a binomial, or c^k) that is reduced mod m
+at every k: each is one plain ``for k`` loop, since building the step ratio
+in map stages costs more than the loop itself.  mhs_sum, weighted_sum,
+s_sum and central_sum return the list of their prefix sums at k = 0..n from
+one pass, so a caller that needs a sum at several endpoints reads them all
+from one call.  Those entries are congruent mod m but not reduced: reducing
+every entry would cost most of the pass, so callers reduce only the entries
+they read.  inverse_table, bernoulli_scaled and geom_power_sum return
+values in [0, m).
 """
 
 from __future__ import annotations
@@ -103,15 +106,6 @@ def _span(inv: list[int], start: int, stop: int, step: int = 1):
     return islice(inv, start, stop, step)
 
 
-def _powers(terms, r: int, m: int):
-    """x**r for x in terms, congruent to pow(x, r, m); unreduced for r >= 0."""
-    if r == 1:
-        return terms
-    if r < 0:
-        return map(pow, terms, repeat(r), repeat(m))
-    return map(pow, terms, repeat(r))
-
-
 # the one-slot power cache: the table, its modulus, and r -> [x**r % m for x]
 _cached_table: list[int] | None = None
 _cached_m = 0
@@ -119,7 +113,7 @@ _cached_powers: dict[int, list[int]] = {}
 
 
 def _table_powers(inv: list[int], r: int, m: int) -> list[int]:
-    """inv[k]**r mod m for every index of inv, r >= 2, built once per (inv, m, r)."""
+    """inv[k]**r mod m for every index of inv, built once per (inv, m, r)."""
     global _cached_table, _cached_m, _cached_powers
     if inv is not _cached_table or m != _cached_m:
         _cached_table, _cached_m, _cached_powers = inv, m, {}
@@ -130,16 +124,13 @@ def _table_powers(inv: list[int], r: int, m: int) -> list[int]:
 
 
 def _inverse_powers(inv: list[int], r: int, m: int, start: int, stop: int, step: int = 1):
-    """inv[k]**r, congruent mod m, for k in range(start, stop, step).
+    """inv[k]**r, congruent mod m, for k in range(start, stop, step) and r >= 0.
 
-    r = 1 reads inv and r >= 2 its cached power list; other r, which no
-    production caller passes, are raised per entry.
+    r = 1 reads inv itself, any other r its cached power list.
     """
-    if r == 1:
-        return _span(inv, start, stop, step)
-    if r >= 2:
-        return _span(_table_powers(inv, r, m), start, stop, step)
-    return _powers(_span(inv, start, stop, step), r, m)
+    if r < 0:
+        raise ValueError(f"inverse powers need r >= 0, got {r}")
+    return _span(inv if r == 1 else _table_powers(inv, r, m), start, stop, step)
 
 
 def _alternating(terms):
@@ -204,7 +195,10 @@ def weighted_sum(
             addends = map(add, _span(inv, 1, 2 * n, 2), _span(inv, 2, 2 * n + 1, 2))
         else:
             raise ValueError(f"unknown prefix kind {kind!r}")
-        terms = map(mul, terms, _powers(accumulate(addends), power, m))
+        prefix = accumulate(addends)
+        if power != 1:
+            prefix = map(pow, prefix, repeat(power), repeat(m))
+        terms = map(mul, terms, prefix)
     return list(accumulate(terms, initial=0))
 
 
@@ -261,10 +255,10 @@ def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> 
 
 
 def geom_power_sum(cnum: int, aexp: int, n: int, p: int, m: int, inv: list[int]) -> int:
-    """sum_{k=1}^{n} c^k / k^aexp mod m (n < p), one loop carrying c^k mod m."""
+    """sum_{k=1}^{n} c^k / k^aexp mod m (n < p, aexp >= 0), one loop carrying c^k mod m."""
     s = 0
     g = 1
-    for x in _powers(_span(inv, 1, n + 1), aexp, m):
+    for x in _inverse_powers(inv, aexp, m, 1, n + 1):
         g = g * cnum % m
         s += g * x
     return s % m

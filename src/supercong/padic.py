@@ -21,14 +21,13 @@ known digit cancels.
 
 PAdic is a slotted, immutable class: ``__init__`` validates and sets the
 six fields, assignment raises, and ``==`` and ``hash`` ignore the witness.
-:meth:`PAdic.scale` splits each constant c = p**v * num/den once, in a
-bounded memo keyed on (c, p).
+:meth:`PAdic.scale` splits its constant c = p**v * num/den on each call:
+that costs less than hashing c for a memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import (
     BadParameter,
@@ -55,13 +54,8 @@ def vp_fraction(q: Fraction, p: int) -> int:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-@lru_cache(maxsize=128)
 def _split(c: int | Fraction, p: int) -> tuple[int, int, int]:
-    """(v, num, den) with c = p**v * num / den and num, den coprime to p; c != 0.
-
-    The catalog scales by a few dozen constants, some of them functions of
-    p, so a bounded memo keeps each prime's splits and drops old primes'.
-    """
+    """(v, num, den) with c = p**v * num / den and num, den coprime to p; c != 0."""
     if isinstance(c, int):
         num, den = c, 1
     else:

@@ -8,7 +8,6 @@ import pytest
 
 from supercong import checks, kernels, oracle
 from supercong.binomial import s_sum
-from supercong.harmonic import mhs
 from supercong.checks import (
     DEFAULT_A_SAMPLES,
     CheckDefinition,
@@ -381,38 +380,20 @@ class TestOnePassPerSignature:
         # binom(-1/2,k)^2 = binom(2k,k)^2 / 16^k, so S_n(-1/2) is the 16^k
         # central sum; it makes no s_sum pass of its own
         ctx = PrimeContext(p)
+        m = ctx.m
         a = ctx.embed(Fraction(-1, 2))
-        direct = [s_sum(a, (n,), p, ctx.digits, ctx.inv())[0] for n in range(1, p)]
-        calls = self._recorded(monkeypatch)
-        got = [ctx.s(a, n) for n in range(1, p)]
-        assert got == direct
-        for n, value in enumerate(got, 1):
+        ends = ((p - 1) // 2, p - 1)
+        direct = s_sum(a, ends, p, ctx.digits, ctx.inv())
+        prefix = kernels.central_sum(1, p - 1, pow(16, -1, m), p, m, ctx.inv())
+        for n in range(1, p):
             exact = PAdic.from_rational(oracle.s_sum_exact(Fraction(-1, 2), n), p=p, digits=6)
+            value = PAdic.from_int_exact(prefix[n], p=p, aprec=ctx.digits)
             assert congruent_mod(value, exact, ctx.digits), n
+        calls = self._recorded(monkeypatch)
+        got = tuple(ctx.s(a, n) for n in ends)
+        assert got == direct
         assert calls["s_sum"] == []
         assert ctx.central(1, p - 1) == got[-1]
-
-    def test_unplanned_endpoints_match_the_direct_sums(self, monkeypatch):
-        p = 13
-        ctx = PrimeContext(p)
-        inv = ctx.inv()
-        a = ctx.embed(Fraction(2, 5))
-        direct = {
-            n: ([mhs(exps, (n,), p, ctx.digits, inv)[0]
-                 for exps in ((1,), (1, -3), (2, 1, 1))],
-                s_sum(a, (n,), p, ctx.digits, inv)[0])
-            for n in range(p)
-        }
-        calls = self._recorded(monkeypatch)
-        for _ in range(2):
-            for n in range(p):
-                got = [ctx.mhs(exps, n) for exps in ((1,), (1, -3), (2, 1, 1))]
-                assert (got, ctx.s(a, n)) == direct[n], n
-        # a context without samples plans 6 and 12; the first request (n = 0)
-        # and each other unplanned n add one pass, and every endpoint once
-        # read stays with its signature
-        assert len(calls["mhs_sum"]) == 3 * (1 + p - 3)
-        assert len(calls["s_sum"]) == 1 + p - 3
 
 
 def _built_contexts(monkeypatch):

@@ -169,6 +169,16 @@ class TestVerifyCommand:
 
 
 class TestCache:
+    def test_run_without_cached_rows_builds_no_keys(self, monkeypatch):
+        # row keys are only looked up in a cache that holds rows
+        def unused(*args):
+            raise AssertionError("row keys built without cached rows")
+
+        monkeypatch.setattr(cli, "row_params", unused)
+        code, out = _run(RunConfig(check_ids=("eq-1-1",), prime_lo=7, prime_hi=13, jobs=1))
+        assert code == 0
+        assert out.count("pass") == 3
+
     def test_round_trip_zero_evaluations(self, tmp_path, capsys):
         cache = str(tmp_path / "cache.json")
         cfg = RunConfig(
@@ -552,6 +562,27 @@ class TestRetriedRow:
                                    digits=6, a_samples=(a,), jobs=1, format="jsonl"))
         assert code == 0
         assert out == json.dumps(cli._row_dict(row), sort_keys=True) + "\n"
+
+
+class TestSampleEndpoints:
+    """Rows whose sums end at <a>_p = 0 (a = 0), rows retried at --digits
+    (a = -1) and plus-sign t.  A PrimeContext fixes every endpoint it reads
+    when it is built, and a read at any other n raises KeyError; these
+    digests were recorded while a context could still add endpoints."""
+
+    ARGV = ["verify", "--format", "jsonl", "--checks", "all", "--primes", "7..60",
+            "--a-samples", "1/2,3,-7/5,-1,-3,0,7,49/3", "--jobs", "1"]
+
+    @pytest.mark.parametrize("extra, code, digest", [
+        (["--digits", "9"], 0,
+         "a7afba17ff41d44909923105b899a8084e10d929ce442504bfdcbce35ab0b0fe"),
+        (["--t-sign-diagnostic"], 1,
+         "0ae730dba783fa387b9fb0a4e60f875f4153134c8d1a6bd4f3cd466dad5f3ec5"),
+    ])
+    def test_stdout_pinned(self, extra, code, digest):
+        got, out = _run(parse_args(self.ARGV + extra))
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 _SAMPLE_ROWS = "a=-1/2 a=1/3 a=-1/3 a=2/5 a=-2/3 a=5 a=1/4"

@@ -232,7 +232,13 @@ class TestSumsAgainstOracle:
     @pytest.mark.parametrize("a", [-1, 1, 2, 3])
     @pytest.mark.parametrize("c", [2, 3, -5])
     def test_geom_power_sum(self, c, a, n):
-        got = pykernels.geom_power_sum(c % self.M, a, n, self.P, self.M, self.INV)
+        args = (c % self.M, a, n, self.P, self.M, self.INV)
+        if a < 0:
+            # k^-a is no power of an inverse: the kernel raises, even for n = 0
+            with pytest.raises(ValueError):
+                pykernels.geom_power_sum(*args)
+            return
+        got = pykernels.geom_power_sum(*args)
         want = sum((Fraction(c**k) / Fraction(k) ** a for k in range(1, n + 1)), Fraction(0))
         assert got == _residue(want, self.M)
 
@@ -383,21 +389,32 @@ class TestWeightedSumAgainstOracle:
         self._check(2, False, 1, (("odd", 1, 2), ("harmonic", 2, 1)), n)
         self._check(1, True, 3, (("h2k", 1, 1), ("harmonic", 1, 3)), n)
 
-    def test_negative_exponents_are_powers_of_k(self):
-        # k^(-aexp) and the addends inv[k]^r for negative exponents
+    def test_negative_exponents_raise(self):
+        # the exponent r of 1/k^r is never negative: weighted_sum and
+        # geom_power_sum raise ValueError; in mhs_sum a negative entry of
+        # exps is an alternating sign on 1/k^|a|, a power of an inverse
         n = 10
-        inv = pykernels.inverse_table(n, self.P, self.M)
-        got = pykernels.weighted_sum(-2, False, None, (("harmonic", -1, 2),), n, self.P, self.M, inv)
-        got = got[n] % self.M
-        want = sum(k**2 * (k * (k + 1) // 2) ** 2 for k in range(1, n + 1))
-        assert got == want % self.M
+        inv = pykernels.inverse_table(2 * n, self.P, self.M)
+        for r in (-1, -2):
+            with pytest.raises(ValueError):
+                pykernels.weighted_sum(r, False, None, (), n, self.P, self.M, inv)
+            with pytest.raises(ValueError):
+                pykernels.geom_power_sum(2, r, n, self.P, self.M, inv)
+            got = pykernels.mhs_sum((r,), n, self.P, self.M, inv)[n] % self.M
+            assert got == _direct_mhs((r,), n, self.M)
 
     @pytest.mark.parametrize("kind", ["harmonic", "odd"])
     @pytest.mark.parametrize("r", [-2, -1, 0])
     def test_prefix_exponents_up_to_zero(self, kind, r):
-        # each prefix is an integer sum of j^|r| (or (2j-1)^|r|), power 0 gives 1
+        # at r = 0 each prefix is an integer sum of ones, power 0 gives 1; a
+        # negative r is no power of an inverse, and the kernel raises
         n = 10
         inv = pykernels.inverse_table(2 * n, self.P, self.M)
+        if r < 0:
+            for power in (0, 1, 2):
+                with pytest.raises(ValueError):
+                    pykernels.weighted_sum(1, True, None, ((kind, r, power),), n, self.P, self.M, inv)
+            return
         addend = {
             "harmonic": lambda j: j**-r,
             "odd": lambda j: (2 * j - 1) ** -r,

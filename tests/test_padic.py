@@ -1,6 +1,5 @@
 """Capped-precision p-adic arithmetic: constructors, ops, congruence."""
 
-import functools
 import pickle
 from fractions import Fraction
 
@@ -15,9 +14,7 @@ from supercong.errors import (
     PrecisionExhausted,
 )
 from supercong import padic
-from supercong.checks import registry, sweep
 from supercong.padic import PAdic, congruent_mod, vp_fraction, vp_int
-from supercong.primes import primes_in_range
 
 P = 7
 
@@ -228,7 +225,6 @@ class TestScale:
             )
 
     def test_int_constants_build_no_fraction(self, monkeypatch):
-        padic._split.cache_clear()
         x = PAdic.from_int_exact(3, p=P, aprec=6)  # no witness to multiply
         built = []
         new = Fraction.__new__
@@ -253,26 +249,6 @@ class TestScale:
             y = x.shift(j)
             assert y.rat == Fraction(3, 5) * Fraction(P) ** j
             assert (y.valuation, y.unit, y.digits) == (j, x.unit, x.digits)
-
-    def test_split_memo_stays_bounded_over_a_sweep(self, monkeypatch):
-        # (c, p) keys carry p, so a sweep never reads an earlier prime's
-        # splits again: the memo keeps a bounded number of them, and the rows
-        # are those of an unbounded memo
-        ids = [d.id for d in registry()]
-        primes = primes_in_range(7, 500)
-        split = padic._split
-        split.cache_clear()
-        rows = sweep(ids, primes, jobs=1)
-        info = split.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize < info.misses
-        # one prime's constants fit, so each is split once per prime
-        assert info.hits > info.misses
-        unbounded = functools.lru_cache(maxsize=None)(split.__wrapped__)
-        monkeypatch.setattr(padic, "_split", unbounded)
-        assert sweep(ids, primes, jobs=1) == rows
-        assert unbounded.cache_info().currsize == info.misses
-
 
 class TestCongruentMod:
     def test_basic(self):
