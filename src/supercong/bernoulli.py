@@ -176,15 +176,5 @@ def x_from_h2(h2: PAdic) -> PAdic:
     """X = -H(2; p-1)/(4p) mod p^2 from H(2; p-1) known mod p^3 or better."""
     x = h2.scale(Fraction(-1, 4)).shift(-1)
     # valid only mod p^2: truncate the window so callers cannot over-trust it
-    return _truncate(x, _X_APREC_HARMONIC)
-
-
-def _truncate(x: PAdic, aprec: int) -> PAdic:
-    if x.zero_flag or x.aprec is None:
-        raise BadParameter("cannot truncate an exact zero")
-    if x.aprec <= aprec:
-        return x
-    if x.valuation >= aprec:
-        return PAdic(x.prime, aprec, 0, 0)
-    digits = aprec - x.valuation
-    return PAdic(x.prime, x.valuation, x.unit % x.prime**digits, digits)
+    aprec = _X_APREC_HARMONIC
+    return PAdic.from_int_exact(x.lift(aprec), p=x.prime, aprec=aprec)

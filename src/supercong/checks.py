@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import kernels
-from .bernoulli import _truncate, bernoulli, fermat_quotient, x_constant, x_from_h2
+from .bernoulli import bernoulli, fermat_quotient, x_constant, x_from_h2
 from .binomial import lem23_scan, reduce_point, s_sum
 from .errors import (
     BadParameter,
@@ -220,10 +220,9 @@ class PrimeContext:
         if k < 1:
             return 0
         m = self.m
-        cinv = pow(16, -1, m)
 
         def values(ends):
-            prefix = kernels.central_sum(1, ends[-1], cinv, self.p, m, self.inv())
+            prefix = kernels.central_sum(ends[-1], self.p, m, self.inv())
             return [prefix[k] % m for k in ends]
 
         return self._at("central", k, self._ends, values)
@@ -269,12 +268,9 @@ class PrimeContext:
             if self.p <= X_TABLE_LIMIT:
                 return bernoulli(self.p - 3, self.p, self.digits)
             value = self.mhs((3,), self.half).scale(Fraction(-1, 2))
-            return _truncate(value, 1)
+            return PAdic.from_int_exact(value.lift(1), p=self.p, aprec=1)
 
         return self._cached("b_pm3", make)
-
-    def h31(self) -> PAdic:
-        return self._cached("h31", lambda: self.mhs((3, 1), self.half))
 
     # -- parameter helpers ----------------------------------------------------
 
@@ -659,7 +655,7 @@ def _ev_lem25_ds1(ctx):
     rhs = (
         ctx.x().scale(Fraction(-21, 2))
         + (ctx.q2() * ctx.b_pm3()).shift(1).scale(2)
-        - ctx.h31().shift(1).scale(Fraction(1, 2))
+        - ctx.mhs((3, 1), ctx.half).shift(1).scale(Fraction(1, 2))
     )
     return lhs, rhs, 2
 
@@ -667,7 +663,7 @@ def _ev_lem25_ds1(ctx):
 @_check("lem25-ds2", 1, _NO_PARAMS, "sum of H_k/k^3 over the half range mod p")
 def _ev_lem25_ds2(ctx):
     lhs = ctx.nested(3, (_HARM_FACTOR,), ctx.half)
-    rhs = (ctx.q2() * ctx.b_pm3()).scale(4) - ctx.h31()
+    rhs = (ctx.q2() * ctx.b_pm3()).scale(4) - ctx.mhs((3, 1), ctx.half)
     return lhs, rhs, 1
 
 
@@ -678,7 +674,7 @@ def _ev_lem25_ds3(ctx):
         ctx.x().scale(Fraction(21, 4))
         - (ctx.q2() * ctx.b_pm3()).shift(1)
         + ctx.mhs((1, -3), ctx.p - 1).shift(1)
-        + ctx.h31().shift(1).scale(Fraction(1, 4))
+        + ctx.mhs((3, 1), ctx.half).shift(1).scale(Fraction(1, 4))
     )
     return lhs, rhs, 2
 
@@ -768,7 +764,7 @@ def _ev_proofstep_1221(ctx):
     rhs = (
         ctx.x().scale(-3)
         - (ctx.q2() * ctx.b_pm3()).shift(1).scale(Fraction(2, 3))
-        - ctx.h31().shift(1)
+        - ctx.mhs((3, 1), ctx.half).shift(1)
     )
     return lhs, rhs, 2
 

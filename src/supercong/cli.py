@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
+from collections import deque, namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -26,32 +26,17 @@ from .primes import primes_in_range
 __all__ = ["RunConfig", "parse_args", "main", "main_entry"]
 
 
-class RunConfig:
-    """The settings of one run.
-
-    RunConfig(**fields) sets the named fields; the others keep the class
-    defaults below.  Every default is immutable, so instances share them.
-    """
-
-    command: str = "verify"
-    check_ids: tuple[str, ...] = ()
-    prime_lo: int = 7
-    prime_hi: int = 500
-    digits: int = 6
-    a_samples: tuple[Fraction, ...] = DEFAULT_A_SAMPLES
-    jobs: int = 1
-    format: str = "table"
-    cache: str | None = None
-    fail_fast: bool = False
-    t_sign_diagnostic: bool = False
-    stats: bool = False
-    n_max: int = 200
-
-    def __init__(self, **fields) -> None:
-        for name, value in fields.items():
-            if name not in RunConfig.__annotations__:
-                raise TypeError(f"RunConfig has no field {name!r}")
-            setattr(self, name, value)
+# the settings of one run; RunConfig(**fields) sets the named fields, the
+# others keep these defaults, and an unknown field raises TypeError
+RunConfig = namedtuple(
+    "RunConfig",
+    "command check_ids prime_lo prime_hi digits a_samples jobs format cache"
+    " fail_fast t_sign_diagnostic stats n_max",
+    defaults=(
+        "verify", (), 7, 500, 6, DEFAULT_A_SAMPLES, 1, "table", None,
+        False, False, False, 200,
+    ),
+)
 
 
 class UsageError(Exception):
@@ -87,9 +72,13 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 
 def _parse_samples(text: str) -> tuple[Fraction, ...]:
     try:
-        return tuple(Fraction(s.strip()) for s in text.split(",") if s.strip())
+        samples = tuple(Fraction(s.strip()) for s in text.split(",") if s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad a-samples {text!r}") from exc
+    if len(set(samples)) < len(samples):
+        # a repeated value would print its rows twice under one key
+        raise UsageError(f"repeated value in a-samples {text!r}")
+    return samples
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,33 +117,30 @@ def parse_args(argv: list[str]) -> RunConfig:
     if not argv or argv[0].startswith("-"):
         argv = ["verify"] + argv
     ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command or "verify")
-    if cfg.command == "verify":
-        cfg.check_ids = _parse_checks(ns.checks)
-        cfg.prime_lo, cfg.prime_hi = _parse_primes(ns.primes)
-        cfg.digits = ns.digits
-        if ns.a_samples is not None:
-            cfg.a_samples = _parse_samples(ns.a_samples)
-        cfg.jobs = ns.jobs
-        cfg.format = ns.format
-        cfg.cache = ns.cache
-        cfg.fail_fast = ns.fail_fast
-        cfg.t_sign_diagnostic = ns.t_sign_diagnostic
-        cfg.stats = ns.stats
-        if cfg.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-        # more workers than CPUs only add processes; rows do not depend on --jobs
-        cfg.jobs = min(cfg.jobs, os.cpu_count() or 1)
-        need = max(d.modulus_exponent for d in registry() if d.id in cfg.check_ids)
-        if cfg.digits < max(4, need):
-            raise UsageError(
-                f"--digits {cfg.digits} too small for checks needing p^{need}"
-            )
-    elif cfg.command == "identities":
-        cfg.n_max = ns.n_max
-        if cfg.n_max < 1:
+    if ns.command == "identities":
+        if ns.n_max < 1:
             raise UsageError("--n-max must be >= 1")
-    return cfg
+        return RunConfig(command="identities", n_max=ns.n_max)
+    if ns.command == "list-checks":
+        return RunConfig(command="list-checks")
+    check_ids = _parse_checks(ns.checks)
+    prime_lo, prime_hi = _parse_primes(ns.primes)
+    a_samples = DEFAULT_A_SAMPLES
+    if ns.a_samples is not None:
+        a_samples = _parse_samples(ns.a_samples)
+    if ns.jobs < 1:
+        raise UsageError("--jobs must be >= 1")
+    need = max(d.modulus_exponent for d in registry() if d.id in check_ids)
+    if ns.digits < max(4, need):
+        raise UsageError(f"--digits {ns.digits} too small for checks needing p^{need}")
+    return RunConfig(
+        check_ids=check_ids, prime_lo=prime_lo, prime_hi=prime_hi,
+        digits=ns.digits, a_samples=a_samples,
+        # more workers than CPUs only add processes; rows do not depend on --jobs
+        jobs=min(ns.jobs, os.cpu_count() or 1),
+        format=ns.format, cache=ns.cache, fail_fast=ns.fail_fast,
+        t_sign_diagnostic=ns.t_sign_diagnostic, stats=ns.stats,
+    )
 
 
 # ---------------------------------------------------------------------------

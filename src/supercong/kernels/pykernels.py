@@ -62,28 +62,11 @@ def bernoulli_scaled(nmax: int, p: int, m: int) -> list[int]:
     if nmax + 1 >= p * p:
         raise ValueError("bernoulli_scaled requires nmax + 1 < p^2")
     size = nmax + 1
-    # p/(j+1) mod m, batch-inverting the unit parts of j+1
-    units = []
-    vals = []
-    for j in range(size):
-        d = j + 1
-        v = 0
-        while d % p == 0:
-            d //= p
-            v += 1
-        units.append(d)
-        vals.append(v)
-    pref = [1] * (size + 1)
-    acc = 1
-    for i, u in enumerate(units):
-        acc = acc * u % m
-        pref[i + 1] = acc
-    cur = pow(acc, -1, m)
-    row = [0] * size
-    for i in range(size - 1, -1, -1):
-        uinv = cur * pref[i] % m
-        cur = cur * units[i] % m
-        row[i] = p ** (1 - vals[i]) * uinv % m
+    # p/(j+1) mod m: j+1 is a unit, or p times one
+    row = [
+        p * pow(d, -1, m) % m if d % p else pow(d // p, -1, m)
+        for d in range(1, size + 1)
+    ]
 
     out = [row[0]]
     for i in range(1, size):
@@ -233,24 +216,24 @@ def s_sum(a_mod: int, n: int, p: int, m: int, inv: list[int]) -> list[int]:
     return out
 
 
-def central_sum(lo: int, hi: int, cinv: int, p: int, m: int, inv: list[int]) -> list[int]:
-    """[sum_{j=lo}^{k} binom(2j,j)^2 / (j * c^j) for k = 0..hi], unreduced, hi <= p-1.
+def central_sum(n: int, p: int, m: int, inv: list[int]) -> list[int]:
+    """[sum_{j<=k} binom(2j,j)^2 / (j * 16^j) for k = 0..n], unreduced, n <= p-1.
 
-    Entries k < lo are 0.  Carries v_k = binom(2k,k)^2 * cinv^k, which obeys
-    v_k = v_{k-1} * (2(2k-1) * inv[k])^2 * cinv.  binom(2k,k) picks up its
+    Carries v_k = binom(2k,k)^2 / 16^k, which obeys
+    v_k = v_{k-1} * (2(2k-1) * inv[k])^2 / 16.  binom(2k,k) picks up its
     factor p from 2k-1 = p, a plain multiplication, so no division by p
     occurs.
     """
-    out = [0] * (hi + 1)
+    cinv = pow(16, -1, m)
+    out = [0] * (n + 1)
     b = 1
     s = 0
-    for k in range(1, hi + 1):
+    for k in range(1, n + 1):
         i = inv[k]
         t = (4 * k - 2) * i
         b = b * (t * t * cinv) % m
-        if k >= lo:
-            s += b * i
-            out[k] = s
+        s += b * i
+        out[k] = s
     return out
 
 

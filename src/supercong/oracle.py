@@ -7,7 +7,7 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations
 from math import comb
@@ -26,13 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    identity: str
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
+IdentityReport = namedtuple("IdentityReport", "identity n lhs rhs equal")
 
 
 def _mhs_terms(sig: tuple[int, ...], n: int):

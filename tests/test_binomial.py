@@ -39,7 +39,7 @@ class TestCentralBinom:
         """C(lo, hi) = sum_{k=lo}^{hi} binom(2k,k)^2 / (k * 16^k) mod p^digits,
         from the prefix list of the one central_sum pass PrimeContext reads."""
         p, m = ctx.p, ctx.m
-        prefix = kernels.central_sum(1, p - 1, pow(16, -1, m), p, m, ctx.inv())
+        prefix = kernels.central_sum(p - 1, p, m, ctx.inv())
         return lambda lo, hi: PAdic.from_int_exact(
             prefix[hi] - prefix[lo - 1], p=p, aprec=ctx.digits
         )

@@ -1,6 +1,7 @@
 """CLI parsing, exit codes, output formats, and the result cache."""
 
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -96,6 +97,29 @@ class TestParseArgs:
         assert cfg.a_samples == (Fraction(-1, 2), Fraction(5))
         with pytest.raises(UsageError):
             parse_args(["verify", "--a-samples", "1/0"])
+
+    @pytest.mark.parametrize("text", ["1/3,1/3", "1/3,2/6", "5,-1/2,5.0"])
+    def test_repeated_a_samples(self, text):
+        # a repeated value would print its rows twice under one (check, p, params)
+        with pytest.raises(UsageError, match="repeated"):
+            parse_args(["verify", "--a-samples", text])
+        proc = _run_cli("verify", "--checks", "thm11-full", "--primes", "7..11",
+                        "--jobs", "1", "--a-samples", text)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage error: repeated value in a-samples")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_unknown_field(self):
+        with pytest.raises(TypeError):
+            RunConfig(nope=1)
+
+    def test_verify_defaults_are_the_records_defaults(self):
+        # argparse's defaults and RunConfig's agree on every field not given
+        argv = ["verify", "--checks", "eq-1-1", "--primes", "7..11", "--jobs", "1"]
+        assert parse_args(argv) == RunConfig(
+            check_ids=("eq-1-1",), prime_lo=7, prime_hi=11, jobs=1
+        )
 
     def test_identities(self):
         cfg = parse_args(["identities", "--n-max", "20"])
@@ -581,6 +605,53 @@ class TestSampleEndpoints:
     ])
     def test_stdout_pinned(self, extra, code, digest):
         got, out = _run(parse_args(self.ARGV + extra))
+        assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _workloads():
+    """perfbench/workloads.py, loaded from its file."""
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclass looks its own module up in sys.modules
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+class TestStdoutPinned:
+    """sha256 of stdout and the exit code of whole runs: the seed-0 window of
+    each benchmark workload, and the full catalog as a table and as jsonl,
+    at --digits 4 with odd samples, and with plus-sign t."""
+
+    _ODD = ["--a-samples", "1/2,3,-7/5,-1,-3,0,7,49/3"]
+    _TSIGN = ["verify", "--checks", "all", "--primes", "7..200", "--t-sign-diagnostic"]
+
+    @pytest.mark.parametrize("name", ["catalog-small", "catalog-bernoulli", "main-large"])
+    def test_benchmark_window(self, name):
+        # the seed-0 window of each benchmark workload, against its digest
+        workload = _workloads()[name]
+        got, out = _run(parse_args(workload.verify_argv(0, jobs=1)))
+        assert got == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == workload.window(0)[2]
+
+    @pytest.mark.parametrize("argv, code, digest", [
+        (["verify", "--checks", "all", "--primes", "2..200", "--jobs", "1"], 0,
+         "27cc76bdf1802b9e6326de1f95cee07916b73144ec7ce6149c03984501069e74"),
+        (["verify", "--format", "jsonl", "--checks", "all", "--primes", "2..200",
+          "--jobs", "2"], 0,
+         "2c9c5a0ba497eb952289f93f26d7e846c9f1516a7857da255f668ad7cc700719"),
+        (["verify", "--format", "jsonl", "--checks", "all", "--primes", "7..300",
+          *_ODD, "--digits", "4", "--jobs", "1"], 1,
+         "46aeaf3f2e8e628a057a3c68f3a5e201b683347673084a77b04688bafb103c68"),
+        ([*_TSIGN, "--jobs", "1"], 1,
+         "517dc544d1280ca9decf88a3f8056c940fd1e5a5741f206725ce8cbcdbd9b4c4"),
+        ([*_TSIGN, "--fail-fast", "--jobs", "2"], 1,
+         "3d6798b403b2a571e6e770b5b9c29ee796dc5c74bbeb73ede8150d2d8acd27a1"),
+    ])
+    def test_run(self, argv, code, digest):
+        got, out = _run(parse_args(argv))
         assert got == code
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -78,15 +78,23 @@ def _direct_s(a_mod, n, m):
     return total % m
 
 
-def _direct_central(lo, hi, c, m):
-    """sum_{k=lo}^{hi} binom(2k,k)^2 / (k c^k) mod m, binom(2k,k) exact."""
+def _direct_central(lo, hi, m):
+    """sum_{k=lo}^{hi} binom(2k,k)^2 / (k 16^k) mod m, binom(2k,k) exact."""
     central = 1
     total = 0
     for k in range(1, hi + 1):
         central = central * 2 * (2 * k - 1) // k
         if k >= lo:
-            total += central**2 * pow(k * pow(c, k, m), -1, m)
+            total += central**2 * pow(k * pow(16, k, m), -1, m)
     return total % m
+
+
+def _central_exact(lo, hi, c=16):
+    """sum_{k=lo}^{hi} binom(2k,k)^2 / (k c^k) as an exact rational."""
+    return sum(
+        (Fraction(comb(2 * k, k) ** 2, k * c**k) for k in range(max(lo, 1), hi + 1)),
+        Fraction(0),
+    )
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -140,10 +148,10 @@ def test_s_sum_and_central_sum_identical(p):
     inv = _inv(p, m, n)
     a_mod = (m + 1) // 2
     assert pykernels.s_sum(a_mod, n, p, m, inv)[n] % m == _direct_s(a_mod, n, m)
-    cinv = pow(16, -1, m)
+    prefix = pykernels.central_sum(n, p, m, inv)
     for lo in (1, (p + 1) // 2):
-        got = pykernels.central_sum(lo, n, cinv, p, m, inv)[n] % m
-        assert got == _direct_central(lo, n, 16, m)
+        got = (prefix[n] - prefix[lo - 1]) % m
+        assert got == _direct_central(lo, n, m)
 
 
 @pytest.mark.parametrize("p", [7, 101, 1553])
@@ -219,14 +227,16 @@ class TestSumsAgainstOracle:
     @pytest.mark.parametrize("lo", [0, 1, 2, 5, 7, 12, 13])
     @pytest.mark.parametrize("c", [16, 6, -3])
     def test_central_sum(self, lo, c):
-        hi = self.P - 1
-        got = pykernels.central_sum(lo, hi, pow(c, -1, self.M), self.P, self.M, self.INV)
-        got = got[hi] % self.M
-        want = sum(
-            (Fraction(comb(2 * k, k) ** 2, k * c**k) for k in range(max(lo, 1), hi + 1)),
-            Fraction(0),
+        # each term C(k) - C(k-1) of the one 16^k prefix list, weighted by
+        # (16/c)^k, is the k-th term over c^k; at c = 16 the sum from lo to
+        # hi telescopes to C(hi) - C(lo-1)
+        hi, m = self.P - 1, self.M
+        prefix = pykernels.central_sum(hi, self.P, m, self.INV)
+        w = 16 * pow(c, -1, m)
+        got = sum(
+            (prefix[k] - prefix[k - 1]) * pow(w, k, m) for k in range(max(lo, 1), hi + 1)
         )
-        assert got == _residue(want, self.M)
+        assert got % m == _residue(_central_exact(lo, hi, c), m)
 
     @pytest.mark.parametrize("n", [0, 1, 6, 12])
     @pytest.mark.parametrize("a", [-1, 1, 2, 3])
@@ -291,19 +301,14 @@ class TestPrefixLists:
 
     @pytest.mark.parametrize("lo", [1, 7])
     def test_central_sum_every_entry(self, lo):
+        # entry k - entry (lo-1) is the sum from lo to k, for every k >= lo
         hi = self.P - 1
-        got = pykernels.central_sum(lo, hi, pow(16, -1, self.M), self.P, self.M, self.INV)
-        want = [
-            _residue(
-                sum(
-                    (Fraction(comb(2 * j, j) ** 2, j * 16**j) for j in range(lo, k + 1)),
-                    Fraction(0),
-                ),
-                self.M,
-            )
-            for k in range(hi + 1)
-        ]
+        got = pykernels.central_sum(hi, self.P, self.M, self.INV)
+        want = [_residue(_central_exact(1, k), self.M) for k in range(hi + 1)]
         assert self._reduced(got) == want
+        for k in range(lo, hi + 1):
+            part = (got[k] - got[lo - 1]) % self.M
+            assert part == _residue(_central_exact(lo, k), self.M)
 
     @pytest.mark.parametrize("n", [0, 1, 6, 12])
     def test_one_entry_per_k(self, n):
@@ -315,7 +320,7 @@ class TestPrefixLists:
         assert len(pykernels.weighted_sum(3, True, 2, (), n, p, m, inv)) == n + 1
         for a_mod in (5, 12345):
             assert len(pykernels.s_sum(a_mod, n, p, m, inv)) == n + 1
-        assert len(pykernels.central_sum(1, n, pow(16, -1, m), p, m, inv)) == n + 1
+        assert len(pykernels.central_sum(n, p, m, inv)) == n + 1
 
     @pytest.mark.parametrize(
         "a, stop",
@@ -487,11 +492,14 @@ class TestShortInverseTable:
 
     @pytest.mark.parametrize("lo", [1, 4])
     def test_central_sum(self, lo):
+        # the sum from lo to n, C(n) - C(lo-1), still needs every entry to n
         n = self.N
-        cinv = pow(16, -1, self.M)
-        self._pinned(
-            lambda inv: pykernels.central_sum(lo, n, cinv, self.P, self.M, inv), n
-        )
+
+        def part(inv):
+            prefix = pykernels.central_sum(n, self.P, self.M, inv)
+            return prefix[n] - prefix[lo - 1]
+
+        self._pinned(part, n)
 
 
 class TestPowerCache:
