@@ -10,9 +10,10 @@ for the lower ones.  A power sum makes one pow per prime k and one product
 q^n * (k/q)^n per composite k, with q read from a single
 smallest-prime-factor table grown to the largest p asked for.
 Indices with (p-1) | n are rejected (von Staudt-Clausen: not p-integral),
-odd n > 1 give the exact zero.  The O(p^2) Akiyama-Tanigawa triangle
-(kernels.bernoulli_scaled) is kept only as the tests' independent
-cross-check.
+odd n > 1 give the exact zero.  For n <= 30 the exact B_n, from its
+defining recurrence, cross-checks the power sums.  The O(p^2)
+Akiyama-Tanigawa triangle (kernels.bernoulli_scaled) is kept only as the
+tests' independent cross-check.
 
 The constant X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8) has two independent
 routes: x_constant, from those two Bernoulli numbers (full N digits), and
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 _X_APREC_HARMONIC = 2  # H(2;p-1) = -4pX holds mod p^3, so X is pinned mod p^2
-_EXACT_WITNESS_LIMIT = 30  # small B_n carry their exact rational as a witness
+_EXACT_WITNESS_LIMIT = 30  # small B_n are cross-checked against their exact value
 
 # smallest prime factors up to the largest p asked for, shared by every prime
 _SPF: list[int] = []
@@ -134,12 +135,9 @@ def bernoulli(n: int, p: int, N: int) -> PAdic:
     scaled = PAdic.from_int_exact(_scaled(n, p, N + 1), p=p, aprec=N + 1)
     value = scaled.shift(-1)
     if n <= _EXACT_WITNESS_LIMIT:
-        # cheap exact value doubles as a consistency check on the power sums
-        # and as a cancellation witness in later arithmetic
         exact = PAdic.from_rational(_exact_bernoulli(n), p=p, digits=N)
         if not congruent_mod(exact, value, N):
             raise AssertionError(f"power sums disagree with exact B_{n}")
-        return exact
     return value
 
 

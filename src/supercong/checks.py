@@ -261,12 +261,18 @@ class PrimeContext:
 
         return self._cached("x", make)
 
+    def bernoulli(self, n: int) -> PAdic:
+        """B_n mod p**digits, once per context."""
+        return self._cached(
+            ("bernoulli", n), lambda: bernoulli(n, self.p, self.digits)
+        )
+
     def b_pm3(self) -> PAdic:
         """B_{p-3}: full precision up to the limit, else -H(3;(p-1)/2)/2 mod p."""
 
         def make():
             if self.p <= X_TABLE_LIMIT:
-                return bernoulli(self.p - 3, self.p, self.digits)
+                return self.bernoulli(self.p - 3)
             value = self.mhs((3,), self.half).scale(Fraction(-1, 2))
             return PAdic.from_int_exact(value.lift(1), p=self.p, aprec=1)
 
@@ -285,22 +291,16 @@ class PrimeContext:
             ("reduce", a), lambda: reduce_point(a, self.p, self.digits)
         )
 
-    def theorem_t(self, a: Fraction) -> tuple[int, PAdic, str]:
-        """(<a>_p, t, note) with t per the configured sign convention."""
-        rp = self.reduce(a)
+    def theorem_t(self, a: Fraction) -> tuple[int, Fraction, str]:
+        """(<a>_p, t, note) with the exact t per the configured sign convention."""
+        n = self.reduce(a).residue
         if self.t_sign == "minus":
-            return rp.residue, rp.t, ""
-        t_plus = (Fraction(a) + rp.residue) / self.p
-        if t_plus == 0:
-            return rp.residue, PAdic.zero(self.p), "plus-sign t"
-        t = PAdic.from_rational(t_plus, p=self.p, digits=self.digits)
+            return n, Fraction(a - n, self.p), ""
+        t = Fraction(a + n, self.p)
         note = "plus-sign t"
-        if t.valuation < 0:
-            note = f"plus-sign t = {t_plus} is not p-integral"
-        return rp.residue, t, note
-
-    def one(self) -> PAdic:
-        return PAdic.from_rational(1, p=self.p, digits=self.digits)
+        if t.denominator % self.p == 0:
+            note = f"plus-sign t = {t} is not p-integral"
+        return n, t, note
 
     def int_sum(self, values: list[PAdic]) -> PAdic:
         """Exact modular sum of p-adic integers (no cancellation loss)."""
@@ -365,10 +365,10 @@ def _ev_known_i(ctx, a, r):
     lhs = ctx.mhs((a,) * r, ctx.p - 1)
     if ar % 2 == 1:
         coeff = Fraction((-1) ** r * a * (ar + 1), 2 * (ar + 2))
-        rhs = bernoulli(ctx.p - ar - 2, ctx.p, ctx.digits).shift(2).scale(coeff)
+        rhs = ctx.bernoulli(ctx.p - ar - 2).shift(2).scale(coeff)
         return lhs, rhs, 3
     coeff = Fraction((-1) ** (r - 1) * a, ar + 1)
-    rhs = bernoulli(ctx.p - ar - 1, ctx.p, ctx.digits).shift(1).scale(coeff)
+    rhs = ctx.bernoulli(ctx.p - ar - 1).shift(1).scale(coeff)
     return lhs, rhs, 2
 
 
@@ -381,10 +381,10 @@ def _ev_known_ii(ctx, a):
     if a == 1:
         return lhs, ctx.q2().scale(-2), 1
     if a % 2 == 1:
-        rhs = bernoulli(ctx.p - a, ctx.p, ctx.digits).scale(Fraction(-(2**a - 2), a))
+        rhs = ctx.bernoulli(ctx.p - a).scale(Fraction(-(2**a - 2), a))
         return lhs, rhs, 1
     coeff = Fraction(a * (2 ** (a + 1) - 1), 2 * (a + 1))
-    rhs = bernoulli(ctx.p - a - 1, ctx.p, ctx.digits).shift(1).scale(coeff)
+    rhs = ctx.bernoulli(ctx.p - a - 1).shift(1).scale(coeff)
     return lhs, rhs, 2
 
 
@@ -395,7 +395,7 @@ def _ev_known_iii(ctx, a, b):
         raise _Skip(f"requires p > {a + b + 1}")
     lhs = ctx.mhs((a, b), ctx.p - 1)
     coeff = Fraction((-1) ** b * math.comb(a + b, a), a + b)
-    rhs = bernoulli(ctx.p - a - b, ctx.p, ctx.digits).scale(coeff)
+    rhs = ctx.bernoulli(ctx.p - a - b).scale(coeff)
     return lhs, rhs, 1
 
 
@@ -408,7 +408,7 @@ def _ev_known_iv(ctx, a, b):
     coeff = Fraction(
         (-1) ** b * math.comb(a + b, a) + 2 ** (a + b) - 2, 2 * (a + b)
     )
-    rhs = bernoulli(ctx.p - a - b, ctx.p, ctx.digits).scale(coeff)
+    rhs = ctx.bernoulli(ctx.p - a - b).scale(coeff)
     return lhs, rhs, 1
 
 
@@ -420,11 +420,11 @@ def _ev_known_v(ctx, a):
     if a % 2 == 1:
         c = (1 - pow(2, p - a, ctx.m)) % ctx.m
         coeff = PAdic.from_int_exact(c, p=p, aprec=N)
-        rhs = (bernoulli(p - a, p, N) * coeff).scale(Fraction(-2, a))
+        rhs = (ctx.bernoulli(p - a) * coeff).scale(Fraction(-2, a))
         return lhs, rhs, 1
     c = (1 - pow(2, p - 1 - a, ctx.m)) % ctx.m
     coeff = PAdic.from_int_exact(c, p=p, aprec=N)
-    rhs = (bernoulli(p - 1 - a, p, N) * coeff).shift(1).scale(Fraction(a, a + 1))
+    rhs = (ctx.bernoulli(p - 1 - a) * coeff).shift(1).scale(Fraction(a, a + 1))
     return lhs, rhs, 2
 
 
@@ -435,9 +435,7 @@ def _ev_known_vi(ctx, a, b, variant):
     lhs = ctx.mhs(sig, ctx.p - 1)
     c = (1 - pow(2, ctx.p - a - b, ctx.m)) % ctx.m
     coeff = PAdic.from_int_exact(c, p=ctx.p, aprec=ctx.digits)
-    rhs = (bernoulli(ctx.p - a - b, ctx.p, ctx.digits) * coeff).scale(
-        Fraction(1, a + b)
-    )
+    rhs = (ctx.bernoulli(ctx.p - a - b) * coeff).scale(Fraction(1, a + b))
     return lhs, rhs, 1
 
 
@@ -548,10 +546,12 @@ def _ev_sun_param(ctx, a):
 @_check("thm11-full", 4, _ps_samples,
         "S_{p-1}(a) mod p^4: the full-range main expansion")
 def _ev_thm11_full(ctx, a):
-    n, t, note = ctx.theorem_t(a)
+    n, tq, note = ctx.theorem_t(a)
     lhs = ctx.s(ctx.embed(a), ctx.p - 1)
-    one = ctx.one()
-    poly = (t * t).scale(2) + t.scale(4) + one
+    t = ctx.embed(tq)
+    # the t-polynomials that can vanish are computed in Q
+    poly = ctx.embed(2 * tq * tq + 4 * tq + 1)
+    t_plus_one = ctx.embed(tq + 1)
     hk3 = ctx.nested(3, (_HARM_FACTOR,), n)
     rhs = (
         (t.shift(2) * ctx.x()).scale(4)
@@ -559,23 +559,28 @@ def _ev_thm11_full(ctx, a):
         + (t.shift(1) * ctx.mhs((2,), n)).scale(2)
         + (t.shift(2) * ctx.mhs((3,), n)).scale(2)
         - (t.shift(3) * poly * ctx.mhs((4,), n)).scale(2)
-        + (t.shift(3) * (t + one) * hk3).scale(4)
+        + (t.shift(3) * t_plus_one * hk3).scale(4)
     )
     return lhs, rhs, 4, note
+
+
+def _p2x_term(ctx, t: Fraction) -> PAdic:
+    """(14t - 12t^2) p^2 X, the p^2 X term of thm11-half and lem24-half; the
+    coefficient is computed in Q, where it vanishes at t = 7/6."""
+    return ctx.embed(14 * t - 12 * t * t).shift(2) * ctx.x()
 
 
 @_check("thm11-half", 4, _ps_samples,
         "S_{(p-1)/2}(a) mod p^4: the half-range main expansion")
 def _ev_thm11_half(ctx, a):
-    n, t, note = ctx.theorem_t(a)
+    n, tq, note = ctx.theorem_t(a)
     if n > ctx.half:
         raise _Skip(f"<a>_p = {n} exceeds (p-1)/2")
     lhs = ctx.s(ctx.embed(a), ctx.half)
+    t = ctx.embed(tq)
     t2 = t * t
-    x = ctx.x()
     rhs = (
-        -(t2.shift(2) * x).scale(12)
-        + (t.shift(2) * x).scale(14)
+        _p2x_term(ctx, tq)
         - ctx.mhs((1,), n).scale(2)
         + (t.shift(1) * ctx.mhs((2,), n)).scale(4)
         - (t2.shift(2) * ctx.mhs((3,), n)).scale(6)
@@ -642,11 +647,9 @@ def _ev_lem24_full(ctx, a):
 @_check("lem24-half", 4, _ps_samples,
         "S_{(p-1)/2}(pt) = -12p^2 t^2 X + 14 p^2 t X mod p^4")
 def _ev_lem24_half(ctx, a):
-    t = ctx.reduce(a).t
-    lhs = ctx.s(t.shift(1), ctx.half)
-    x = ctx.x()
-    rhs = -((t * t).shift(2) * x).scale(12) + (t.shift(2) * x).scale(14)
-    return lhs, rhs, 4
+    rp = ctx.reduce(a)
+    lhs = ctx.s(rp.t.shift(1), ctx.half)
+    return lhs, _p2x_term(ctx, Fraction(a - rp.residue, ctx.p)), 4
 
 
 @_check("lem25-ds1", 2, _NO_PARAMS, "sum of odd-harmonic prefixes over k^2 mod p^2")

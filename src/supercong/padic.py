@@ -14,13 +14,12 @@ Two degenerate shapes exist besides ordinary values:
   accumulator happens to vanish; they are legal congruence operands but
   cannot be inverted.
 
-Values built through :meth:`PAdic.from_rational` carry their exact rational
-alongside, which lets subtraction recognise a provable zero.  Arithmetic on
-values without that witness raises :class:`PrecisionExhausted` if every
-known digit cancels.
+A sum in which every known digit cancels raises :class:`PrecisionExhausted`
+(two bounded zeros sum to a bounded zero): a value that must cancel exactly
+is computed in Q and embedded once.
 
 PAdic is a slotted, immutable class: ``__init__`` validates and sets the
-six fields, assignment raises, and ``==`` and ``hash`` ignore the witness.
+five fields, and assignment raises.
 :meth:`PAdic.scale` splits its constant c = p**v * num/den on each call:
 that costs less than hashing c for a memo.
 """
@@ -71,7 +70,7 @@ def _split(c: int | Fraction, p: int) -> tuple[int, int, int]:
 
 
 class PAdic:
-    __slots__ = ("prime", "valuation", "unit", "digits", "zero_flag", "rat")
+    __slots__ = ("prime", "valuation", "unit", "digits", "zero_flag")
 
     def __init__(
         self,
@@ -80,7 +79,6 @@ class PAdic:
         unit: int,
         digits: int,
         zero_flag: bool = False,
-        rat: Fraction | None = None,
     ) -> None:
         if not zero_flag:
             if digits < 0:
@@ -98,7 +96,6 @@ class PAdic:
         _set_unit(self, unit)
         _set_digits(self, digits)
         _set_zero_flag(self, zero_flag)
-        _set_rat(self, rat)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}: PAdic is immutable")
@@ -124,13 +121,13 @@ class PAdic:
         )
 
     def __reduce__(self):
-        return PAdic, (*self._key(), self.rat)
+        return PAdic, self._key()
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, p: int) -> "PAdic":
-        return cls(p, 0, 0, 0, zero_flag=True, rat=Fraction(0))
+        return cls(p, 0, 0, 0, zero_flag=True)
 
     @classmethod
     def from_rational(cls, num: int | Fraction, den: int = 1, *, p: int, digits: int) -> "PAdic":
@@ -144,14 +141,14 @@ class PAdic:
         u = q / Fraction(p) ** v
         m = p**digits
         unit = u.numerator % m * pow(u.denominator, -1, m) % m
-        return cls(p, v, unit, digits, rat=q)
+        return cls(p, v, unit, digits)
 
     @classmethod
     def from_int_exact(cls, value: int, *, p: int, aprec: int) -> "PAdic":
         """Wrap an integer known exactly modulo ``p**aprec``.
 
-        Used to lift kernel accumulator outputs; no rational witness is
-        attached.  A residue of 0 yields a bounded zero of precision aprec.
+        Used to lift kernel accumulator outputs.  A residue of 0 yields a
+        bounded zero of precision aprec.
         """
         m = p**aprec
         value %= m
@@ -193,13 +190,7 @@ class PAdic:
         if self.digits == 0:
             return self
         m = self.prime**self.digits
-        return PAdic(
-            self.prime,
-            self.valuation,
-            (-self.unit) % m,
-            self.digits,
-            rat=None if self.rat is None else -self.rat,
-        )
+        return PAdic(self.prime, self.valuation, (-self.unit) % m, self.digits)
 
     def __add__(self, other: "PAdic") -> "PAdic":
         self._require_same_prime(other)
@@ -215,12 +206,7 @@ class PAdic:
             self.unit * p ** (self.valuation - base)
             + other.unit * p ** (other.valuation - base)
         ) % mod
-        rat = None
-        if self.rat is not None and other.rat is not None:
-            rat = self.rat + other.rat
         if s == 0:
-            if rat is not None and rat == 0:
-                return PAdic.zero(p)
             if self.digits == 0 and other.digits == 0:
                 return PAdic(p, aprec, 0, 0)
             raise PrecisionExhausted(
@@ -228,7 +214,7 @@ class PAdic:
             )
         v = vp_int(s, p)
         digits = aprec - base - v
-        return PAdic(p, base + v, (s // p**v) % p**digits, digits, rat=rat)
+        return PAdic(p, base + v, (s // p**v) % p**digits, digits)
 
     def __sub__(self, other: "PAdic") -> "PAdic":
         return self + (-other)
@@ -238,16 +224,13 @@ class PAdic:
         p = self.prime
         if self.zero_flag or other.zero_flag:
             return PAdic.zero(p)
-        rat = None
-        if self.rat is not None and other.rat is not None:
-            rat = self.rat * other.rat
         v = self.valuation + other.valuation
         if self.digits == 0 or other.digits == 0:
             # product of a bounded zero: only divisibility information survives
             return PAdic(p, v + min(self.digits, other.digits), 0, 0)
         digits = min(self.digits, other.digits)
         m = p**digits
-        return PAdic(p, v, self.unit * other.unit % m, digits, rat=rat)
+        return PAdic(p, v, self.unit * other.unit % m, digits)
 
     def invert(self) -> "PAdic":
         if self.zero_flag:
@@ -255,22 +238,13 @@ class PAdic:
         if self.digits == 0:
             raise PrecisionExhausted("cannot invert a value with no known digits")
         m = self.prime**self.digits
-        return PAdic(
-            self.prime,
-            -self.valuation,
-            pow(self.unit, -1, m),
-            self.digits,
-            rat=None if self.rat is None else 1 / self.rat,
-        )
+        return PAdic(self.prime, -self.valuation, pow(self.unit, -1, m), self.digits)
 
     def shift(self, j: int) -> "PAdic":
         """Multiply by p**j (exact)."""
         if self.zero_flag:
             return self
-        rat = self.rat
-        if rat is not None:
-            rat = rat * self.prime**j if j >= 0 else rat / self.prime ** -j
-        return PAdic(self.prime, self.valuation + j, self.unit, self.digits, rat=rat)
+        return PAdic(self.prime, self.valuation + j, self.unit, self.digits)
 
     def scale(self, c: int | Fraction) -> "PAdic":
         """Multiply by an exact rational constant without losing digits."""
@@ -284,8 +258,7 @@ class PAdic:
             return PAdic(p, self.valuation + vc, 0, 0)
         m = p**self.digits
         unit = self.unit * num * pow(den, -1, m) % m
-        rat = None if self.rat is None else self.rat * c
-        return PAdic(p, self.valuation + vc, unit, self.digits, rat=rat)
+        return PAdic(p, self.valuation + vc, unit, self.digits)
 
     def __pow__(self, e: int) -> "PAdic":
         if e < 0:
@@ -299,7 +272,7 @@ class PAdic:
 # the slots' own setters: __init__ writes the fields through them, past the
 # __setattr__ that makes instances immutable, at less cost per field than
 # object.__setattr__
-_set_prime, _set_valuation, _set_unit, _set_digits, _set_zero_flag, _set_rat = (
+_set_prime, _set_valuation, _set_unit, _set_digits, _set_zero_flag = (
     PAdic.__dict__[name].__set__ for name in PAdic.__slots__
 )
 

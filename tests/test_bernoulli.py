@@ -78,10 +78,11 @@ class TestTable:
             assert congruent_mod(got, _embed(want, p), 6)
 
     def test_large_index_beyond_witness_limit(self):
-        # B_50 = 495057205241079648212477525/66 reduced mod p (no witness)
+        # B_50 = 495057205241079648212477525/66 reduced mod p (no exact check)
         p = 101
+        assert 50 > _EXACT_WITNESS_LIMIT
         got = bernoulli(50, p, 6)
-        assert got.rat is None
+        assert got.aprec == 6
         want = _embed(Fraction(495057205241079648212477525, 66), p)
         assert congruent_mod(got, want, 6)
 
@@ -111,8 +112,8 @@ def _assert_matches_triangle(p, N, indices, scaled):
         got = bernoulli(n, p, N)
         want = PAdic.from_int_exact(scaled[n], p=p, aprec=N + 1).shift(-1)
         assert congruent_mod(got, want, N), (p, N, n)
-        if n > _EXACT_WITNESS_LIMIT:  # without a witness, the same PAdic
-            assert got == want, (p, N, n)
+        # the power-sum value itself, also where the exact B_n cross-checks it
+        assert got == want, (p, N, n)
 
 
 class TestPowerSumsAgainstTriangle:
@@ -271,9 +272,11 @@ class TestBernoulliPoly:
                 assert congruent_mod(got, want, 6)
 
     def test_shift_one(self):
-        # B_n(1) = B_n + [n == 1]
-        got = bernoulli_poly(3, Fraction(1), 7, 6)
-        assert got.zero_flag or congruent_mod(got, PAdic.zero(7), 6)
+        # B_n(1) = B_n + [n == 1]: B_3(1) = B_0 + 3 B_1 + 3 B_2 + B_3 = 0, so
+        # its terms cancel exactly; their lifts mod p^6 sum to 0 mod p^6
+        p, N = 7, 6
+        terms = [bernoulli(k, p, N).scale(math.comb(3, k)) for k in range(4)]
+        assert sum(t.lift(N) for t in terms) % p**N == 0
 
     def test_sum_of_powers(self):
         # sum_{j<n} j^m = (B_{m+1}(n) - B_{m+1}) / (m+1)

@@ -123,15 +123,19 @@ class TestReducePoint:
         # -1/2 = 3 mod 7, t = (-1/2 - 3)/7 = -1/2
         rp = reduce_point(Fraction(-1, 2), 7, 6)
         assert rp.residue == 3
-        assert rp.t.rat == Fraction(-1, 2)
+        assert rp.t == PAdic.from_rational(Fraction(-1, 2), p=7, digits=6)
 
     def test_reconstruction(self):
         for a in (Fraction(1, 3), Fraction(-2, 3), Fraction(2, 5), Fraction(12)):
             for p in (7, 11):
                 rp = reduce_point(a, p, 6)
                 assert 0 <= rp.residue < p
-                t = Fraction(0) if rp.t.zero_flag else rp.t.rat
-                assert p * t + rp.residue == a
+                t = Fraction(a - rp.residue, p)
+                assert rp.t == PAdic.from_rational(t, p=p, digits=6)
+                # a = p*t + <a>_p mod p^7, t known to 6 digits
+                r = PAdic.from_rational(rp.residue, p=p, digits=7)
+                a7 = PAdic.from_rational(a, p=p, digits=7)
+                assert congruent_mod(rp.t.shift(1) + r, a7, 7)
 
     def test_bad_denominator(self):
         with pytest.raises(BadParameter):

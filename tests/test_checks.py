@@ -93,7 +93,7 @@ class TestVerdictPlumbing:
 
     def test_corrupted_rhs_fails(self):
         def ev(ctx):
-            one = ctx.one()
+            one = ctx.embed(Fraction(1))
             return one, one.scale(2), 2
 
         r = _evaluate(PrimeContext(7), self._defn(ev), {})
@@ -103,7 +103,7 @@ class TestVerdictPlumbing:
     def test_low_precision_is_reported(self):
         def ev(ctx):
             lhs = PAdic.from_int_exact(3, p=7, aprec=1)
-            return lhs, ctx.one().scale(3), 2
+            return lhs, ctx.embed(Fraction(3)), 2
 
         r = _evaluate(PrimeContext(7), self._defn(ev), {})
         assert r.status == "precision_error"
@@ -111,7 +111,7 @@ class TestVerdictPlumbing:
 
     def test_pass_keeps_note(self):
         def ev(ctx):
-            one = ctx.one()
+            one = ctx.embed(Fraction(1))
             return one, one, 2, "extra"
 
         r = _evaluate(PrimeContext(7), self._defn(ev), {})
@@ -132,14 +132,19 @@ class TestPrimeContext:
         ctx = PrimeContext(7)
         n, t, note = ctx.theorem_t(Fraction(-1, 2))
         assert (n, note) == (3, "")
-        assert t.rat == Fraction(-1, 2)
+        # t = (a - <a>_p)/p, exact
+        assert type(t) is Fraction and t == Fraction(-1, 2)
+        assert ctx.theorem_t(Fraction(5)) == (5, Fraction(0), "")
 
     def test_theorem_t_plus_non_integral(self):
         ctx = PrimeContext(7, t_sign="plus")
         n, t, note = ctx.theorem_t(Fraction(-1, 2))
         assert n == 3
-        assert t.valuation < 0
-        assert "not p-integral" in note
+        # t = (a + <a>_p)/p = 5/14, exact
+        assert type(t) is Fraction and t == Fraction(5, 14)
+        assert note == "plus-sign t = 5/14 is not p-integral"
+        # p-integral: t = (-7 + 0)/7 = -1
+        assert ctx.theorem_t(Fraction(-7)) == (0, Fraction(-1), "plus-sign t")
 
     def test_int_sum_exact_zero_residue(self):
         ctx = PrimeContext(7)

@@ -623,7 +623,8 @@ def _workloads():
 class TestStdoutPinned:
     """sha256 of stdout and the exit code of whole runs: the seed-0 window of
     each benchmark workload, and the full catalog as a table and as jsonl,
-    at --digits 4 with odd samples, and with plus-sign t."""
+    at --digits 4 with odd samples, and with plus-sign t; and the three
+    expansions at samples where a t-polynomial vanishes (t = -1, 7/6)."""
 
     _ODD = ["--a-samples", "1/2,3,-7/5,-1,-3,0,7,49/3"]
     _TSIGN = ["verify", "--checks", "all", "--primes", "7..200", "--t-sign-diagnostic"]
@@ -649,6 +650,9 @@ class TestStdoutPinned:
          "517dc544d1280ca9decf88a3f8056c940fd1e5a5741f206725ce8cbcdbd9b4c4"),
         ([*_TSIGN, "--fail-fast", "--jobs", "2"], 1,
          "3d6798b403b2a571e6e770b5b9c29ee796dc5c74bbeb73ede8150d2d8acd27a1"),
+        (["verify", "--checks", "thm11-full,thm11-half,lem24-half", "--primes", "7..60",
+          "--a-samples", "49/6,-2,-11", "--digits", "7", "--jobs", "1"], 0,
+         "07b10e60c92614c65a570bb5de3072c7ab1199da4389bd740f76ad1a9b083ecc"),
     ])
     def test_run(self, argv, code, digest):
         got, out = _run(parse_args(argv))
