@@ -1,10 +1,10 @@
 """The incremental binomial sum S_n(a), the split a = p*t + <a>_p, and the
 scan of Lemma 2.3's generalized-binomial product.
 
-S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k carries both generalized
-binomials from k-1 to k; since n < p every division is by a unit, so the
-kernel sums exactly modulo a power of p in one pass, and s_sum reads the
-sum at each endpoint of a tuple from it.
+S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k carries the product of
+both generalized binomials' numerators from k-1 to k; since n < p every
+division is by a unit, so the kernel sums exactly modulo a power of p in
+one pass, and s_sum reads the sum at each endpoint of a tuple from it.
 """
 
 from __future__ import annotations

@@ -92,7 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--checks", default="all")
     verify.add_argument("--primes", default="7..500", metavar="LO..HI")
     verify.add_argument("--digits", type=int, default=6)
-    verify.add_argument("--a-samples", default=None)
+    verify.add_argument(
+        "--a-samples", default=None, metavar="A,B,...",
+        help="comma-separated rationals for the parameterized checks, e.g. -1/2,1/3",
+    )
     verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     verify.add_argument("--format", choices=("table", "jsonl"), default="table")
     verify.add_argument("--cache", default=None, metavar="PATH")
@@ -116,6 +119,11 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError(f"unknown subcommand {argv[0]!r}")
     if not argv or argv[0].startswith("-"):
         argv = ["verify"] + argv
+    # argparse reads a value that starts with "-" as an option, and samples
+    # often do (the defaults begin with -1/2): bind the next word to the flag
+    while "--a-samples" in argv[:-1]:
+        i = argv.index("--a-samples")
+        argv[i:i + 2] = [f"--a-samples={argv[i + 1]}"]
     ns = _build_parser().parse_args(argv)
     if ns.command == "identities":
         if ns.n_max < 1:

@@ -1,8 +1,8 @@
 """Exact rational ground truth: brute-force MHS, binomial sums, identities.
 
-Everything here is computed in Fraction, with no modular reduction;
-these are the independent oracles the fast modular paths are tested
-against.
+Everything here is exact rational arithmetic, in Fraction or over integer
+numerators with one common denominator, with no modular reduction; these
+are the independent oracles the fast modular paths are tested against.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, lcm, prod
+from operator import getitem
 
 __all__ = [
     "IdentityReport",
@@ -29,32 +30,47 @@ __all__ = [
 IdentityReport = namedtuple("IdentityReport", "identity n lhs rhs equal")
 
 
-def _mhs_terms(sig: tuple[int, ...], n: int):
-    """(largest index, term) for each term of H(sig; n), by the naive nested loop."""
+def _mhs_numerators(sig: tuple[int, ...], n: int):
+    """(largest index, numerator) for each term of H(sig; n), by the naive
+    nested loop, and their common denominator lcm(1..n)**weight.
+
+    With common = lcm(1..n), the term prod_i sign_i(k_i) / k_i**|a_i| is
+    prod_i sign_i(k_i) * (common / k_i)**|a_i| over common**(sum |a_i|), so
+    every term is an integer product and no Fraction is built per term.
+    """
     if n > 200:
         raise ValueError("brute-force mhs capped at n <= 200")
-    for ks in combinations(range(1, n + 1), len(sig)):
-        term = Fraction(1)
-        for a, k in zip(sig, ks):
-            term *= Fraction((-1) ** k if a < 0 else 1, k ** abs(a))
-        yield (ks[-1] if ks else 0), term
+    common = lcm(*range(1, n + 1))
+    factors = [
+        [0] + [(-1 if a < 0 and k % 2 else 1) * (common // k) ** abs(a)
+               for k in range(1, n + 1)]
+        for a in sig
+    ]
+    terms = (
+        ((ks[-1] if ks else 0), prod(map(getitem, factors, ks)))
+        for ks in combinations(range(1, n + 1), len(sig))
+    )
+    return terms, common ** sum(map(abs, sig))
 
 
 def mhs_exact(sig: tuple[int, ...], n: int) -> Fraction:
     """H(a_1,...,a_m; n) by the naive O(n^m) nested loop."""
-    return sum((term for _, term in _mhs_terms(sig, n)), Fraction(0))
+    terms, den = _mhs_numerators(sig, n)
+    return Fraction(sum(num for _, num in terms), den)
 
 
 def mhs_exact_upto(sig: tuple[int, ...], n: int) -> list[Fraction]:
     """[H(sig; j) for j = 0..n] from one pass of mhs_exact's nested loop.
 
-    Each term is added to the bucket of its largest index, and the buckets
-    are prefix-summed; no prefix recursion over the signature is involved.
+    Each term's numerator is added to the bucket of its largest index, and
+    the buckets are prefix-summed over the common denominator; no prefix
+    recursion over the signature is involved.
     """
-    buckets = [Fraction(0)] * (n + 1)
-    for top, term in _mhs_terms(sig, n):
-        buckets[top] += term
-    return list(accumulate(buckets))
+    terms, den = _mhs_numerators(sig, n)
+    buckets = [0] * (n + 1)
+    for top, num in terms:
+        buckets[top] += num
+    return [Fraction(total, den) for total in accumulate(buckets)]
 
 
 def harmonic_exact(n: int) -> Fraction:

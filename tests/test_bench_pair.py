@@ -1,6 +1,7 @@
 """tools/bench_pair.py measures the working tree from a clean copy."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,35 @@ def _bench_pair():
     return module
 
 
-def test_change_side_copy_has_the_working_tree_source_and_no_bytecode(tmp_path):
+def _git(repo, *args):
+    subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_change_side_copy_has_the_working_tree_source_and_no_bytecode(tmp_path, monkeypatch):
+    # a throwaway repository, so the copy does not depend on where the suite runs
+    repo = tmp_path / "repo"
+    pkg = repo / "src" / "pkg"
+    (pkg / "__pycache__").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    (repo / ".gitignore").write_text("__pycache__/\n")
+    (repo / "perfbench" / "run.py").write_text("print('run')\n")
+    (pkg / "tracked.py").write_text("X = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    # an edit after staging, a file git does not know yet, and bytecode
+    (pkg / "tracked.py").write_text("X = 2\n")
+    (pkg / "untracked.py").write_text("Y = 1\n")
+    (pkg / "__pycache__" / "tracked.cpython-311.pyc").write_bytes(b"\0")
     bench_pair = _bench_pair()
-    bench_pair.copy_worktree(tmp_path)
-    assert bench_pair.src_sha256(tmp_path) == bench_pair.src_sha256(ROOT)
-    assert (tmp_path / "perfbench" / "run.py").is_file()
-    assert not any((tmp_path / "src").rglob("__pycache__"))
-    assert not any((tmp_path / "src").rglob("*.pyc"))
+    monkeypatch.setattr(bench_pair, "ROOT", repo)
+    copy = tmp_path / "copy"
+    bench_pair.copy_worktree(copy)
+    assert bench_pair.src_sha256(copy) == bench_pair.src_sha256(repo)
+    assert (copy / "src" / "pkg" / "tracked.py").read_text() == "X = 2\n"
+    assert (copy / "src" / "pkg" / "untracked.py").is_file()
+    assert (copy / "perfbench" / "run.py").is_file()
+    assert not any((copy / "src").rglob("__pycache__"))
+    assert not any((copy / "src").rglob("*.pyc"))
 
 
 def _bench_files():

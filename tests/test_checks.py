@@ -559,3 +559,30 @@ class TestSharpness:
             lhs, rhs, e = checks._BY_ID[check_id].evaluator(ctx, a=Fraction(1, 3))[:3]
             assert e == 4
             assert min(z.aprec for z in (lhs, rhs)) == 4
+
+
+class TestExceptionalPrimes:
+    """The valuations the theory predicts where a constant of the catalog
+    vanishes mod p, so a change that loses digits there shows.
+
+    16843 is a Wolstenholme prime: H_{p-1} = 0 mod p^3, and eq-1-1's two
+    sides, -(21/2) H_{p-1} and its tail of the 16^k sum, have valuation 3;
+    at p = 7 they do too, as 7 divides 21.  At the other primes H_{p-1} is
+    p^2 times a unit.  1093 and 3511 are the Wieferich primes: q_2 = 0
+    mod p, and with it known-ii's H((p-1)/2) at a = 1.
+    """
+
+    @pytest.mark.parametrize("p, v", [(7, 3), (11, 2), (13, 2), (101, 2), (16843, 3)])
+    def test_eq_1_1_valuation(self, p, v):
+        lhs, rhs, e = checks._BY_ID["eq-1-1"].evaluator(PrimeContext(p))[:3]
+        assert e == 4
+        assert [z.valuation for z in (lhs, rhs)] == [v, v]
+        assert not (lhs.zero_flag or rhs.zero_flag)
+
+    @pytest.mark.parametrize("p, wieferich", [(1093, True), (1097, False),
+                                              (3511, True), (3517, False)])
+    def test_known_ii_at_a_1_vanishes_only_at_wieferich_primes(self, p, wieferich):
+        lhs, rhs, e = checks._BY_ID["known-ii"].evaluator(PrimeContext(p), a=1)[:3]
+        assert e == 1
+        zero = PAdic.zero(p)
+        assert [congruent_mod(z, zero, 1) for z in (lhs, rhs)] == [wieferich] * 2

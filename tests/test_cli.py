@@ -98,6 +98,35 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["verify", "--a-samples", "1/0"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--a-samples", "-1/2,1/3"],
+        ["--a-samples=-1/2,1/3"],
+        ["--a-samples", "5", "--a-samples", "-1/2,1/3"],
+    ])
+    def test_a_samples_starting_with_minus(self, argv):
+        # a value that starts with "-" is still the flag's value, in either form
+        assert parse_args(["verify", *argv]).a_samples == (Fraction(-1, 2), Fraction(1, 3))
+        proc = _run_cli("verify", "--checks", "thm11-full", "--primes", "7..11",
+                        "--jobs", "1", "--format", "jsonl", *argv)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert [json.loads(line)["params"]["a"] for line in proc.stdout.splitlines()] == [
+            "-1/2", "1/3"
+        ] * 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--a-samples"], "expected one argument"),
+        (["--a-samples", "-1/2,x"], "usage error: bad a-samples '-1/2,x'"),
+        # the flag takes the next word, so the one after it is left over
+        (["--a-samples", "--jobs", "1"], "unrecognized arguments: 1"),
+    ])
+    def test_a_samples_usage_errors_exit_2(self, argv, message):
+        proc = _run_cli("verify", "--checks", "thm11-full", "--primes", "7..11", *argv)
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("text", ["1/3,1/3", "1/3,2/6", "5,-1/2,5.0"])
     def test_repeated_a_samples(self, text):
         # a repeated value would print its rows twice under one (check, p, params)
@@ -623,8 +652,9 @@ def _workloads():
 class TestStdoutPinned:
     """sha256 of stdout and the exit code of whole runs: the seed-0 window of
     each benchmark workload, and the full catalog as a table and as jsonl,
-    at --digits 4 with odd samples, and with plus-sign t; and the three
-    expansions at samples where a t-polynomial vanishes (t = -1, 7/6)."""
+    at --digits 4 with odd samples, and with plus-sign t; the three
+    expansions at samples where a t-polynomial vanishes (t = -1, 7/6); and
+    the full catalog at the Wieferich and Wolstenholme primes."""
 
     _ODD = ["--a-samples", "1/2,3,-7/5,-1,-3,0,7,49/3"]
     _TSIGN = ["verify", "--checks", "all", "--primes", "7..200", "--t-sign-diagnostic"]
@@ -657,6 +687,21 @@ class TestStdoutPinned:
     def test_run(self, argv, code, digest):
         got, out = _run(parse_args(argv))
         assert got == code
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p, digest", [
+        # Wieferich primes: q_2 = 0 mod p
+        (1093, "d21bc75db8ea8b801644d9bfc293367252a365a573e866b329e87a12d29a0b26"),
+        (3511, "8cdeb8cf3acc873553c6f5f05f508028385c325b2470f2327b7ee5da35ba8158"),
+        # the first Wolstenholme prime: p | B_{p-3}, H_{p-1} = 0 mod p^3
+        (16843, "7855259e5c5993e367427952f74eff2ffe1f8f591f8da59eb52f35bd6c8a45dd"),
+    ])
+    def test_exceptional_prime(self, p, digest):
+        # the full catalog at one prime where a constant vanishes mod p
+        argv = ["verify", "--format", "jsonl", "--checks", "all", "--primes", f"{p}..{p}",
+                "--jobs", "1"]
+        got, out = _run(parse_args(argv))
+        assert got == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

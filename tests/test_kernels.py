@@ -579,3 +579,98 @@ class TestPowerCache:
             pykernels.weighted_sum(
                 1, False, None, (("odd", r, 1),), n, p, m, full[: 2 * n - 1]
             )
+
+
+class TestBinomialProduct:
+    """s_sum and central_sum carry Q_k = prod_{j<=k} (j(j-1) - a(a+1)) over
+    the cached weights inv[k] / k!^2, and the power lists r >= 2 are built
+    as products of lists: every entry against the step-by-step ratio and
+    against pow, mod m.
+    """
+
+    @staticmethod
+    def _ratio_s(a_mod, n, m, inv):
+        """[S_k(a) mod m], b_k = b_{k-1} (k(k-1) - a(a+1)) inv[k]^2, no early stop."""
+        c = a_mod * (a_mod + 1) % m
+        out = [0]
+        b, s = 1, 0
+        for k in range(1, n + 1):
+            b = b * (k * (k - 1) - c) * inv[k] ** 2 % m
+            s = (s + b * inv[k]) % m
+            out.append(s)
+        return out
+
+    @staticmethod
+    def _samples(p, m):
+        """(a mod m, the k the pass stops at, or None): it stops at a+1 for
+        a = 5, at -a for a = -6, at (p+1)/2 for 2a+1 = p + p^3, and nowhere
+        for a = 1/3 and -2/5."""
+        half = pow(2, -1, m)
+        return [
+            (5, 6), (-6 % m, 6), ((p + p**3 - 1) * half % m, (p + 1) // 2),
+            (pow(3, -1, m), None), (-2 * pow(5, -1, m) % m, None),
+        ]
+
+    @pytest.mark.parametrize("p", [13, 10007])
+    def test_central_sum_is_s_sum_at_minus_one_half(self, p):
+        m, n = p**4, p - 1
+        inv = pykernels.inverse_table(n, p, m)
+        central = [x % m for x in pykernels.central_sum(n, p, m, inv)]
+        assert central == [x % m for x in pykernels.s_sum((m - 1) // 2, n, p, m, inv)]
+        assert central == self._ratio_s((m - 1) // 2, n, m, inv)
+
+    @pytest.mark.parametrize("p", [13, 10007])
+    def test_s_sum_every_entry_against_the_ratio(self, p):
+        m, n = p**4, p - 1
+        inv = pykernels.inverse_table(n, p, m)
+        for a_mod, _ in self._samples(p, m):
+            got = [x % m for x in pykernels.s_sum(a_mod, n, p, m, inv)]
+            assert got == self._ratio_s(a_mod, n, m, inv), a_mod
+
+    def test_s_sum_stops_and_reads_the_table_only_to_the_stop(self):
+        p = 13
+        m, n = p**4, p - 1
+        full = pykernels.inverse_table(n, p, m)
+        for a_mod, stop in self._samples(p, m):
+            if stop is None:
+                continue
+            want = pykernels.s_sum(a_mod, n, p, m, full)
+            assert want[stop - 1:] == [want[-1]] * (n + 2 - stop)
+            assert want[stop - 2] % m != want[-1] % m
+            # with the full table cached, a table to stop - 1 still serves,
+            # and one entry less raises
+            assert pykernels.s_sum(a_mod, n, p, m, full[:stop]) == want
+            with pytest.raises(IndexError):
+                pykernels.s_sum(a_mod, n, p, m, full[:stop - 1])
+
+    def test_short_table_raises_after_a_full_one(self):
+        p, n = 31, 7
+        m = p**4
+        full = pykernels.inverse_table(p - 1, p, m)
+        assert pykernels.central_sum(n, p, m, full) == pykernels.central_sum(n, p, m, full[: n + 1])
+        with pytest.raises(IndexError):
+            pykernels.central_sum(n, p, m, full[:n])
+        with pytest.raises(IndexError):
+            pykernels.s_sum(12345, n, p, m, full[:n])
+
+    @pytest.mark.parametrize("p", [101, 10007])
+    @pytest.mark.parametrize("e", [4, 9])
+    def test_power_lists_and_weights(self, p, e):
+        m = p**e
+        inv = pykernels.inverse_table(p - 1, p, m)
+        for r in (2, 3, 4):
+            assert pykernels._table_powers(inv, r, m) == [pow(x, r, m) for x in inv]
+        ifact = 1
+        weights = pykernels._binomial_weights(inv, m)
+        for k in range(1, p):
+            ifact = ifact * pow(k, -1, m) % m
+            assert weights[k] == pow(k, -1, m) * ifact**2 % m
+
+    def test_one_table_under_two_moduli(self):
+        # the weights are rebuilt for each (table, modulus) the cache holds
+        p = 101
+        inv = pykernels.inverse_table(p - 1, p, p**6)
+        for m in (p**3, p**6, p**3):
+            for a_mod in (pow(3, -1, m), (m - 1) // 2):
+                got = [x % m for x in pykernels.s_sum(a_mod, p - 1, p, m, inv)]
+                assert got == self._ratio_s(a_mod, p - 1, m, inv)
