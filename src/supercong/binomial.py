@@ -5,6 +5,11 @@ S_n(a) = sum_{k<=n} binom(a,k) binom(-1-a,k) / k carries the product of
 both generalized binomials' numerators from k-1 to k; since n < p every
 division is by a unit, so the kernel sums exactly modulo a power of p in
 one pass, and s_sum reads the sum at each endpoint of a tuple from it.
+
+Lemma 2.3 compares a product B(k) with a closed form at every k of a range;
+both sides, and each step from k-1 to k, are polynomials in tau (t = tau
+mod p^3) whose coefficients depend only on p.  Lem23Scan builds them once
+per prime and range, and then reads the scan at each sample's tau in O(1).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from . import kernels
 from .errors import BadParameter
 from .padic import PAdic
 
-__all__ = ["ReducedPoint", "lem23_scan", "s_sum", "reduce_point"]
+__all__ = ["Lem23Scan", "ReducedPoint", "s_sum", "reduce_point"]
 
 
 # the decomposition a = p*t + residue, residue in {0,...,p-1} and t a PAdic
@@ -66,87 +71,162 @@ def reduce_point(a: Fraction, p: int, N: int) -> ReducedPoint:
     return ReducedPoint(residue, PAdic.from_rational(t, p=p, digits=N))
 
 
-# factors per math.prod call in _prod_mod: enough to amortize the call, few
-# enough that each partial product stays a few machine words
-_PROD_CHUNK = 32
+def _closed_form(p: int, half_range: bool, top: int, m: int, inv: list[int]):
+    """X_1, X_2, X_3 with rhs_k / p^j = sum_r tau^r X_r[k-1] mod m, each as a
+    function that returns a new iterator over k = 1..top, unreduced.
+
+    With i = 1/k, O_r(k) = sum_{l<=k} 1/(2l-1)^r and H(k) = sum_{l<=k} 1/l,
+    the half range (m = p^3) has
+        X_1 = i + 2p i O_1 + 2p^2 i O_1^2,
+        X_2 = -p i^2 - 2p^2 i^2 O_1 - 4p^2 i O_2,  X_3 = p^2 i^3,
+    and the full range (m = p^2), where rhs_k / p^2 = tau(tau+1)(D - 2pF tau)
+    with D = i^2 (1 + 2pH(k) - p i) and F = i^3, has
+        X_1 = D,  X_2 = D - 2pF,  X_3 = -2pF.
+    Each list kept is as long as the range and counts toward the prime's
+    peak memory, so the full range keeps no X_2: it is X_1 + X_3.
+    """
+    # the table's entries as they are, congruent to 1/k mod m
+    i = inv[1 : top + 1]
+    if half_range:
+        io = inv[1 : 2 * top : 2]
+        # q = p O_1; X_1 = i (1 + 2q(1 + q)), X_2 = -p i (i (1 + 2q) + 4p O_2)
+        q = list(map(mod, map(mul, accumulate(io), repeat(p)), repeat(m)))
+        x1 = map(add, map(mul, map(add, q, q), map(add, q, repeat(1))), repeat(1))
+        x1 = list(map(mod, map(mul, i, x1), repeat(m)))
+        u = map(add, map(add, q, q), repeat(1))
+        o2x4p = map(mul, accumulate(map(mul, io, io)), repeat(4 * p))
+        x2 = map(mul, map(mul, i, repeat(-p)), map(add, map(mul, i, u), o2x4p))
+        x2 = list(map(mod, x2, repeat(m)))
+        x3 = list(map(mod, map(mul, map(mul, map(mul, i, i), i), repeat(p * p)), repeat(m)))
+        return lambda: iter(x1), lambda: iter(x2), lambda: iter(x3)
+    inner = map(sub, map(mul, accumulate(i), repeat(2 * p)), map(mul, i, repeat(p)))
+    x1 = list(map(mod, map(mul, map(mul, i, i), map(add, inner, repeat(1))), repeat(m)))
+    x3 = list(map(mod, map(mul, map(mul, map(mul, i, i), i), repeat(-2 * p)), repeat(m)))
+    return lambda: iter(x1), lambda: map(add, x1, x3), lambda: iter(x3)
 
 
-def _prod_mod(lo: int, hi: int, m: int) -> int:
-    """prod(range(lo, hi)) mod m, as math.prod over chunks of consecutive factors."""
-    starts = range(lo, hi, _PROD_CHUNK)
-    stops = map(min, range(lo + _PROD_CHUNK, hi + _PROD_CHUNK, _PROD_CHUNK), repeat(hi))
-    return math.prod(map(mod, map(math.prod, map(range, starts, stops)), repeat(m))) % m
+def _step_identity(xs, p: int, half_range: bool, top: int):
+    """Iterators over S_1, S_2, ... at k = 2..top, unreduced.
+
+    The step rhs_k dens_k - rhs_{k-1} nums_k, with dens_k = (T+k-1-top)(T+k)
+    and nums_k = (T+k-1)(T+k+top) quadratic in T = p tau, is
+    sum_{r=1}^{5} tau^r S_r[k], S_r = sum_{a+b=r} X_a[k-1] d_b - X_a[k-2] n_b
+    for d_b and n_b the coefficients of tau^b in dens_k and nums_k.  On the
+    full range d_2 = n_2 = p^2 = 0 mod p^2, so only S_1..S_4 are made there.
+    """
+    # fresh iterators over d_b and n_b at k = 2..top, b = 0, 1, 2
+    dens = (
+        lambda: map(mul, range(1 - top, 0), range(2, top + 1)),
+        lambda: range(p * (3 - top), p * top, 2 * p),
+        lambda: repeat(p * p),
+    )
+    nums = (
+        lambda: map(mul, range(1, top), range(top + 2, 2 * top + 1)),
+        lambda: range(p * (top + 3), 3 * p * top, 2 * p),
+        lambda: repeat(p * p),
+    )
+    deg = 2 if half_range else 1
+    for r in range(1, 4 + deg):
+        s = repeat(0)
+        for a in range(max(1, r - deg), min(3, r) + 1):
+            x, b = xs[a - 1], r - a
+            step = map(sub, map(mul, islice(x(), 1, None), dens[b]()), map(mul, x(), nums[b]()))
+            s = map(add, s, step)
+        yield s
 
 
-def lem23_scan(
-    tau: int, p: int, half_range: bool, inv: list[int]
-) -> tuple[int | None, int, int]:
-    """Lemma 2.3 mod p^4 at every k in 1..top: (k, B(k), rhs_k) mod p^4.
+def _poly(coeffs: tuple[int, ...], tau: int, m: int) -> int:
+    """sum_{r=1}^{3} tau^r coeffs[r-1] mod m."""
+    c1, c2, c3 = coeffs
+    return tau * (c1 + tau * (c2 + tau * c3)) % m
 
+
+class Lem23Scan:
+    """Lemma 2.3 mod p^4 on one range of one prime, for every tau at once.
+
+    scan(tau) is (k, B(k), rhs_k) mod p^4 at the first k in 1..top where
     B(k) = binom(T+k-1, top) * binom(-T-k-1, top), T = p*tau (tau = t mod
-    p^3 for T = pt), is compared with its closed form rhs_k, for top =
-    (p-1)/2 (half_range) or p-1; k is the first k where they differ, or
-    None, and then B(k) and rhs_k are given at k = top.  inv holds 1/i mod
-    p^4, or mod a higher power of p, for 0 < i < p.
+    p^3 for T = pt), differs from its closed form rhs_k, or (None, B(top),
+    rhs_top) when they agree at every k; top = (p-1)/2 (half_range) or p-1.
+    inv holds 1/i mod p^4, or mod a higher power of p, for 0 < i < p.
 
     The factors of B(k) include T, and on the full range also T+p, so B(k)
     and rhs_k are p^j times p-adic integers, j = 1 on the half range and
-    j = 2 on the full range; the scan compares the quotients mod p^(4-j),
-    one-digit ints for p < 1024.  On the full range the factor tau(tau+1)
-    stays in both quotients: p may divide it.
+    j = 2 on the full range; the scan compares the quotients mod m =
+    p^(4-j).  B(k+1) (T+k-top)(T+k+1) = B(k) (T+k)(T+k+1+top) and the
+    factors on the left are units, so B(k) = rhs_k at every k exactly when
+    B(1) = rhs_1 and each step rhs_{k+1} (T+k-top)(T+k+1) = rhs_k (T+k)
+    (T+k+1+top) holds, and the first k where this fails is the first
+    mismatch.
 
-    No product is carried.  B(k+1) (T+k-top)(T+k+1) = B(k) (T+k)(T+k+1+top)
-    and the factors on the left are units, so B(k) = rhs_k at every k
-    exactly when B(1) = rhs_1 and each step rhs_{k+1} (T+k-top)(T+k+1) =
-    rhs_k (T+k)(T+k+1+top) holds, and the first k where this fails is the
-    first mismatch.  Only B(1) top!^2 is a product; the steps are C-level
-    maps.
+    Each of these is a polynomial in tau whose coefficients depend only on
+    the prime, so they are built once: rhs_k / p^j from the coefficients
+    of _closed_form, the steps from the coefficient lists S_r of
+    _step_identity, and B(1) top!^2 / p^j from the factors of B(1),
+    carried as a series in T up to T^2 (T^3 = 0 mod p^3): the direct side
+    reads no inverse table.  When every S_r vanishes mod m, no step fails
+    at any tau; only rhs_1 and rhs_top are kept, and a call costs O(1).
+    Otherwise the closed-form lists and the S_r are kept, and a call scans
+    the steps at its tau, sum_r tau^r S_r[k], by Horner's rule.
     """
-    top = (p - 1) // 2 if half_range else p - 1
-    j = 1 if half_range else 2
-    m = p ** (4 - j)
-    T = p * tau % m
 
-    # closed[k-1] = rhs_k / p^j mod m, from the prefix sums
-    # O_r(k) = sum_{i<=k} 1/(2i-1)^r (half range) or H(k) = sum_{i<=k} 1/i
-    if half_range:
-        # tau/k * (1 - pz + p^2 (yz + 2 O_1^2 - 4 tau O_2)), y = tau/k, z = y - 2 O_1
-        io = list(map(mod, inv[1 : 2 * top : 2], repeat(m)))
-        o1 = list(accumulate(io))
-        o1x2 = list(map(add, o1, o1))
-        y = list(map(mod, map(mul, inv[1 : top + 1], repeat(tau)), repeat(m)))
-        z = list(map(sub, y, o1x2))
-        w = map(add, map(mul, y, z), map(mul, o1, o1x2))
-        w = map(sub, w, map(mul, accumulate(map(mul, io, io)), repeat(4 * tau)))
-        inner = map(add, map(mul, map(sub, map(mul, w, repeat(p)), z), repeat(p)), repeat(1))
-        closed = list(map(mod, map(mul, y, inner), repeat(m)))
-        # B(1) top!^2 / p = tau * prod_{i=1}^{top-1} (T-i) * prod_{i=0}^{top-1} (-T-2-i)
-        b1 = tau * _prod_mod(T - top + 1, T, m) * _prod_mod(-T - top - 1, -T - 1, m)
-    else:
-        # tau(tau+1)/k^2 * (1 + 2pH(k) - (p + 2T)/k), tau(tau+1) folded into the sums
-        c = tau * (tau + 1) % m
-        ik = list(map(mod, inv[1 : top + 1], repeat(m)))
-        inner = accumulate(map(mul, ik, repeat(2 * p * c % m)), initial=c)
-        next(inner)
-        inner = map(sub, inner, map(mul, ik, repeat((p + 2 * T) * c % m)))
-        closed = list(map(mod, map(mul, map(mul, ik, ik), inner), repeat(m)))
-        # B(1) top!^2 / p^2 = -tau(tau+1) prod_{i=1}^{p-2} (T-i) prod_{i=0}^{p-3} (-T-2-i)
-        b1 = -c * _prod_mod(T - top + 1, T, m) * _prod_mod(-T - top, -T - 1, m)
-    b1 = b1 * pow(math.factorial(top), -2, m) % m
+    __slots__ = ("p", "top", "m", "b1", "first", "last", "closed", "steps")
 
-    if b1 != closed[0]:
-        k, lhs = 1, b1
-    else:
-        # the step from k-1 to k, labelled k = 2..top
-        dens = map(mul, range(T + 1 - top, T), range(T + 2, T + top + 1))
-        nums = map(mul, range(T + 1, T + top), range(T + top + 2, T + 2 * top + 1))
-        steps = map(sub, map(mul, islice(closed, 1, None), dens), map(mul, closed, nums))
-        k = next(compress(range(2, top + 1), map(mod, steps, repeat(m))), None)
-        if k is None:
-            lhs = closed[-1]
+    def __init__(self, p: int, half_range: bool, inv: list[int]):
+        top = (p - 1) // 2 if half_range else p - 1
+        m = p**3 if half_range else p**2
+        self.p, self.top, self.m = p, top, m
+        xs = _closed_form(p, half_range, top, m, inv)
+        self.first = tuple(next(x()) for x in xs)
+        self.last = tuple(next(islice(x(), top - 1, None)) for x in xs)
+        self.closed = self.steps = None
+        # the S_r are streamed, and kept only if one of them does not vanish
+        if any(any(map(mod, s, repeat(m))) for s in _step_identity(xs, p, half_range, top)):
+            self.closed = [list(x()) for x in xs]
+            self.steps = [
+                list(map(mod, s, repeat(m))) for s in _step_identity(xs, p, half_range, top)
+            ]
+
+        # B(1) top!^2 / p = tau prod_{i=1}^{top-1} (T-i) prod_{i=0}^{top-1} (-T-2-i)
+        # on the half range; on the full range B(1) top!^2 / p^2 is
+        # -tau(tau+1) times the same products, the second one to i = top-2.
+        # Each is a series c0 + c1 T + c2 T^2 mod m.
+        c0, c1, c2 = 1, 0, 0
+        for x in range(-1, -top, -1):
+            c0, c1, c2 = c0 * x % m, (c1 * x + c0) % m, (c2 * x + c1) % m
+        for x in range(-2, -top - 2 if half_range else -top - 1, -1):
+            c0, c1, c2 = c0 * x % m, (c1 * x - c0) % m, (c2 * x - c1) % m
+        # at T = p tau, as coefficients of tau^1..tau^3
+        if half_range:
+            poly = (c0, p * c1, p * p * c2)
         else:
-            # B(k) from B(k-1) = rhs_{k-1}
-            num = closed[k - 2] * (T + k - 1) * (T + k + top)
-            lhs = num * pow((T + k - 1 - top) * (T + k), -1, m) % m
-    rhs = closed[-1 if k is None else k - 1]
-    return k, lhs * p**j, rhs * p**j
+            # -(tau + tau^2)(c0 + p c1 tau), since p^2 c2 = 0 mod p^2
+            poly = (-c0, -c0 - p * c1, -p * c1)
+        f = pow(math.factorial(top), -2, m)
+        self.b1 = tuple(c * f % m for c in poly)
+
+    def __call__(self, tau: int) -> tuple[int | None, int, int]:
+        p, top, m = self.p, self.top, self.m
+        lhs = _poly(self.b1, tau, m)
+        rhs = _poly(self.first, tau, m)
+        if lhs != rhs:
+            k = 1
+        elif self.steps is None:
+            k = None
+            lhs = rhs = _poly(self.last, tau, m)
+        else:
+            v = self.steps[-1]
+            for s in reversed(self.steps[:-1]):
+                v = map(add, map(mul, v, repeat(tau)), s)
+            v = map(mod, map(mul, v, repeat(tau)), repeat(m))
+            k = next(compress(range(2, top + 1), v), None)
+            rhs = _poly(tuple(x[-1 if k is None else k - 1] for x in self.closed), tau, m)
+            lhs = rhs
+            if k is not None:
+                # B(k) from B(k-1) = rhs_{k-1}
+                T = p * tau % m
+                prev = _poly(tuple(x[k - 2] for x in self.closed), tau, m)
+                num = prev * (T + k - 1) * (T + k + top)
+                lhs = num * pow((T + k - 1 - top) * (T + k), -1, m) % m
+        scale = p**4 // m
+        return k, lhs * scale, rhs * scale

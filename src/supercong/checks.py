@@ -10,7 +10,7 @@ by (prime, id, params).
 
 Shared per-prime quantities (the inverse table every sum reads, the
 constant X, Fermat quotients, B_{p-3}, H(3,1;(p-1)/2), the binomial sums
-S_n(a) and the embedding and split of each sample a) are cached on a
+S_n(a) and the split of each sample a) are cached on a
 PrimeContext.  Each sum the checks read is a signature (the exponents of a
 harmonic sum, the point a of S_n(a), ...) read at a few endpoints n that
 the context fixes when it is built: (p-1)/2, p-1 and <a>_p of each sample.
@@ -25,11 +25,10 @@ import math
 from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
-from functools import cache
 
 from . import kernels
 from .bernoulli import bernoulli, fermat_quotient, x_constant, x_from_h2
-from .binomial import lem23_scan, reduce_point, s_sum
+from .binomial import Lem23Scan, reduce_point, s_sum
 from .errors import (
     BadParameter,
     InsufficientPrecision,
@@ -281,10 +280,10 @@ class PrimeContext:
     # -- parameter helpers ----------------------------------------------------
 
     def embed(self, a: Fraction) -> PAdic:
-        return self._cached(
-            ("embed", a),
-            lambda: PAdic.from_rational(a, p=self.p, digits=self.digits),
-        )
+        """a with the context's digits.  Not memoized: most values embedded
+        are t-polynomials that one row reads, and a memo would hash each
+        Fraction key in Python."""
+        return PAdic.from_rational(a, p=self.p, digits=self.digits)
 
     def reduce(self, a: Fraction):
         return self._cached(
@@ -611,15 +610,15 @@ def _ev_eq_1_1(ctx):
 
 
 def _lem23_scan(ctx, t: PAdic, half_range: bool):
-    """Lemma 2.3 mod p^4 at every k in 1..top, by binomial.lem23_scan.
+    """Lemma 2.3 mod p^4 at every k in 1..top, by binomial.Lem23Scan.
 
     Reports B(k) and rhs_k at the first k where they differ, or at k = top.
+    The scan of each range is built once per context, on first use.
     """
     p = ctx.p
-    top = ctx.half if half_range else p - 1
-    tau = 0 if t.zero_flag else t.lift(3)
-    k, lhs, rhs = lem23_scan(tau, p, half_range, ctx.inv())
-    note = f"all k in 1..{top}" if k is None else f"first mismatch at k={k}"
+    scan = ctx._cached(("lem23", half_range), lambda: Lem23Scan(p, half_range, ctx.inv()))
+    k, lhs, rhs = scan(t.lift(3))
+    note = f"all k in 1..{scan.top}" if k is None else f"first mismatch at k={k}"
     lhs = PAdic.from_int_exact(lhs, p=p, aprec=4)
     return lhs, PAdic.from_int_exact(rhs, p=p, aprec=4), 4, note
 
@@ -792,14 +791,17 @@ def _render_params(params: dict) -> tuple[str, ...]:
     return tuple(f"{k}={v}" for k, v in params.items())
 
 
-def _evaluate(ctx: PrimeContext, defn: CheckDefinition, params: dict, full=None) -> CheckResult:
+def _evaluate(
+    ctx: PrimeContext, defn: CheckDefinition, params: dict, defer: bool = False
+) -> CheckResult | None:
     """defn's row at params, judged mod p^e_eff, e_eff = min(e, lhs.aprec,
     rhs.aprec) and e the exponent the evaluator returns.
 
     A skipped row, and one with e_eff = e, is settled: a context with more
     digits gives the same bytes.  Any other row (PrecisionExhausted,
-    InsufficientPrecision or e_eff < e) is evaluated again in full() when
-    full is given, and that row is returned.
+    InsufficientPrecision or e_eff < e) is not settled; with defer it is
+    not judged, and None is returned for the caller to evaluate it again in
+    a context with more digits.
     """
     rendered = _render_params(params)
     p = ctx.p
@@ -808,16 +810,15 @@ def _evaluate(ctx: PrimeContext, defn: CheckDefinition, params: dict, full=None)
     except _Skip as exc:
         return CheckResult(defn.id, p, rendered, "skipped", "", "", "", note=str(exc))
     except (PrecisionExhausted, InsufficientPrecision) as exc:
-        if full is not None:
-            return _evaluate(full(), defn, params)
+        if defer:
+            return None
         return CheckResult(defn.id, p, rendered, "precision_error", "", "", "", note=str(exc))
-    lhs, rhs, e = out[0], out[1], out[2]
+    lhs, rhs, e = out[:3]
     note = out[3] if len(out) > 3 else ""
     e_eff = min([e] + [z.aprec for z in (lhs, rhs) if z.aprec is not None])
-    if e_eff < e and full is not None:
-        return _evaluate(full(), defn, params)
-    ok = congruent_mod(lhs, rhs, e_eff)
-    if not ok:
+    if e_eff < e and defer:
+        return None
+    if not congruent_mod(lhs, rhs, e_eff):
         status = "fail"
     elif e_eff < e:
         status = "precision_error"
@@ -849,22 +850,29 @@ def row_params(
 
 def _run_prime(args) -> list[CheckResult]:
     """One prime's rows, from a context mod p**MAX_E: no row is judged above
-    p^MAX_E.  A row it does not settle is evaluated again in a context at
-    digits, built at most once, on first need (never when digits = MAX_E).
+    p^MAX_E.  The rows it does not settle are evaluated again, after all of
+    its rows, in one context at digits (never when digits <= MAX_E), so the
+    kernels' one-slot cache moves to the second table once per prime.
     """
     p, ids, digits, a_samples, t_sign = args
     if p < MIN_PRIME:
         note = f"p below min_prime {MIN_PRIME}"
         return [CheckResult(i, p, (), "skipped", "", "", "", note=note) for i in ids]
     ctx = PrimeContext(p, min(digits, MAX_E), t_sign, a_samples)
-    full = None
-    if digits > MAX_E:
-        full = cache(lambda: PrimeContext(p, digits, t_sign, a_samples))
-    return [
-        _evaluate(ctx, defn, params, full)
-        for defn in (_BY_ID[check_id] for check_id in ids)
-        for params in defn.param_space(p, a_samples)
-    ]
+    # only the rows to retry keep their params past their evaluation: holding
+    # every row's through the prime raised peak RSS by about 0.1 MB
+    out, retry = [], []
+    for defn in map(_BY_ID.__getitem__, ids):
+        for params in defn.param_space(p, a_samples):
+            row = _evaluate(ctx, defn, params, digits > MAX_E)
+            if row is None:
+                retry.append((len(out), defn, params))
+            out.append(row)
+    if retry:
+        full = PrimeContext(p, digits, t_sign, a_samples)
+        for i, defn, params in retry:
+            out[i] = _evaluate(full, defn, params)
+    return out
 
 
 def _order(r: CheckResult) -> tuple:

@@ -172,6 +172,9 @@ def _row_dict(r: CheckResult) -> dict:
 
 _WIDTHS = (16, 6, 24, 15)
 _HEADER = ("check", "p", "params", "status")
+# one encoder for every --format jsonl row; json.dumps(..., sort_keys=True)
+# would build one per row, with the same bytes
+_JSONL = json.JSONEncoder(sort_keys=True)
 
 
 def _write_header(fmt: str, out) -> None:
@@ -184,7 +187,7 @@ def _write_header(fmt: str, out) -> None:
 def _write_rows(rows: list[CheckResult], fmt: str, out) -> None:
     if fmt == "jsonl":
         for r in rows:
-            out.write(json.dumps(_row_dict(r), sort_keys=True) + "\n")
+            out.write(_JSONL.encode(_row_dict(r)) + "\n")
         return
     for r in rows:
         params = ",".join(r.params)

@@ -2,15 +2,19 @@
 product-scan cross-check."""
 
 import math
+import random
 from fractions import Fraction
+from itertools import accumulate, compress, islice, repeat
+from operator import add, mod, mul, sub
 
 import pytest
 
-from supercong import kernels, oracle
-from supercong.binomial import reduce_point, s_sum
+from supercong import checks, kernels, oracle
+from supercong.binomial import Lem23Scan, reduce_point, s_sum
 from supercong.checks import PrimeContext, _lem23_scan
 from supercong.errors import BadParameter
 from supercong.padic import PAdic, congruent_mod
+from supercong.primes import primes_in_range
 
 
 def _embed(q, p, digits=8):
@@ -305,3 +309,119 @@ def _closed_form(inv, T, p, k, half):
     h = sum(inv[1 : k + 1])
     inner = 1 + 2 * p * h - p * inv[k] - 2 * tk
     return T * (T + p) * inv[k] ** 2 * inner % m4
+
+
+class TestLem23AsPolynomials:
+    """Lem23Scan builds each range of a prime once, as polynomials in tau,
+    and gives the rows of the scan that built the closed form and stepped
+    through it for each sample on its own."""
+
+    def test_step_identity_holds_coefficientwise(self):
+        # with a true inverse table every coefficient of the step identity
+        # vanishes, so a row costs O(1) at every prime below 1000
+        for p in primes_in_range(7, 997):
+            inv = _inv(p, 4)
+            for half in (False, True):
+                assert Lem23Scan(p, half, inv).steps is None, (p, half)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 101, 499, 997])
+    def test_matches_recurrence_scan(self, p):
+        rng = random.Random(p)
+        m3 = p**3
+        # p | tau(tau+1) at tau = 0, p^2, -1, p-1 and 2p-1 mod p^3
+        taus = [rng.randrange(m3) for _ in range(4)] + [0, p * p, m3 - 1, p - 1, 2 * p - 1]
+        inv = _inv(p, 4)
+        for half in (False, True):
+            scan = Lem23Scan(p, half, inv)
+            for tau in taus:
+                assert scan(tau) == _recurrence_scan(tau, p, half, inv), (half, tau)
+
+    @pytest.mark.parametrize("p", [7, 11, 13, 101, 997])
+    def test_matches_recurrence_scan_on_skewed_tables(self, p):
+        rng = random.Random(p)
+        taus = [rng.randrange(p**3) for _ in range(3)] + [p - 1, p * p]
+        firsts = set()
+        for index in sorted({1, 3, 5, (p - 1) // 2, p - 2, p - 1}):
+            for skew in (p, p * p):
+                inv = _inv(p, 4)
+                inv[index] += skew
+                for half in (False, True):
+                    scan = Lem23Scan(p, half, inv)
+                    got = [scan(tau) for tau in taus]
+                    assert got == [_recurrence_scan(tau, p, half, inv) for tau in taus], (
+                        index, skew, half,
+                    )
+                    firsts.update(k for k, _, _ in got)
+        # the skews are seen at k = 1, by B(1), and at later k, by a step
+        assert 1 in firsts and max(k or 0 for k in firsts) > 1
+
+    def test_one_scan_per_range_and_context(self, monkeypatch):
+        built = []
+
+        class Counted(Lem23Scan):
+            __slots__ = ()
+
+            def __init__(self, p, half_range, inv):
+                super().__init__(p, half_range, inv)
+                built.append(half_range)
+
+        monkeypatch.setattr(checks, "Lem23Scan", Counted)
+        samples = (Fraction(-1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(5))
+        rows = checks._run_prime((101, ("lem23-full", "lem23-half"), 6, samples, "minus"))
+        assert [r.status for r in rows] == ["pass"] * 8
+        assert built == [False, True]
+
+
+# the scan before Lem23Scan, the reference for its rows: the closed form
+# and the steps for one tau at a time, and B(1) top!^2 / p^j as a product
+
+
+def _prod_mod(lo, hi, m):
+    """prod(range(lo, hi)) mod m."""
+    out = 1
+    for x in range(lo, hi):
+        out = out * x % m
+    return out
+
+
+def _recurrence_scan(tau, p, half_range, inv):
+    """(k, B(k), rhs_k) mod p^4 at the first mismatch, or (None, B(top), rhs_top)."""
+    top = (p - 1) // 2 if half_range else p - 1
+    j = 1 if half_range else 2
+    m = p ** (4 - j)
+    T = p * tau % m
+    if half_range:
+        io = list(map(mod, inv[1 : 2 * top : 2], repeat(m)))
+        o1 = list(accumulate(io))
+        o1x2 = list(map(add, o1, o1))
+        y = list(map(mod, map(mul, inv[1 : top + 1], repeat(tau)), repeat(m)))
+        z = list(map(sub, y, o1x2))
+        w = map(add, map(mul, y, z), map(mul, o1, o1x2))
+        w = map(sub, w, map(mul, accumulate(map(mul, io, io)), repeat(4 * tau)))
+        inner = map(add, map(mul, map(sub, map(mul, w, repeat(p)), z), repeat(p)), repeat(1))
+        closed = list(map(mod, map(mul, y, inner), repeat(m)))
+        b1 = tau * _prod_mod(T - top + 1, T, m) * _prod_mod(-T - top - 1, -T - 1, m)
+    else:
+        c = tau * (tau + 1) % m
+        ik = list(map(mod, inv[1 : top + 1], repeat(m)))
+        inner = accumulate(map(mul, ik, repeat(2 * p * c % m)), initial=c)
+        next(inner)
+        inner = map(sub, inner, map(mul, ik, repeat((p + 2 * T) * c % m)))
+        closed = list(map(mod, map(mul, map(mul, ik, ik), inner), repeat(m)))
+        b1 = -c * _prod_mod(T - top + 1, T, m) * _prod_mod(-T - top, -T - 1, m)
+    b1 = b1 * pow(math.factorial(top), -2, m) % m
+
+    if b1 != closed[0]:
+        k, lhs = 1, b1
+    else:
+        dens = map(mul, range(T + 1 - top, T), range(T + 2, T + top + 1))
+        nums = map(mul, range(T + 1, T + top), range(T + top + 2, T + 2 * top + 1))
+        steps = map(sub, map(mul, islice(closed, 1, None), dens), map(mul, closed, nums))
+        k = next(compress(range(2, top + 1), map(mod, steps, repeat(m))), None)
+        if k is None:
+            lhs = closed[-1]
+        else:
+            num = closed[k - 2] * (T + k - 1) * (T + k + top)
+            lhs = num * pow((T + k - 1 - top) * (T + k), -1, m) % m
+    rhs = closed[-1 if k is None else k - 1]
+    return k, lhs * p**j, rhs * p**j

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from supercong import checks, kernels, oracle
+from supercong.kernels import pykernels
 from supercong.binomial import s_sum
 from supercong.checks import (
     DEFAULT_A_SAMPLES,
@@ -27,6 +28,7 @@ from supercong.errors import (
     UnknownCheck,
 )
 from supercong.padic import PAdic, congruent_mod
+from supercong.primes import primes_in_range
 
 
 class TestRegistry:
@@ -512,6 +514,34 @@ class TestRetry:
         (row,) = checks._run_prime((13, ("thm11-full",), 4, self.MINUS_ONE, "minus"))
         assert row.status == "precision_error"
         assert [ctx.digits for ctx in built] == [checks.MAX_E]
+
+    def test_no_kernel_list_built_twice(self, monkeypatch):
+        # a prime's rows retried at digits run after all its rows mod
+        # p^MAX_E, so the kernels' one-slot cache moves from the first
+        # context's table to the second once, and no power list or weight
+        # list is built twice for one (table, modulus)
+        lists = {}
+        kept = []
+        for name in ("_table_powers", "_binomial_weights"):
+
+            def counted(inv, *args, _kernel=getattr(pykernels, name), _name=name):
+                out = _kernel(inv, *args)
+                # keep both alive, so that no id is reused
+                kept.append((inv, out))
+                lists.setdefault((_name, id(inv), *args), set()).add(id(out))
+                return out
+
+            monkeypatch.setattr(pykernels, name, counted)
+        built = _built_contexts(monkeypatch)
+        rows = sweep(
+            [d.id for d in registry()], primes_in_range(101, 199),
+            digits=6, a_samples=TestPrecisionPlan.SAMPLES,
+        )
+        assert {r.status for r in rows} == {"pass", "skipped"}
+        # 21 primes, and a second context for each: a = -1 needs p^6
+        assert len(built) == 42
+        assert len({key[1] for key in lists}) == 42
+        assert all(len(made) == 1 for made in lists.values())
 
 
 class TestSharpness:
