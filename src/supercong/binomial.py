@@ -60,15 +60,19 @@ def s_sum(
 
 
 def reduce_point(a: Fraction, p: int, N: int) -> ReducedPoint:
-    """Split a = p*t + <a>_p; requires p coprime to a's denominator."""
-    a = Fraction(a)
-    if a.denominator % p == 0:
+    """Split a = p*t + <a>_p; requires p coprime to a's denominator.
+
+    With a = num/den, p divides num - residue*den, and t is that quotient
+    over den: built from the integers, with no Fraction.
+    """
+    num, den = a.numerator, a.denominator
+    if den % p == 0:
         raise BadParameter("p divides the denominator of a")
-    residue = a.numerator % p * pow(a.denominator, -1, p) % p
-    t = (a - residue) / p
-    if t == 0:
+    residue = num % p * pow(den, -1, p) % p
+    tn = (num - residue * den) // p
+    if tn == 0:
         return ReducedPoint(residue, PAdic.zero(p))
-    return ReducedPoint(residue, PAdic.from_rational(t, p=p, digits=N))
+    return ReducedPoint(residue, PAdic.from_rational(tn, den, p=p, digits=N))
 
 
 def _closed_form(p: int, half_range: bool, top: int, m: int, inv: list[int]):

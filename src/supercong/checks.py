@@ -272,34 +272,35 @@ class PrimeContext:
         def make():
             if self.p <= X_TABLE_LIMIT:
                 return self.bernoulli(self.p - 3)
-            value = self.mhs((3,), self.half).scale(Fraction(-1, 2))
+            value = self.mhs((3,), self.half).scale(-1, 2)
             return PAdic.from_int_exact(value.lift(1), p=self.p, aprec=1)
 
         return self._cached("b_pm3", make)
 
     # -- parameter helpers ----------------------------------------------------
 
-    def embed(self, a: Fraction) -> PAdic:
-        """a with the context's digits.  Not memoized: most values embedded
-        are t-polynomials that one row reads, and a memo would hash each
-        Fraction key in Python."""
-        return PAdic.from_rational(a, p=self.p, digits=self.digits)
+    def embed(self, num: int | Fraction, den: int = 1) -> PAdic:
+        """num/den with the context's digits.  Not memoized: most values
+        embedded are t-polynomials that one row reads."""
+        return PAdic.from_rational(num, den, p=self.p, digits=self.digits)
 
     def reduce(self, a: Fraction):
+        # keyed by integers: a Fraction key is hashed in Python
         return self._cached(
-            ("reduce", a), lambda: reduce_point(a, self.p, self.digits)
+            ("reduce", a.numerator, a.denominator),
+            lambda: reduce_point(a, self.p, self.digits),
         )
 
-    def theorem_t(self, a: Fraction) -> tuple[int, Fraction, str]:
-        """(<a>_p, t, note) with the exact t per the configured sign convention."""
+    def theorem_t(self, a: Fraction) -> tuple[int, int, int, str]:
+        """(<a>_p, num, den, note): the exact t = num/den per the configured
+        sign convention, in lowest terms with den > 0, from integers."""
         n = self.reduce(a).residue
-        if self.t_sign == "minus":
-            return n, Fraction(a - n, self.p), ""
-        t = Fraction(a + n, self.p)
-        note = "plus-sign t"
-        if t.denominator % self.p == 0:
-            note = f"plus-sign t = {t} is not p-integral"
-        return n, t, note
+        plus = self.t_sign == "plus"
+        num = a.numerator + (n if plus else -n) * a.denominator
+        if num % self.p:
+            den = a.denominator * self.p
+            return n, num, den, f"plus-sign t = {num}/{den} is not p-integral"
+        return n, num // self.p, a.denominator, "plus-sign t" if plus else ""
 
     def int_sum(self, values: list[PAdic]) -> PAdic:
         """Exact modular sum of p-adic integers (no cancellation loss)."""
@@ -363,11 +364,11 @@ def _ev_known_i(ctx, a, r):
         raise _Skip(f"requires p > {ar + 2}")
     lhs = ctx.mhs((a,) * r, ctx.p - 1)
     if ar % 2 == 1:
-        coeff = Fraction((-1) ** r * a * (ar + 1), 2 * (ar + 2))
-        rhs = ctx.bernoulli(ctx.p - ar - 2).shift(2).scale(coeff)
+        coeff = (-1) ** r * a * (ar + 1)
+        rhs = ctx.bernoulli(ctx.p - ar - 2).shift(2).scale(coeff, 2 * (ar + 2))
         return lhs, rhs, 3
-    coeff = Fraction((-1) ** (r - 1) * a, ar + 1)
-    rhs = ctx.bernoulli(ctx.p - ar - 1).shift(1).scale(coeff)
+    coeff = (-1) ** (r - 1) * a
+    rhs = ctx.bernoulli(ctx.p - ar - 1).shift(1).scale(coeff, ar + 1)
     return lhs, rhs, 2
 
 
@@ -380,10 +381,10 @@ def _ev_known_ii(ctx, a):
     if a == 1:
         return lhs, ctx.q2().scale(-2), 1
     if a % 2 == 1:
-        rhs = ctx.bernoulli(ctx.p - a).scale(Fraction(-(2**a - 2), a))
+        rhs = ctx.bernoulli(ctx.p - a).scale(-(2**a - 2), a)
         return lhs, rhs, 1
-    coeff = Fraction(a * (2 ** (a + 1) - 1), 2 * (a + 1))
-    rhs = ctx.bernoulli(ctx.p - a - 1).shift(1).scale(coeff)
+    coeff = a * (2 ** (a + 1) - 1)
+    rhs = ctx.bernoulli(ctx.p - a - 1).shift(1).scale(coeff, 2 * (a + 1))
     return lhs, rhs, 2
 
 
@@ -393,8 +394,8 @@ def _ev_known_iii(ctx, a, b):
     if ctx.p <= a + b + 1:
         raise _Skip(f"requires p > {a + b + 1}")
     lhs = ctx.mhs((a, b), ctx.p - 1)
-    coeff = Fraction((-1) ** b * math.comb(a + b, a), a + b)
-    rhs = ctx.bernoulli(ctx.p - a - b).scale(coeff)
+    coeff = (-1) ** b * math.comb(a + b, a)
+    rhs = ctx.bernoulli(ctx.p - a - b).scale(coeff, a + b)
     return lhs, rhs, 1
 
 
@@ -404,10 +405,8 @@ def _ev_known_iv(ctx, a, b):
     if ctx.p <= a + b:
         raise _Skip(f"requires p > {a + b}")
     lhs = ctx.mhs((a, b), ctx.half)
-    coeff = Fraction(
-        (-1) ** b * math.comb(a + b, a) + 2 ** (a + b) - 2, 2 * (a + b)
-    )
-    rhs = ctx.bernoulli(ctx.p - a - b).scale(coeff)
+    coeff = (-1) ** b * math.comb(a + b, a) + 2 ** (a + b) - 2
+    rhs = ctx.bernoulli(ctx.p - a - b).scale(coeff, 2 * (a + b))
     return lhs, rhs, 1
 
 
@@ -419,11 +418,11 @@ def _ev_known_v(ctx, a):
     if a % 2 == 1:
         c = (1 - pow(2, p - a, ctx.m)) % ctx.m
         coeff = PAdic.from_int_exact(c, p=p, aprec=N)
-        rhs = (ctx.bernoulli(p - a) * coeff).scale(Fraction(-2, a))
+        rhs = (ctx.bernoulli(p - a) * coeff).scale(-2, a)
         return lhs, rhs, 1
     c = (1 - pow(2, p - 1 - a, ctx.m)) % ctx.m
     coeff = PAdic.from_int_exact(c, p=p, aprec=N)
-    rhs = (ctx.bernoulli(p - 1 - a) * coeff).shift(1).scale(Fraction(a, a + 1))
+    rhs = (ctx.bernoulli(p - 1 - a) * coeff).shift(1).scale(a, a + 1)
     return lhs, rhs, 2
 
 
@@ -434,7 +433,7 @@ def _ev_known_vi(ctx, a, b, variant):
     lhs = ctx.mhs(sig, ctx.p - 1)
     c = (1 - pow(2, ctx.p - a - b, ctx.m)) % ctx.m
     coeff = PAdic.from_int_exact(c, p=ctx.p, aprec=ctx.digits)
-    rhs = (ctx.bernoulli(ctx.p - a - b) * coeff).scale(Fraction(1, a + b))
+    rhs = (ctx.bernoulli(ctx.p - a - b) * coeff).scale(1, a + b)
     return lhs, rhs, 1
 
 
@@ -453,8 +452,8 @@ def _ev_known_vii_zero(ctx, member):
 def _ev_known_vii_2m1(ctx):
     lhs = ctx.mhs((2, -1), ctx.p - 1)
     rhs = (
-        ctx.x().scale(Fraction(-3, 2))
-        - (ctx.q2() * ctx.b_pm3()).shift(1).scale(Fraction(7, 6))
+        ctx.x().scale(-3, 2)
+        - (ctx.q2() * ctx.b_pm3()).shift(1).scale(7, 6)
         + ctx.mhs((1, -3), ctx.p - 1).shift(1)
     )
     return lhs, rhs, 2
@@ -491,7 +490,7 @@ def _ev_known_viii_a(ctx, member):
         # stated with a 2/7 coefficient on the left; moving the 7/2 to the
         # right keeps the comparison exact when p = 7
         lhs = ctx.mhs((2,), ctx.half)
-        rhs = rhs.scale(Fraction(7, 2))
+        rhs = rhs.scale(7, 2)
     return lhs, rhs, 3
 
 
@@ -513,7 +512,7 @@ def _ev_tauraso_6k(ctx):
         "tail of the 16^k central-binomial sum vs (7/2)p^2 B_{p-3} mod p^3")
 def _ev_sun_6k_tail(ctx):
     lhs = ctx.central(ctx.half + 1, ctx.p - 1)
-    rhs = ctx.b_pm3().shift(2).scale(Fraction(7, 2))
+    rhs = ctx.b_pm3().shift(2).scale(7, 2)
     return lhs, rhs, 3
 
 
@@ -537,7 +536,7 @@ def _ev_sun_param(ctx, a):
         ctx.mhs((1,), n).scale(-2)
         + (t.shift(1) * ctx.mhs((2,), n)).scale(2)
         + (t.shift(2) * ctx.mhs((3,), n)).scale(2)
-        - (t.shift(2) * ctx.b_pm3()).scale(Fraction(2, 3))
+        - (t.shift(2) * ctx.b_pm3()).scale(2, 3)
     )
     return lhs, rhs, 3
 
@@ -545,12 +544,12 @@ def _ev_sun_param(ctx, a):
 @_check("thm11-full", 4, _ps_samples,
         "S_{p-1}(a) mod p^4: the full-range main expansion")
 def _ev_thm11_full(ctx, a):
-    n, tq, note = ctx.theorem_t(a)
+    n, tn, td, note = ctx.theorem_t(a)
     lhs = ctx.s(ctx.embed(a), ctx.p - 1)
-    t = ctx.embed(tq)
-    # the t-polynomials that can vanish are computed in Q
-    poly = ctx.embed(2 * tq * tq + 4 * tq + 1)
-    t_plus_one = ctx.embed(tq + 1)
+    t = ctx.embed(tn, td)
+    # the t-polynomials that can vanish are computed in Q, t = tn/td
+    poly = ctx.embed(2 * tn * tn + 4 * tn * td + td * td, td * td)
+    t_plus_one = ctx.embed(tn + td, td)
     hk3 = ctx.nested(3, (_HARM_FACTOR,), n)
     rhs = (
         (t.shift(2) * ctx.x()).scale(4)
@@ -563,23 +562,23 @@ def _ev_thm11_full(ctx, a):
     return lhs, rhs, 4, note
 
 
-def _p2x_term(ctx, t: Fraction) -> PAdic:
-    """(14t - 12t^2) p^2 X, the p^2 X term of thm11-half and lem24-half; the
-    coefficient is computed in Q, where it vanishes at t = 7/6."""
-    return ctx.embed(14 * t - 12 * t * t).shift(2) * ctx.x()
+def _p2x_term(ctx, tn: int, td: int) -> PAdic:
+    """(14t - 12t^2) p^2 X at t = tn/td, the p^2 X term of thm11-half and
+    lem24-half; the coefficient is computed in Q, where it vanishes at t = 7/6."""
+    return ctx.embed(14 * tn * td - 12 * tn * tn, td * td).shift(2) * ctx.x()
 
 
 @_check("thm11-half", 4, _ps_samples,
         "S_{(p-1)/2}(a) mod p^4: the half-range main expansion")
 def _ev_thm11_half(ctx, a):
-    n, tq, note = ctx.theorem_t(a)
+    n, tn, td, note = ctx.theorem_t(a)
     if n > ctx.half:
         raise _Skip(f"<a>_p = {n} exceeds (p-1)/2")
     lhs = ctx.s(ctx.embed(a), ctx.half)
-    t = ctx.embed(tq)
+    t = ctx.embed(tn, td)
     t2 = t * t
     rhs = (
-        _p2x_term(ctx, tq)
+        _p2x_term(ctx, tn, td)
         - ctx.mhs((1,), n).scale(2)
         + (t.shift(1) * ctx.mhs((2,), n)).scale(4)
         - (t2.shift(2) * ctx.mhs((3,), n)).scale(6)
@@ -605,7 +604,7 @@ def _ev_eq_1_0(ctx):
         "tail of the 16^k central-binomial sum vs -(21/2)H_{p-1} mod p^4")
 def _ev_eq_1_1(ctx):
     lhs = ctx.central(ctx.half + 1, ctx.p - 1)
-    rhs = ctx.mhs((1,), ctx.p - 1).scale(Fraction(-21, 2))
+    rhs = ctx.mhs((1,), ctx.p - 1).scale(-21, 2)
     return lhs, rhs, 4
 
 
@@ -648,16 +647,17 @@ def _ev_lem24_full(ctx, a):
 def _ev_lem24_half(ctx, a):
     rp = ctx.reduce(a)
     lhs = ctx.s(rp.t.shift(1), ctx.half)
-    return lhs, _p2x_term(ctx, Fraction(a - rp.residue, ctx.p)), 4
+    tn = (a.numerator - rp.residue * a.denominator) // ctx.p
+    return lhs, _p2x_term(ctx, tn, a.denominator), 4
 
 
 @_check("lem25-ds1", 2, _NO_PARAMS, "sum of odd-harmonic prefixes over k^2 mod p^2")
 def _ev_lem25_ds1(ctx):
     lhs = ctx.nested(2, (_ODD_FACTOR,), ctx.half)
     rhs = (
-        ctx.x().scale(Fraction(-21, 2))
+        ctx.x().scale(-21, 2)
         + (ctx.q2() * ctx.b_pm3()).shift(1).scale(2)
-        - ctx.mhs((3, 1), ctx.half).shift(1).scale(Fraction(1, 2))
+        - ctx.mhs((3, 1), ctx.half).shift(1).scale(1, 2)
     )
     return lhs, rhs, 2
 
@@ -673,10 +673,10 @@ def _ev_lem25_ds2(ctx):
 def _ev_lem25_ds3(ctx):
     lhs = ctx.nested(1, (_ODD2_FACTOR,), ctx.half)
     rhs = (
-        ctx.x().scale(Fraction(21, 4))
+        ctx.x().scale(21, 4)
         - (ctx.q2() * ctx.b_pm3()).shift(1)
         + ctx.mhs((1, -3), ctx.p - 1).shift(1)
-        + ctx.mhs((3, 1), ctx.half).shift(1).scale(Fraction(1, 4))
+        + ctx.mhs((3, 1), ctx.half).shift(1).scale(1, 4)
     )
     return lhs, rhs, 2
 
@@ -705,9 +705,9 @@ def _ev_lem31(ctx):
     rhs = (
         q.scale(-2)
         + (q * q).shift(1)
-        - (q**3).shift(2).scale(Fraction(2, 3))
-        + (q**4).shift(3).scale(Fraction(1, 2))
-        + ctx.x().shift(2).scale(Fraction(7, 2))
+        - (q**3).shift(2).scale(2, 3)
+        + (q**4).shift(3).scale(1, 2)
+        + ctx.x().shift(2).scale(7, 2)
     )
     return lhs, rhs, 4
 
@@ -717,11 +717,11 @@ def _ev_thm12(ctx):
     q = ctx.q2()
     lhs = ctx.geom(2, 3, ctx.p - 1)
     rhs = (
-        (q**3).scale(Fraction(-1, 3))
-        + ctx.x().scale(Fraction(7, 4))
-        + (q**4).shift(1).scale(Fraction(5, 12))
-        + (q * ctx.b_pm3()).shift(1).scale(Fraction(7, 6))
-        - ctx.nested(3, (_HARM_FACTOR,), ctx.half).shift(1).scale(Fraction(3, 8))
+        (q**3).scale(-1, 3)
+        + ctx.x().scale(7, 4)
+        + (q**4).shift(1).scale(5, 12)
+        + (q * ctx.b_pm3()).shift(1).scale(7, 6)
+        - ctx.nested(3, (_HARM_FACTOR,), ctx.half).shift(1).scale(3, 8)
     )
     return lhs, rhs, 2
 
@@ -745,9 +745,7 @@ def _ev_proofstep_u2(ctx):
         "odd-prefix sum over k^3 vs its depth-2 reduction mod p")
 def _ev_proofstep_u3(ctx):
     lhs = ctx.nested(3, (_ODD_FACTOR,), ctx.half)
-    rhs = ctx.mhs((1, -3), ctx.p - 1).scale(4) - ctx.mhs((1, 3), ctx.half).scale(
-        Fraction(1, 2)
-    )
+    rhs = ctx.mhs((1, -3), ctx.p - 1).scale(4) - ctx.mhs((1, 3), ctx.half).scale(1, 2)
     return lhs, rhs, 1
 
 
@@ -765,7 +763,7 @@ def _ev_proofstep_1221(ctx):
     lhs = ctx.mhs((2, 1), ctx.half)
     rhs = (
         ctx.x().scale(-3)
-        - (ctx.q2() * ctx.b_pm3()).shift(1).scale(Fraction(2, 3))
+        - (ctx.q2() * ctx.b_pm3()).shift(1).scale(2, 3)
         - ctx.mhs((3, 1), ctx.half).shift(1)
     )
     return lhs, rhs, 2
@@ -815,7 +813,8 @@ def _evaluate(
         return CheckResult(defn.id, p, rendered, "precision_error", "", "", "", note=str(exc))
     lhs, rhs, e = out[:3]
     note = out[3] if len(out) > 3 else ""
-    e_eff = min([e] + [z.aprec for z in (lhs, rhs) if z.aprec is not None])
+    la, ra = lhs.aprec, rhs.aprec
+    e_eff = min(e, e if la is None else la, e if ra is None else ra)
     if e_eff < e and defer:
         return None
     if not congruent_mod(lhs, rhs, e_eff):

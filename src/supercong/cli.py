@@ -75,6 +75,9 @@ def _parse_samples(text: str) -> tuple[Fraction, ...]:
         samples = tuple(Fraction(s.strip()) for s in text.split(",") if s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad a-samples {text!r}") from exc
+    if not samples:
+        # the parameterized checks would print no row and exit 0
+        raise UsageError(f"no a-samples given in {text!r}")
     if len(set(samples)) < len(samples):
         # a repeated value would print its rows twice under one key
         raise UsageError(f"repeated value in a-samples {text!r}")
@@ -155,6 +158,8 @@ def parse_args(argv: list[str]) -> RunConfig:
 
 
 def _row_dict(r: CheckResult) -> dict:
+    """The row as a dict: the cache row's base (see _cached_dict), and the
+    object whose sorted-key JSON _jsonl_row writes."""
     params = dict(s.split("=", 1) for s in r.params)
     row = {
         "check": r.check,
@@ -170,11 +175,28 @@ def _row_dict(r: CheckResult) -> dict:
     return row
 
 
+# the json module's escaper (its C one where built): a JSON string literal
+# with every non-ASCII character escaped, as JSONEncoder() writes it
+_esc = json.encoder.encode_basestring_ascii
+
+
+def _jsonl_row(r: CheckResult) -> str:
+    """The --format jsonl line of r: the bytes of
+    JSONEncoder(sort_keys=True).encode(_row_dict(r)) and a newline, written
+    from r's fields in sorted key order.  Only the params go through a dict,
+    as in _row_dict, so that a repeated key keeps its last value."""
+    values = dict(s.split("=", 1) for s in r.params)
+    params = ", ".join(f"{_esc(k)}: {_esc(values[k])}" for k in sorted(values))
+    note = f'"note": {_esc(r.note)}, ' if r.note else ""
+    return (
+        f'{{"check": {_esc(r.check)}, "lhs": {_esc(r.lhs)}, '
+        f'"modulus": {_esc(r.modulus)}, {note}"p": {r.prime}, '
+        f'"params": {{{params}}}, "rhs": {_esc(r.rhs)}, "status": {_esc(r.status)}}}\n'
+    )
+
+
 _WIDTHS = (16, 6, 24, 15)
 _HEADER = ("check", "p", "params", "status")
-# one encoder for every --format jsonl row; json.dumps(..., sort_keys=True)
-# would build one per row, with the same bytes
-_JSONL = json.JSONEncoder(sort_keys=True)
 
 
 def _write_header(fmt: str, out) -> None:
@@ -187,7 +209,7 @@ def _write_header(fmt: str, out) -> None:
 def _write_rows(rows: list[CheckResult], fmt: str, out) -> None:
     if fmt == "jsonl":
         for r in rows:
-            out.write(_JSONL.encode(_row_dict(r)) + "\n")
+            out.write(_jsonl_row(r))
         return
     for r in rows:
         params = ",".join(r.params)

@@ -21,7 +21,10 @@ is computed in Q and embedded once.
 PAdic is a slotted, immutable class: ``__init__`` validates and sets the
 five fields, and assignment raises.
 :meth:`PAdic.scale` splits its constant c = p**v * num/den on each call:
-that costs less than hashing c for a memo.
+that costs less than hashing c for a memo.  :meth:`PAdic.from_rational`
+takes the same integer route: it splits num/den into p**v * num'/den' and
+reduces num' / den' modulo p**digits, with no Fraction built, so a caller
+holding a rational as two integers embeds it as they stand.
 """
 
 from __future__ import annotations
@@ -53,12 +56,14 @@ def vp_fraction(q: Fraction, p: int) -> int:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-def _split(c: int | Fraction, p: int) -> tuple[int, int, int]:
-    """(v, num, den) with c = p**v * num / den and num, den coprime to p; c != 0."""
-    if isinstance(c, int):
-        num, den = c, 1
-    else:
-        num, den = c.numerator, c.denominator
+def _split(c: int | Fraction, p: int, den: int = 1) -> tuple[int, int, int]:
+    """(v, num', den') with c / den = p**v * num' / den' and num', den'
+    coprime to p; c nonzero.  c's numerator and denominator are read as
+    integers (an int has them too), so no Fraction is built.  A zero den
+    raises ZeroDivisionError, as the loop below would never end."""
+    if not den:
+        raise ZeroDivisionError(f"{c} / 0")
+    num, den = c.numerator, den * c.denominator
     v = 0
     while num % p == 0:
         num //= p
@@ -131,17 +136,20 @@ class PAdic:
 
     @classmethod
     def from_rational(cls, num: int | Fraction, den: int = 1, *, p: int, digits: int) -> "PAdic":
-        """Embed num/den into Q_p with ``digits`` significant digits."""
+        """Embed num/den into Q_p with ``digits`` significant digits.
+
+        num/den need not be in lowest terms, and den may be negative; a
+        Fraction num is read through its numerator and denominator.
+        """
         if digits < 1:
             raise ValueError("digits must be >= 1")
-        q = Fraction(num, den) if not isinstance(num, Fraction) else num / den
-        if q == 0:
+        if not den:
+            raise ZeroDivisionError(f"{num} / 0")
+        if not num:
             return cls.zero(p)
-        v = vp_fraction(q, p)
-        u = q / Fraction(p) ** v
+        v, num, den = _split(num, p, den)
         m = p**digits
-        unit = u.numerator % m * pow(u.denominator, -1, m) % m
-        return cls(p, v, unit, digits)
+        return cls(p, v, num * pow(den, -1, m) % m, digits)
 
     @classmethod
     def from_int_exact(cls, value: int, *, p: int, aprec: int) -> "PAdic":
@@ -246,14 +254,14 @@ class PAdic:
             return self
         return PAdic(self.prime, self.valuation + j, self.unit, self.digits)
 
-    def scale(self, c: int | Fraction) -> "PAdic":
-        """Multiply by an exact rational constant without losing digits."""
+    def scale(self, c: int | Fraction, den: int = 1) -> "PAdic":
+        """Multiply by the exact rational c/den without losing digits."""
         if not c:
             return PAdic.zero(self.prime)
         if self.zero_flag:
             return self
         p = self.prime
-        vc, num, den = _split(c, p)
+        vc, num, den = _split(c, p, den)
         if self.digits == 0:
             return PAdic(p, self.valuation + vc, 0, 0)
         m = p**self.digits
@@ -277,6 +285,13 @@ _set_prime, _set_valuation, _set_unit, _set_digits, _set_zero_flag = (
 )
 
 
+def _require_known(z: PAdic, e: int) -> None:
+    if not z.zero_flag and z.valuation + z.digits < e:
+        raise InsufficientPrecision(
+            f"operand known mod p^{z.valuation + z.digits}, congruence mod p^{e} requested"
+        )
+
+
 def congruent_mod(x: PAdic, y: PAdic, e: int) -> bool:
     """True iff v_p(x - y) >= e.
 
@@ -285,21 +300,14 @@ def congruent_mod(x: PAdic, y: PAdic, e: int) -> bool:
     """
     if x.prime != y.prime:
         raise BadParameter("operands have different primes")
+    _require_known(x, e)
+    _require_known(y, e)
     p = x.prime
-    for z in (x, y):
-        if z.aprec is not None and z.aprec < e:
-            raise InsufficientPrecision(
-                f"operand known mod p^{z.aprec}, congruence mod p^{e} requested"
-            )
-    base = 0
-    for z in (x, y):
-        if not z.zero_flag and z.digits > 0:
-            base = min(base, z.valuation)
-    mod = p ** (e - base)
-
-    def intrep(z: PAdic) -> int:
-        if z.zero_flag or z.digits == 0:
-            return 0
-        return z.unit * p ** (z.valuation - base)
-
-    return (intrep(x) - intrep(y)) % mod == 0
+    # an exact or bounded zero reads as 0; the others as unit * p**(v - base),
+    # base the lowest of their valuations and 0
+    xu = 0 if x.zero_flag else x.unit
+    yu = 0 if y.zero_flag else y.unit
+    base = min(0, x.valuation if xu else 0, y.valuation if yu else 0)
+    xi = xu * p ** (x.valuation - base) if xu else 0
+    yi = yu * p ** (y.valuation - base) if yu else 0
+    return (xi - yi) % p ** (e - base) == 0

@@ -132,21 +132,18 @@ class TestPrimeContext:
 
     def test_theorem_t_minus(self):
         ctx = PrimeContext(7)
-        n, t, note = ctx.theorem_t(Fraction(-1, 2))
-        assert (n, note) == (3, "")
-        # t = (a - <a>_p)/p, exact
-        assert type(t) is Fraction and t == Fraction(-1, 2)
-        assert ctx.theorem_t(Fraction(5)) == (5, Fraction(0), "")
+        # t = (a - <a>_p)/p = -1/2, exact, as integers in lowest terms
+        assert ctx.theorem_t(Fraction(-1, 2)) == (3, -1, 2, "")
+        assert ctx.theorem_t(Fraction(5)) == (5, 0, 1, "")
 
     def test_theorem_t_plus_non_integral(self):
         ctx = PrimeContext(7, t_sign="plus")
-        n, t, note = ctx.theorem_t(Fraction(-1, 2))
-        assert n == 3
         # t = (a + <a>_p)/p = 5/14, exact
-        assert type(t) is Fraction and t == Fraction(5, 14)
-        assert note == "plus-sign t = 5/14 is not p-integral"
+        assert ctx.theorem_t(Fraction(-1, 2)) == (
+            3, 5, 14, "plus-sign t = 5/14 is not p-integral"
+        )
         # p-integral: t = (-7 + 0)/7 = -1
-        assert ctx.theorem_t(Fraction(-7)) == (0, Fraction(-1), "plus-sign t")
+        assert ctx.theorem_t(Fraction(-7)) == (0, -1, 1, "plus-sign t")
 
     def test_int_sum_exact_zero_residue(self):
         ctx = PrimeContext(7)
@@ -174,6 +171,84 @@ class TestPrimeContext:
             pair = [ctx.s(ctx.embed(Fraction(-k, 3)), n) for k in (1, 2)]
             assert pair[0] is pair[1]
         assert ctx.s(PAdic.zero(p), p - 1).zero_flag
+
+
+def _fraction_theorem_t(ctx, a):
+    """(<a>_p, t, note) with t a Fraction, as PrimeContext.theorem_t gave it."""
+    n = ctx.reduce(a).residue
+    if ctx.t_sign == "minus":
+        return n, Fraction(a - n, ctx.p), ""
+    t = Fraction(a + n, ctx.p)
+    note = "plus-sign t"
+    if t.denominator % ctx.p == 0:
+        note = f"plus-sign t = {t} is not p-integral"
+    return n, t, note
+
+
+class TestIntegerT:
+    """t = num/den and its polynomials from integers, against the Fraction
+    expressions they replaced."""
+
+    PRIMES = [7, 11, 13, 101, 499]
+
+    @staticmethod
+    def _samples(p):
+        # the defaults; t = 7/6, where 14t - 12t^2 = 0; t = -1, where t + 1
+        # = 0; 0, p-integral with either sign; and a few with larger parts
+        extra = [Fraction(7 * p, 6), Fraction(-p), Fraction(0), Fraction(-1),
+                 Fraction(49, 3), Fraction(-7, 5), Fraction(p * p + 3, 8)]
+        return tuple(a for a in (*DEFAULT_A_SAMPLES, *extra) if a.denominator % p)
+
+    @pytest.mark.parametrize("t_sign", ["minus", "plus"])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_theorem_t_is_the_fraction_t(self, p, t_sign):
+        ctx = PrimeContext(p, t_sign=t_sign)
+        notes = []
+        for a in self._samples(p):
+            n, num, den, note = ctx.theorem_t(a)
+            want_n, t, want_note = _fraction_theorem_t(ctx, a)
+            # the Fraction's own numerator and denominator: lowest terms, den > 0
+            assert (n, num, den, note) == (want_n, t.numerator, t.denominator, want_note)
+            notes.append(note)
+        if t_sign == "minus":
+            assert set(notes) == {""}
+        else:
+            # both plus-sign notes occur, "plus-sign t = 5/14 is not p-integral" among them
+            assert "plus-sign t" in notes
+            assert any(n.endswith("is not p-integral") for n in notes)
+
+    @pytest.mark.parametrize("t_sign", ["minus", "plus"])
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_embedded_t_polynomials_are_the_fraction_expressions(self, p, t_sign, monkeypatch):
+        # every value the three checks embed, read as num/den where embed is
+        # called, is the Fraction expression the check used to embed
+        samples = self._samples(p)
+        ctx = PrimeContext(p, t_sign=t_sign, a_samples=samples)
+        embedded = []
+        embed = PrimeContext.embed
+
+        def recording(self, num, den=1):
+            embedded.append(Fraction(num, den))
+            return embed(self, num, den)
+
+        monkeypatch.setattr(PrimeContext, "embed", recording)
+        statuses = set()
+        for a in samples:
+            n, t, _ = _fraction_theorem_t(ctx, a)
+            t_minus = Fraction(a - ctx.reduce(a).residue, p)  # lem24-half's t
+            want = {
+                "thm11-full": [a, t, 2 * t * t + 4 * t + 1, t + 1],
+                "thm11-half": [a, t, 14 * t - 12 * t * t] if n <= ctx.half else [],
+                "lem24-half": [14 * t_minus - 12 * t_minus * t_minus],
+            }
+            for check_id, values in want.items():
+                embedded.clear()
+                row = _evaluate(ctx, checks._BY_ID[check_id], {"a": a})
+                assert embedded == values, (check_id, a)
+                statuses.add(row.status)
+        # every sample row was judged, or skipped for <a>_p > (p-1)/2
+        assert statuses <= {"pass", "fail", "skipped"}
+        assert ("fail" in statuses) == (t_sign == "plus")
 
 
 class TestSweep:

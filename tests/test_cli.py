@@ -11,10 +11,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import supercong
 from supercong import checks, cli
-from supercong.checks import registry
+from supercong.checks import CheckResult, registry
 from supercong.cli import RunConfig, UsageError, main, parse_args
 
 # the child interpreter imports the same package as this one
@@ -124,6 +126,21 @@ class TestParseArgs:
         proc = _run_cli("verify", "--checks", "thm11-full", "--primes", "7..11", *argv)
         assert proc.returncode == 2
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--a-samples="], ["--a-samples=,"], ["--a-samples", ""], ["--a-samples", " , "],
+    ])
+    def test_empty_a_samples_exit_2(self, argv):
+        # no samples would run the parameterized checks with no rows and exit 0,
+        # as "--checks ," would run no check
+        with pytest.raises(UsageError, match="no a-samples"):
+            parse_args(["verify", *argv])
+        proc = _run_cli("verify", "--checks", "thm11-full", "--primes", "7..11",
+                        "--jobs", "1", *argv)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage error: no a-samples given in ")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
@@ -601,6 +618,70 @@ class TestRowCounts:
         code, statuses, stats = self._counts(capsys, cache=fresh)
         assert code == 1 and statuses.count("precision_error") == 1
         assert stats == ["# evaluations: 6", "# cached rows reused: 4"]
+
+
+class TestJsonlWriter:
+    """--format jsonl rows written from a CheckResult's fields have the bytes
+    json.dumps(_row_dict(r), sort_keys=True) gives them."""
+
+    ROWS = [
+        CheckResult("eq-1-1", 13, (), "pass", "13^1 * 5 mod 13^4", "13^1 * 5 mod 13^4", "13^4"),
+        CheckResult("thm11-full", 7, ("a=-1/2",), "fail", "7^0 * 3 mod 7^4", "0", "7^4",
+                    "plus-sign t = 5/14 is not p-integral"),
+        CheckResult("known-i", 7, ("a=5", "r=1"), "skipped", "", "", "", "requires p > 7"),
+        CheckResult("sun-param", 11, ("a=1/3",), "precision_error", "", "", "",
+                    "all digits cancelled below p^3; value not provably zero"),
+        CheckResult("thm11-half", 13, ("a=-1",), "precision_error", "0 mod 13^3", "0 mod 13^3",
+                    "13^4", "verified only mod p^3 of p^4"),
+        # three keys, written sorted whatever their order in the row
+        CheckResult("known-vi", 11, ("a=1", "b=2", "variant=neg-first"), "pass",
+                    "11^0 * 4 mod 11^1", "11^0 * 4 mod 11^1", "11^1"),
+        CheckResult("known-vi", 11, ("variant=neg-second", "b=4", "a=1"), "pass", "0", "0",
+                    "11^1"),
+        # a note that needs escaping, a value holding "=", a repeated key
+        CheckResult("x", 7, ("member=H(1,2)", "k=a=b", "member=last"), "fail", "l", "r",
+                    "7^1", 'quote " backslash \\ tab \t and \u00e9\u2264\U0001d400'),
+        CheckResult("lem26", 5, (), "skipped", "", "", "", "p below min_prime 7"),
+    ]
+
+    @staticmethod
+    def _want(r):
+        return json.dumps(cli._row_dict(r), sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("row", ROWS, ids=lambda r: f"{r.check}-{r.status}")
+    def test_row_bytes(self, row):
+        assert cli._jsonl_row(row) == self._want(row)
+
+    def test_every_status_with_and_without_a_note(self):
+        kinds = {(r.status, bool(r.note)) for r in self.ROWS}
+        assert {status for status, _ in kinds} == {"pass", "fail", "skipped", "precision_error"}
+        assert {has_note for _, has_note in kinds} == {True, False}
+
+    def test_write_rows_is_the_rows_in_order(self):
+        out = io.StringIO()
+        cli._write_rows(self.ROWS, "jsonl", out)
+        assert out.getvalue() == "".join(map(self._want, self.ROWS))
+
+    def test_sweep_rows(self):
+        # every check at two primes, with plus-sign notes and skipped rows
+        rows = checks.sweep([d.id for d in registry()], [7, 13], t_sign="plus")
+        assert {r.status for r in rows} >= {"pass", "skipped"}
+        assert any("=" in r.note for r in rows)
+        for r in rows:
+            assert cli._jsonl_row(r) == self._want(r)
+
+    @settings(max_examples=200)
+    @given(
+        st.text(), st.integers(0, 10**9),
+        st.lists(st.tuples(st.text(max_size=2).filter(lambda k: "=" not in k), st.text()),
+                 max_size=4),
+        st.sampled_from(["pass", "fail", "skipped", "precision_error"]),
+        st.text(), st.text(), st.text(), st.text(),
+    )
+    def test_any_strings(self, check, p, params, status, lhs, rhs, modulus, note):
+        r = CheckResult(check, p, tuple(f"{k}={v}" for k, v in params), status,
+                        lhs, rhs, modulus, note)
+        assert cli._jsonl_row(r) == self._want(r)
 
 
 class TestRetriedRow:

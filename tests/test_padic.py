@@ -237,10 +237,96 @@ class TestScale:
             x.scale(c)
             assert built == []
 
+    @pytest.mark.parametrize("num, den", [
+        (-1, 2), (7, 6), (21, -4), (14, 49), (-98, 12), (5, 7 * 3), (0, 5),
+    ])
+    def test_integer_pair_is_the_fraction(self, num, den):
+        for x in (emb(Fraction(3, 5)), emb(Fraction(-98, 3), digits=4),
+                  PAdic.from_int_exact(0, p=P, aprec=5), PAdic.zero(P)):
+            assert x.scale(num, den) == x.scale(Fraction(num, den))
+        with pytest.raises(ZeroDivisionError):
+            emb(Fraction(3, 5)).scale(num or 1, 0)
+
     def test_zero_and_exact_zero(self):
         assert emb(Fraction(3, 5)).scale(0).zero_flag
         assert emb(Fraction(3, 5)).scale(Fraction(0)).zero_flag
         assert PAdic.zero(P).scale(Fraction(7, 2)).zero_flag
+
+
+def _from_rational_by_fraction(num, den, p, digits):
+    """The Fraction route PAdic.from_rational took before it read integers."""
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    q = Fraction(num, den) if not isinstance(num, Fraction) else num / den
+    if q == 0:
+        return PAdic.zero(p)
+    v = vp_fraction(q, p)
+    u = q / Fraction(p) ** v
+    m = p**digits
+    return PAdic(p, v, u.numerator % m * pow(u.denominator, -1, m) % m, digits)
+
+
+_primes = st.sampled_from([7, 11, 499])
+
+
+class TestFromRational:
+    @settings(max_examples=300)
+    @given(
+        st.integers(-10**6, 10**6), st.integers(-10**4, 10**4).filter(bool),
+        st.integers(0, 3), st.integers(0, 3), _primes, st.integers(1, 8),
+    )
+    @example(3, -5, 0, 0, 7, 6)  # a negative denominator
+    @example(-3, -5, 0, 0, 7, 6)
+    @example(3, 5, 2, 0, 7, 6)  # p divides the numerator
+    @example(3, 5, 0, 2, 7, 6)  # p divides the denominator
+    @example(14, 21, 1, 1, 7, 4)  # and both, not in lowest terms
+    @example(0, 5, 0, 0, 7, 6)  # zero
+    @example(0, -5, 2, 3, 11, 1)
+    def test_integers_match_the_fraction_route(self, num, den, vn, vd, p, digits):
+        num, den = num * p**vn, den * p**vd
+        got = PAdic.from_rational(num, den, p=p, digits=digits)
+        assert got == _from_rational_by_fraction(num, den, p, digits)
+        if num == 0:
+            assert got.zero_flag and got == PAdic.zero(p)
+
+    @settings(max_examples=200)
+    @given(
+        st.fractions(min_value=-10**4, max_value=10**4, max_denominator=10**3),
+        st.integers(-50, 50).filter(bool), _primes, st.integers(1, 8),
+    )
+    @example(Fraction(7, 2), 3, 7, 6)  # a Fraction numerator, den other than 1
+    @example(Fraction(-5, 49), -14, 7, 6)
+    @example(Fraction(0), 9, 7, 6)
+    def test_fraction_numerator_matches_the_fraction_route(self, q, den, p, digits):
+        got = PAdic.from_rational(q, den, p=p, digits=digits)
+        assert got == _from_rational_by_fraction(q, den, p, digits)
+        assert got == PAdic.from_rational(q.numerator, q.denominator * den, p=p, digits=digits)
+
+    @pytest.mark.parametrize("num, den", [(3, 5), (0, 5), (Fraction(3, 7), 2)])
+    @pytest.mark.parametrize("digits", [0, -1])
+    def test_digits_below_one_raise(self, num, den, digits):
+        with pytest.raises(ValueError):
+            PAdic.from_rational(num, den, p=P, digits=digits)
+        with pytest.raises(ValueError):
+            _from_rational_by_fraction(num, den, P, digits)
+
+    @pytest.mark.parametrize("num", [3, 0, 49, Fraction(3, 7)])
+    def test_zero_denominator_raises_as_the_fraction_route(self, num):
+        with pytest.raises(ZeroDivisionError):
+            PAdic.from_rational(num, 0, p=P, digits=6)
+        with pytest.raises(ZeroDivisionError):
+            _from_rational_by_fraction(num, 0, P, 6)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        q = Fraction(-98, 3)
+        built = []
+        new = Fraction.__new__
+        monkeypatch.setattr(
+            Fraction, "__new__", lambda cls, *a, **k: built.append(a) or new(cls, *a, **k)
+        )
+        for num, den in ((3, 5), (-98, 3), (0, 4), (14, -49), (q, 1), (q, 7)):
+            PAdic.from_rational(num, den, p=P, digits=6)
+        assert built == []
 
 
 class TestCongruentMod:
@@ -268,6 +354,34 @@ class TestCongruentMod:
         y = emb(Fraction(3, 7) + 7**2)
         assert congruent_mod(x, y, 2)
         assert not congruent_mod(x, emb(Fraction(4, 7)), 0)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_the_list_route(self, data):
+        # the closure-and-list form congruent_mod had before, on ordinary
+        # values, bounded zeros and the exact zero
+        def operand():
+            kind = data.draw(st.sampled_from(["value", "bounded", "zero"]))
+            v = data.draw(st.integers(-3, 4))
+            if kind == "zero":
+                return PAdic.zero(P)
+            if kind == "bounded":
+                return PAdic(P, v, 0, 0)
+            d = data.draw(st.integers(1, 5))
+            u = data.draw(st.integers(1, P**d - 1).filter(lambda u: u % P))
+            return PAdic(P, v, u, d)
+
+        x, y = operand(), operand()
+        e = data.draw(st.integers(-3, 7))
+        known = all(z.aprec is None or z.aprec >= e for z in (x, y))
+        if not known:
+            with pytest.raises(InsufficientPrecision):
+                congruent_mod(x, y, e)
+            return
+        base = min([0] + [z.valuation for z in (x, y) if not z.zero_flag and z.digits > 0])
+        reps = [0 if z.zero_flag or z.digits == 0 else z.unit * P ** (z.valuation - base)
+                for z in (x, y)]
+        assert congruent_mod(x, y, e) == ((reps[0] - reps[1]) % P ** (e - base) == 0)
 
 
 _rationals = st.fractions(
