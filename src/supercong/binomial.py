@@ -27,8 +27,9 @@ from .padic import PAdic
 __all__ = ["Lem23Scan", "ReducedPoint", "s_sum", "reduce_point"]
 
 
-# the decomposition a = p*t + residue, residue in {0,...,p-1} and t a PAdic
-ReducedPoint = namedtuple("ReducedPoint", "residue t")
+# the decomposition a = p*t + residue, residue in {0,...,p-1} and t a PAdic;
+# tn is the integer t*den, den the denominator of a
+ReducedPoint = namedtuple("ReducedPoint", "residue t tn")
 
 
 def s_sum(
@@ -62,8 +63,8 @@ def s_sum(
 def reduce_point(a: Fraction, p: int, N: int) -> ReducedPoint:
     """Split a = p*t + <a>_p; requires p coprime to a's denominator.
 
-    With a = num/den, p divides num - residue*den, and t is that quotient
-    over den: built from the integers, with no Fraction.
+    With a = num/den, p divides num - residue*den, and t = tn/den for tn
+    that quotient: built from the integers, with no Fraction.
     """
     num, den = a.numerator, a.denominator
     if den % p == 0:
@@ -71,8 +72,8 @@ def reduce_point(a: Fraction, p: int, N: int) -> ReducedPoint:
     residue = num % p * pow(den, -1, p) % p
     tn = (num - residue * den) // p
     if tn == 0:
-        return ReducedPoint(residue, PAdic.zero(p))
-    return ReducedPoint(residue, PAdic.from_rational(tn, den, p=p, digits=N))
+        return ReducedPoint(residue, PAdic.zero(p), 0)
+    return ReducedPoint(residue, PAdic.from_rational(tn, den, p=p, digits=N), tn)
 
 
 def _closed_form(p: int, half_range: bool, top: int, m: int, inv: list[int]):

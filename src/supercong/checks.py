@@ -294,13 +294,14 @@ class PrimeContext:
     def theorem_t(self, a: Fraction) -> tuple[int, int, int, str]:
         """(<a>_p, num, den, note): the exact t = num/den per the configured
         sign convention, in lowest terms with den > 0, from integers."""
-        n = self.reduce(a).residue
-        plus = self.t_sign == "plus"
-        num = a.numerator + (n if plus else -n) * a.denominator
+        n, _, tn = self.reduce(a)
+        if self.t_sign == "minus":
+            return n, tn, a.denominator, ""
+        num = a.numerator + n * a.denominator
         if num % self.p:
             den = a.denominator * self.p
             return n, num, den, f"plus-sign t = {num}/{den} is not p-integral"
-        return n, num // self.p, a.denominator, "plus-sign t" if plus else ""
+        return n, num // self.p, a.denominator, "plus-sign t"
 
     def int_sum(self, values: list[PAdic]) -> PAdic:
         """Exact modular sum of p-adic integers (no cancellation loss)."""
@@ -647,8 +648,7 @@ def _ev_lem24_full(ctx, a):
 def _ev_lem24_half(ctx, a):
     rp = ctx.reduce(a)
     lhs = ctx.s(rp.t.shift(1), ctx.half)
-    tn = (a.numerator - rp.residue * a.denominator) // ctx.p
-    return lhs, _p2x_term(ctx, tn, a.denominator), 4
+    return lhs, _p2x_term(ctx, rp.tn, a.denominator), 4
 
 
 @_check("lem25-ds1", 2, _NO_PARAMS, "sum of odd-harmonic prefixes over k^2 mod p^2")

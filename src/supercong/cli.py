@@ -157,34 +157,17 @@ def parse_args(argv: list[str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 
-def _row_dict(r: CheckResult) -> dict:
-    """The row as a dict: the cache row's base (see _cached_dict), and the
-    object whose sorted-key JSON _jsonl_row writes."""
-    params = dict(s.split("=", 1) for s in r.params)
-    row = {
-        "check": r.check,
-        "p": r.prime,
-        "params": params,
-        "status": r.status,
-        "lhs": r.lhs,
-        "rhs": r.rhs,
-        "modulus": r.modulus,
-    }
-    if r.note:
-        row["note"] = r.note
-    return row
-
-
 # the json module's escaper (its C one where built): a JSON string literal
 # with every non-ASCII character escaped, as JSONEncoder() writes it
 _esc = json.encoder.encode_basestring_ascii
 
 
 def _jsonl_row(r: CheckResult) -> str:
-    """The --format jsonl line of r: the bytes of
-    JSONEncoder(sort_keys=True).encode(_row_dict(r)) and a newline, written
-    from r's fields in sorted key order.  Only the params go through a dict,
-    as in _row_dict, so that a repeated key keeps its last value."""
+    """The --format jsonl line of r: one JSON object and a newline, keys in
+    sorted order, as JSONEncoder(sort_keys=True) writes it.  The keys are
+    check, lhs, modulus, note (only when not empty), p, params (an object
+    of the "key=value" params; a repeated key keeps its last value), rhs
+    and status."""
     values = dict(s.split("=", 1) for s in r.params)
     params = ", ".join(f"{_esc(k)}: {_esc(values[k])}" for k in sorted(values))
     note = f'"note": {_esc(r.note)}, ' if r.note else ""
@@ -268,7 +251,10 @@ def _result_from_cached(d: dict) -> CheckResult:
 
 def _cached_dict(r: CheckResult) -> dict:
     """The on-disk cache row: params as a list, note always present."""
-    return {**_row_dict(r), "params": list(r.params), "note": r.note}
+    return {
+        "check": r.check, "p": r.prime, "params": list(r.params), "status": r.status,
+        "lhs": r.lhs, "rhs": r.rhs, "modulus": r.modulus, "note": r.note,
+    }
 
 
 def _run_verify(cfg: RunConfig, out) -> int:

@@ -121,7 +121,7 @@ class TestReducePoint:
     def test_integer(self):
         rp = reduce_point(Fraction(5), 7, 6)
         assert rp.residue == 5
-        assert rp.t.zero_flag
+        assert rp.t.zero_flag and rp.tn == 0
 
     def test_fraction(self):
         # -1/2 = 3 mod 7, t = (-1/2 - 3)/7 = -1/2
@@ -136,6 +136,7 @@ class TestReducePoint:
                 assert 0 <= rp.residue < p
                 t = Fraction(a - rp.residue, p)
                 assert rp.t == PAdic.from_rational(t, p=p, digits=6)
+                assert Fraction(rp.tn, a.denominator) == t
                 # a = p*t + <a>_p mod p^7, t known to 6 digits
                 r = PAdic.from_rational(rp.residue, p=p, digits=7)
                 a7 = PAdic.from_rational(a, p=p, digits=7)

@@ -620,6 +620,16 @@ class TestRowCounts:
         assert stats == ["# evaluations: 6", "# cached rows reused: 4"]
 
 
+def _row_dict(r):
+    """The --format jsonl row of r as a dict, built from its fields here, not
+    by the writer: params as an object, note only when not empty."""
+    row = {"check": r.check, "p": r.prime, "params": dict(s.split("=", 1) for s in r.params),
+           "status": r.status, "lhs": r.lhs, "rhs": r.rhs, "modulus": r.modulus}
+    if r.note:
+        row["note"] = r.note
+    return row
+
+
 class TestJsonlWriter:
     """--format jsonl rows written from a CheckResult's fields have the bytes
     json.dumps(_row_dict(r), sort_keys=True) gives them."""
@@ -646,7 +656,7 @@ class TestJsonlWriter:
 
     @staticmethod
     def _want(r):
-        return json.dumps(cli._row_dict(r), sort_keys=True) + "\n"
+        return json.dumps(_row_dict(r), sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("row", ROWS, ids=lambda r: f"{r.check}-{r.status}")
     def test_row_bytes(self, row):
@@ -695,7 +705,7 @@ class TestRetriedRow:
         code, out = _run(RunConfig(check_ids=("thm11-full",), prime_lo=13, prime_hi=13,
                                    digits=6, a_samples=(a,), jobs=1, format="jsonl"))
         assert code == 0
-        assert out == json.dumps(cli._row_dict(row), sort_keys=True) + "\n"
+        assert out == json.dumps(_row_dict(row), sort_keys=True) + "\n"
 
 
 class TestSampleEndpoints:

@@ -2,7 +2,7 @@
 """checks.py's size and the memory that importing the CLI leaves resident,
 for this checkout and a parent commit.
 
-    python3 tools/import_rss.py [--parent REV] [--runs N]
+    python3 tools/import_rss.py [--parent REV]
 
 Extracts REV (default HEAD~1) with `git archive` and copies this checkout's
 working tree, as tools/bench_pair.py does, so that neither copy holds a
@@ -10,7 +10,7 @@ working tree, as tools/bench_pair.py does, so that neither copy holds a
 
 - the token count of src/supercong/checks.py: the tokens `tokenize` yields,
   without COMMENT and NL tokens;
-- the median, over N (default 9) fresh processes, of the VmRSS that
+- the median, over RUNS = 9 fresh processes, of the VmRSS that
   `import supercong.cli` leaves, read from /proc/self/status in the process
   itself.  Every process runs with PYTHONDONTWRITEBYTECODE=1, so it compiles
   the package from source, as the benchmark's processes do; the two sides
@@ -37,6 +37,7 @@ from pathlib import Path
 from bench_pair import copy_worktree, extract, git
 
 CHECKS = Path("src/supercong/checks.py")
+RUNS = 9
 
 PROBE = (
     "import supercong.cli\n"
@@ -65,17 +66,14 @@ def import_rss_kb(tree: Path) -> int:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", default="HEAD~1", metavar="REV")
-    ap.add_argument("--runs", type=int, default=9)
     args = ap.parse_args(argv)
-    if args.runs < 1:
-        ap.error("--runs must be >= 1")
     parent = git("rev-parse", "--short", args.parent)
     with tempfile.TemporaryDirectory(prefix="import_rss-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         extract(parent, trees["parent"])
         copy_worktree(trees["change"])
         rss: dict[str, list[int]] = {side: [] for side in trees}
-        for i in range(args.runs):
+        for i in range(RUNS):
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for side in order:
                 rss[side].append(import_rss_kb(trees[side]))
