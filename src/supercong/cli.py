@@ -214,76 +214,80 @@ def _cache_stamp() -> str:
     return f"{__version__}+{hashlib.sha256(catalog.encode()).hexdigest()[:16]}"
 
 
-def _load_cache(path: str, stamp: str) -> dict[str, CheckResult]:
-    """Cached rows by key; a file that does not parse is an I/O error.
+def _load_cache(path: str, digits: int, t_sign: str) -> dict[tuple, tuple]:
+    """(status, lhs, rhs, modulus, note) of the rows a cache file holds, by
+    (check, p, frozenset of params); the file is then ready for appends.
 
-    Rows keyed under another stamp, which includes every row of a file
-    written before keys held one, are dropped with one line on stderr.
-    A missing directory is an I/O error too, found here so that no sweep
-    runs whose rows could not be saved.
+    The file is a header line (stamp, digits and t-sign), then the rows as
+    --format jsonl prints them.  A file under another header, or of rows
+    from before the file held JSONL, is started again with one line on
+    stderr.  A last line with no newline (a run killed as it wrote) is cut
+    off.  Anything else that does not parse is an I/O error and leaves the
+    file as it is, and so does a missing directory, found here so that no
+    sweep runs whose rows could not be saved.
     """
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise OSError(f"cache directory {folder} does not exist")
-    if not os.path.exists(path):
-        return {}
-    with open(path, encoding="utf-8") as fh:
+    header = {"digits": digits, "stamp": _cache_stamp(), "t_sign": t_sign}
+    with open(path, "a+b") as fh:
+        fh.seek(0)
+        data = fh.read()
+        end = data.rfind(b"\n") + 1  # the end of the last complete line
+        rows = {}
         try:
-            rows = {key: _result_from_cached(d) for key, d in json.load(fh).items()}
+            first = json.loads(data.partition(b"\n")[0]) if data else header
+            if first == header:
+                for d in map(json.loads, data[:end].split(b"\n")[1:-1]):
+                    params = frozenset(map("=".join, d["params"].items()))
+                    rows[d["check"], d["p"], params] = (
+                        d["status"], d["lhs"], d["rhs"], d["modulus"], d.get("note", "")
+                    )
+            elif first.keys() == header.keys() or all(
+                # every row of a file from before the cache held JSONL rows
+                row.keys() >= {"check", "lhs", "modulus", "p", "params", "rhs", "status"}
+                for row in first.values()
+            ):
+                print(
+                    f"cache: ignoring {path}, written by another version or catalog,"
+                    f" or at another --digits or t-sign; starting it again as {header}",
+                    file=sys.stderr,
+                )
+                end = 0
+            else:
+                raise ValueError("neither a header nor an object of cached rows")
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise OSError(f"corrupt cache file {path}: {exc!r}") from exc
-    fresh = {key: r for key, r in rows.items() if key.startswith(stamp + "|")}
-    if len(fresh) < len(rows):
-        print(
-            f"cache: ignoring {len(rows) - len(fresh)} rows of {path} written by "
-            f"another version or catalog (this one is {stamp})",
-            file=sys.stderr,
-        )
-    return fresh
-
-
-def _result_from_cached(d: dict) -> CheckResult:
-    return CheckResult(
-        d["check"], d["p"], tuple(d["params"]), d["status"],
-        d["lhs"], d["rhs"], d["modulus"], d.get("note", ""),
-    )
-
-
-def _cached_dict(r: CheckResult) -> dict:
-    """The on-disk cache row: params as a list, note always present."""
-    return {
-        "check": r.check, "p": r.prime, "params": list(r.params), "status": r.status,
-        "lhs": r.lhs, "rhs": r.rhs, "modulus": r.modulus, "note": r.note,
-    }
+        fh.truncate(end)
+        if not end:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+    return rows
 
 
 def _run_verify(cfg: RunConfig, out) -> int:
     t_sign = "plus" if cfg.t_sign_diagnostic else "minus"
     primes = primes_in_range(cfg.prime_lo, cfg.prime_hi)
-    stamp = _cache_stamp() if cfg.cache else ""
-    cache = _load_cache(cfg.cache, stamp) if cfg.cache else {}
-
-    def key(check_id: str, p: int, params: tuple[str, ...]) -> str:
-        fields = [stamp, check_id, str(p), ",".join(params), str(cfg.digits), t_sign]
-        return "|".join(fields)
+    held = _load_cache(cfg.cache, cfg.digits, t_sign) if cfg.cache else {}
 
     cached: dict[int, list[CheckResult]] = {}
     # a prime can be served fully from cache only if every expected row is
-    # there; without cached rows no key is built
-    for p in primes if cache else ():
-        keys = [
-            key(check_id, p, params)
+    # there, its params looked up in any order and printed in catalog order;
+    # without cached rows no params are built
+    for p in primes if held else ():
+        found = [
+            (check_id, params, held.get((check_id, p, frozenset(params))))
             for check_id in cfg.check_ids
             for params in row_params(check_id, p, cfg.a_samples)
         ]
-        if all(k in cache for k in keys):
-            rows = [cache[k] for k in keys]
+        if all(fields is not None for _, _, fields in found):
+            rows = [CheckResult(c, p, params, *fields) for c, params, fields in found]
             cached[p] = sorted(rows, key=lambda r: (r.check, r.params))
     wanted = [p for p in primes if p not in cached]
 
     # rows go out in ascending prime order: a computed prime's rows are
     # printed, after the cached primes below it, as soon as the sweep has it;
-    # they are then only counted, and kept only in the cache to be written
+    # they are then only counted, and appended to the cache file, closed (so
+    # flushed) per prime: a killed run keeps the primes it finished
     waiting = deque(cached)
     computed = bad = 0
 
@@ -296,8 +300,10 @@ def _run_verify(cfg: RunConfig, out) -> int:
         computed += len(rows)
         bad += sum(r.status in ("fail", "precision_error") for r in rows)
         if cfg.cache:
-            for r in rows:
-                cache[key(r.check, r.prime, r.params)] = r
+            # a prime recomputed for its missing rows can hold some already
+            new = [r for r in rows if (r.check, p, frozenset(r.params)) not in held]
+            with open(cfg.cache, "a", encoding="utf-8") as fh:
+                _write_rows(new, "jsonl", fh)
 
     _write_header(cfg.format, out)
     sweep(
@@ -308,14 +314,6 @@ def _run_verify(cfg: RunConfig, out) -> int:
     for p in waiting:
         _write_rows(cached[p], cfg.format, out)
     out.flush()
-
-    if cfg.cache:
-        tmp = cfg.cache + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(
-                {k: _cached_dict(r) for k, r in cache.items()}, fh, sort_keys=True
-            )
-        os.replace(tmp, cfg.cache)
 
     if cfg.stats:
         # stderr, so that stdout stays nothing but rows

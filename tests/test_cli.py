@@ -315,6 +315,96 @@ class TestCache:
         assert not cache.parent.exists()
 
 
+class TestCacheFile:
+    """The cache file is a header line and the rows --format jsonl prints,
+    appended per prime, so a stopped run resumes from it."""
+
+    BASE = dict(check_ids=("eq-1-1", "lem-bridge"), prime_lo=7, prime_hi=19, jobs=1,
+                format="jsonl", stats=True)
+
+    @staticmethod
+    def _stats(capsys):
+        return [line for line in capsys.readouterr().err.splitlines() if line.startswith("#")]
+
+    def test_rows_after_the_header_are_the_jsonl_rows(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        ids = ("eq-1-1", "known-vi", "lem-bridge")
+        code, out = _run(RunConfig(check_ids=ids, prime_lo=7, prime_hi=13,
+                                   format="jsonl", cache=str(cache)))
+        assert code == 0
+        header, *rows = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert json.loads(header) == {"digits": 6, "stamp": cli._cache_stamp(),
+                                      "t_sign": "minus"}
+        assert "".join(rows) == out
+        # the table prints a cached row's params in catalog order
+        table = RunConfig(check_ids=ids, prime_lo=7, prime_hi=13)
+        assert _run(table._replace(cache=str(cache))) == _run(table)
+
+    @pytest.mark.parametrize("stop", ["interrupt", "closed-stdout"])
+    def test_stopped_sweep_resumes(self, tmp_path, capsys, monkeypatch, stop):
+        cache = tmp_path / "cache.jsonl"
+        _, want = _run(RunConfig(**self.BASE))
+        capsys.readouterr()
+        run = RunConfig(**self.BASE, cache=str(cache))
+        if stop == "interrupt":
+            def stopped(ids, primes, on_prime, **kwargs):
+                def after(p, rows):
+                    on_prime(p, rows)
+                    if p == 11:
+                        raise KeyboardInterrupt
+                checks.sweep(ids, primes, on_prime=after, **kwargs)
+
+            with monkeypatch.context() as killed, pytest.raises(KeyboardInterrupt):
+                killed.setattr(cli, "sweep", stopped)
+                main(run, out=io.StringIO())
+        else:
+            class Closed(io.StringIO):
+                def write(self, text):
+                    if '"p": 13' in text:
+                        raise BrokenPipeError
+                    return super().write(text)
+
+            assert main(run, out=Closed()) == 3
+        rows = cache.read_text(encoding="utf-8").splitlines()[1:]
+        assert [json.loads(line)["p"] for line in rows] == [7, 7, 11, 11]
+        capsys.readouterr()
+        assert _run(run) == (0, want)
+        assert self._stats(capsys) == ["# evaluations: 6", "# cached rows reused: 4"]
+
+    def test_torn_last_line_is_cut_off(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        run = RunConfig(**self.BASE, cache=str(cache))
+        _, want = _run(run)
+        # a run killed in the middle of the last row, prime 19's second
+        text = cache.read_bytes()
+        cache.write_bytes(text[:-20])
+        capsys.readouterr()
+        assert _run(run) == (0, want)
+        assert self._stats(capsys) == ["# evaluations: 2", "# cached rows reused: 8"]
+        # the recomputed prime's first row was held, and is not appended twice
+        assert cache.read_bytes() == text
+        assert _run(run) == (0, want)
+        assert self._stats(capsys) == ["# evaluations: 0", "# cached rows reused: 10"]
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", '{"k": {"check": "lem-bridge"}}', "\udcff",
+        # a malformed complete line is not a torn one
+        "HEADER\n{\"check\": \"lem-bridge\"\n{}\n",
+        # one complete row of a file from before the header does not make one
+        '{"a": {"check": "lem-bridge", "p": 7, "params": [], "status": "pass", "lhs": "",'
+        ' "rhs": "", "modulus": "7^1", "note": ""}, "k": {"check": "lem-bridge"}}',
+    ])
+    def test_corrupt_file_is_left_as_it_is(self, tmp_path, capsys, monkeypatch, text):
+        header = json.dumps({"digits": 6, "stamp": cli._cache_stamp(), "t_sign": "minus"})
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(text.replace("HEADER", header).encode("utf-8", "surrogateescape"))
+        before = cache.read_bytes()
+        monkeypatch.setattr(cli, "sweep", _no_sweep)
+        assert _run(RunConfig(**self.BASE, cache=str(cache))) == (3, "")
+        assert capsys.readouterr().err.startswith("error: corrupt cache file")
+        assert cache.read_bytes() == before
+
+
 def _no_sweep(*args, **kwargs):
     raise AssertionError("sweep ran although its rows could not be cached")
 
@@ -518,7 +608,7 @@ class TestStaleCache:
         code, out, err = self._rerun(cache, capsys)
         assert (code, out) == (0, want)
         assert "# evaluations: 3" in err
-        assert [line for line in err if line.startswith("cache: ignoring 3 rows")]
+        assert [line for line in err if line.startswith(f"cache: ignoring {cache}, ")]
         assert len([line for line in err if not line.startswith("#")]) == 1
         # the rewritten file holds only this version's rows and is reused
         assert "# evaluations: 0" in self._rerun(cache, capsys)[2]
