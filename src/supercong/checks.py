@@ -45,7 +45,6 @@ __all__ = [
     "CheckResult",
     "PrimeContext",
     "registry",
-    "render_padic",
     "row_params",
     "sweep",
 ]
@@ -88,17 +87,6 @@ CheckResult = namedtuple(
     "check prime params status lhs rhs modulus note",
     defaults=("",),
 )
-
-
-def render_padic(x: PAdic, p: int, e: int) -> str:
-    """Render a value as known modulo p**e: "p^v * u mod p^e"."""
-    if x.zero_flag:
-        return "0"
-    v = x.valuation
-    if x.digits == 0 or v >= e:
-        return f"0 mod {p}^{e}"
-    u = x.unit % p ** (e - v)
-    return f"{p}^{v} * {u} mod {p}^{e}"
 
 
 class PrimeContext:
@@ -232,14 +220,10 @@ class PrimeContext:
         return PAdic.from_int_exact(total, p=self.p, aprec=self.digits)
 
     def geom(self, c: int, outer: int, n: int) -> PAdic:
-        """sum_{k<=n} c^k / k^outer."""
+        """sum_{k<=n} c^k / k^outer.  Not memoized: thm12's one row reads it."""
         m = self.m
-
-        def make():
-            val = kernels.geom_power_sum(c % m, outer, n, self.p, m, self.inv())
-            return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
-
-        return self._cached(("geom", c, outer, n), make)
+        val = kernels.geom_power_sum(c % m, outer, n, self.p, m, self.inv())
+        return PAdic.from_int_exact(val, p=self.p, aprec=self.digits)
 
     # -- constants -----------------------------------------------------------
 
@@ -830,8 +814,8 @@ def _evaluate(
         p,
         rendered,
         status,
-        render_padic(lhs, p, e_eff),
-        render_padic(rhs, p, e_eff),
+        lhs.render(e_eff),
+        rhs.render(e_eff),
         f"{p}^{e}",
         note=note,
     )
@@ -885,8 +869,7 @@ def sweep(
     digits: int = 6,
     a_samples: tuple[Fraction, ...] = DEFAULT_A_SAMPLES,
     t_sign: str = "minus",
-    fail_fast: bool = False,
-    on_prime: Callable[[int, list[CheckResult]], None] | None = None,
+    on_prime: Callable[[int, list[CheckResult]], bool] | None = None,
 ) -> list[CheckResult] | None:
     """Evaluate checks over primes; return every row ordered by (prime, id, params).
 
@@ -896,8 +879,7 @@ def sweep(
     (id, params).  With on_prime, each chunk is passed to on_prime(p, rows)
     before the next one is taken, so a caller can show a prime's rows while
     later primes still run; the rows are not kept, and sweep returns None.
-
-    With fail_fast, stop after the first prime with a fail or precision_error.
+    The sweep stops after the first prime for which on_prime returns true.
     """
     ids = tuple(ids)
     for check_id in ids:
@@ -921,9 +903,7 @@ def sweep(
             chunk.sort(key=_order)
             if on_prime is None:
                 results.extend(chunk)
-            else:
-                on_prime(p, chunk)
-            if fail_fast and any(r.status in ("fail", "precision_error") for r in chunk):
+            elif on_prime(p, chunk):
                 break
     if on_prime is not None:
         return None

@@ -203,6 +203,12 @@ def _write_rows(rows: list[CheckResult], fmt: str, out) -> None:
         out.write("  ".join(c.ljust(w) for c, w in zip(cells, _WIDTHS)) + body + "\n")
 
 
+# the rows that fail or are verified below their modulus: they set the exit
+# code to 1, and with --fail-fast they end the sweep
+def _bad(rows: list[CheckResult]) -> int:
+    return sum(r.status in ("fail", "precision_error") for r in rows)
+
+
 def _cache_stamp() -> str:
     """The package version and a fingerprint of the catalog (ids, exponents
     and descriptions); rows cached under another stamp are not reused."""
@@ -287,29 +293,31 @@ def _run_verify(cfg: RunConfig, out) -> int:
     # rows go out in ascending prime order: a computed prime's rows are
     # printed, after the cached primes below it, as soon as the sweep has it;
     # they are then only counted, and appended to the cache file, closed (so
-    # flushed) per prime: a killed run keeps the primes it finished
+    # flushed) per prime: a killed run keeps the primes it finished; with
+    # --fail-fast the sweep stops after the first computed prime with a bad row
     waiting = deque(cached)
     computed = bad = 0
 
-    def on_prime(p: int, rows: list[CheckResult]) -> None:
+    def on_prime(p: int, rows: list[CheckResult]) -> bool:
         nonlocal computed, bad
         while waiting and waiting[0] < p:
             _write_rows(cached[waiting.popleft()], cfg.format, out)
         _write_rows(rows, cfg.format, out)
         out.flush()
         computed += len(rows)
-        bad += sum(r.status in ("fail", "precision_error") for r in rows)
+        found = _bad(rows)
+        bad += found
         if cfg.cache:
             # a prime recomputed for its missing rows can hold some already
             new = [r for r in rows if (r.check, p, frozenset(r.params)) not in held]
             with open(cfg.cache, "a", encoding="utf-8") as fh:
                 _write_rows(new, "jsonl", fh)
+        return cfg.fail_fast and found > 0
 
     _write_header(cfg.format, out)
     sweep(
         cfg.check_ids, wanted, jobs=cfg.jobs, digits=cfg.digits,
-        a_samples=cfg.a_samples, t_sign=t_sign, fail_fast=cfg.fail_fast,
-        on_prime=on_prime,
+        a_samples=cfg.a_samples, t_sign=t_sign, on_prime=on_prime,
     )
     for p in waiting:
         _write_rows(cached[p], cfg.format, out)
@@ -321,11 +329,7 @@ def _run_verify(cfg: RunConfig, out) -> int:
         print(
             f"# cached rows reused: {sum(map(len, cached.values()))}", file=sys.stderr
         )
-    bad += sum(
-        r.status in ("fail", "precision_error")
-        for rows in cached.values()
-        for r in rows
-    )
+    bad += sum(map(_bad, cached.values()))
     return 1 if bad else 0
 
 

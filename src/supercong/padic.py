@@ -38,7 +38,7 @@ from .errors import (
     PrecisionExhausted,
 )
 
-__all__ = ["PAdic", "congruent_mod", "vp_int", "vp_fraction"]
+__all__ = ["PAdic", "congruent_mod", "vp_int"]
 
 
 def vp_int(n: int, p: int) -> int:
@@ -50,10 +50,6 @@ def vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def vp_fraction(q: Fraction, p: int) -> int:
-    return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
 def _split(c: int | Fraction, p: int, den: int = 1) -> tuple[int, int, int]:
@@ -185,6 +181,15 @@ class PAdic:
                 f"value known mod p^{self.aprec}, lift mod p^{aprec} requested"
             )
         return self.unit * self.prime**self.valuation % self.prime**aprec
+
+    def render(self, e: int) -> str:
+        """The value as known modulo p**e: "p^v * u mod p^e"."""
+        if self.zero_flag:
+            return "0"
+        p, v = self.prime, self.valuation
+        if self.digits == 0 or v >= e:
+            return f"0 mod {p}^{e}"
+        return f"{p}^{v} * {self.unit % p ** (e - v)} mod {p}^{e}"
 
     # -- arithmetic --------------------------------------------------------
 

@@ -16,7 +16,6 @@ from supercong.checks import (
     _NO_PARAMS,
     _evaluate,
     registry,
-    render_padic,
     row_params,
     sweep,
 )
@@ -269,9 +268,27 @@ class TestSweep:
     def test_fail_fast_same_rows_across_jobs(self):
         ids = ["thm11-full", "eq-1-1"]
         primes = [7, 11, 13, 17, 19, 23, 29, 31]
-        rows = sweep(ids, primes, jobs=1, t_sign="plus", fail_fast=True)
+
+        def rows_to_first_bad_prime(jobs):
+            rows = []
+
+            def on_prime(p, chunk):
+                rows.extend(chunk)
+                return any(r.status in ("fail", "precision_error") for r in chunk)
+
+            sweep(ids, primes, jobs=jobs, t_sign="plus", on_prime=on_prime)
+            return rows
+
+        rows = rows_to_first_bad_prime(1)
         assert {r.prime for r in rows} == {7}
-        assert rows == sweep(ids, primes, jobs=2, t_sign="plus", fail_fast=True)
+        assert rows == rows_to_first_bad_prime(2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_list_mode_computes_every_prime_when_rows_fail(self, jobs):
+        primes = [7, 11, 13, 17]
+        rows = sweep(["thm11-full"], primes, jobs=jobs, t_sign="plus")
+        assert rows and all(r.status == "fail" for r in rows)
+        assert sorted({r.prime for r in rows}) == primes
 
     def test_pool_clamped_to_prime_count(self, monkeypatch):
         asked = []
@@ -334,12 +351,14 @@ class TestSweep:
 
 class TestRenderPadic:
     def test_shapes(self):
-        assert render_padic(PAdic.zero(7), 7, 4) == "0"
-        assert render_padic(PAdic.from_int_exact(0, p=7, aprec=4), 7, 4) == "0 mod 7^4"
+        assert PAdic.zero(7).render(4) == "0"
+        assert PAdic.from_int_exact(0, p=7, aprec=4).render(4) == "0 mod 7^4"
         x = PAdic.from_int_exact(2 * 49, p=7, aprec=4)
-        assert render_padic(x, 7, 4) == "7^2 * 2 mod 7^4"
+        assert x.render(4) == "7^2 * 2 mod 7^4"
         # window narrower than stored digits
-        assert render_padic(x, 7, 3) == "7^2 * 2 mod 7^3"
+        assert x.render(3) == "7^2 * 2 mod 7^3"
+        # 100/7 = 7^-1 * 100, and 100/7 - 2/7 = 14 is 0 mod 7
+        assert PAdic.from_rational(100, 7, p=7, digits=4).render(1) == "7^-1 * 2 mod 7^1"
 
 
 class TestRegressionAnchors:

@@ -15,9 +15,15 @@ from supercong.errors import (
     PrecisionExhausted,
 )
 from supercong import padic
-from supercong.padic import PAdic, congruent_mod, vp_fraction, vp_int
+from supercong.padic import PAdic, congruent_mod, vp_int
 
 P = 7
+
+
+def vp_fraction(q: Fraction, p: int) -> int:
+    """The p-adic valuation of a nonzero rational: the reference the
+    Fraction routes below read."""
+    return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
 def emb(q, digits=6, p=P):
