@@ -874,8 +874,8 @@ def sweep(
     """Evaluate checks over primes; return every row ordered by (prime, id, params).
 
     Each prime is one chunk of rows, made in this process or, with jobs > 1,
-    on a pool of min(jobs, len(primes)) processes whose ordered imap hands
-    the chunks back in the order of primes.  Each chunk is sorted by
+    on a pool of min(jobs, len(primes)) processes that hands the chunks back
+    in the order of primes (pool.ordered_map).  Each chunk is sorted by
     (id, params).  With on_prime, each chunk is passed to on_prime(p, rows)
     before the next one is taken, so a caller can show a prime's rows while
     later primes still run; the rows are not kept, and sweep returns None.
@@ -889,16 +889,14 @@ def sweep(
     primes = list(primes)
     work = [(p, ids, digits, a_samples, t_sign) for p in primes]
     if jobs <= 1 or len(work) <= 1:
-        pool = contextlib.nullcontext()
-        chunks = map(_run_prime, work)
+        running = contextlib.nullcontext(map(_run_prime, work))
     else:
         # imported here: a serial run, and every other subcommand, starts faster
-        import multiprocessing
+        from .pool import ordered_map
 
-        pool = multiprocessing.Pool(processes=min(jobs, len(work)))
-        chunks = pool.imap(_run_prime, work)
+        running = ordered_map(_run_prime, work, min(jobs, len(work)))
     results: list[CheckResult] = []
-    with pool:
+    with running as chunks:
         for p, chunk in zip(primes, chunks):
             chunk.sort(key=_order)
             if on_prime is None:

@@ -14,13 +14,15 @@ from itertools import product
 
 import pytest
 
-from supercong import kernels, oracle
+from supercong import kernels
 from supercong.bernoulli import x_constant, x_harmonic
 from supercong.checks import DEFAULT_A_SAMPLES, registry, sweep
 from supercong.cli import RunConfig, main
 from supercong.harmonic import mhs
 from supercong.padic import PAdic, congruent_mod
 from supercong.primes import primes_in_range
+
+from exact import harmonic_exact, mhs_exact_upto
 
 # verdict lines, replayed by the terminal-summary hook in conftest.py so
 # they survive output capture
@@ -103,7 +105,7 @@ def test_criterion_4_spot_values_p7():
         for x in (x_constant(7, 6), x_harmonic(7, 6, inv)):
             assert x.lift(2) % 49 == 38
         # H_6 = 49/20, valuation 2
-        assert oracle.harmonic_exact(6) == Fraction(49, 20)
+        assert harmonic_exact(6) == Fraction(49, 20)
         (h6,) = mhs((1,), (6,), 7, 6, inv)
         assert h6.valuation == 2
         # H_6 = 2 p^2 X mod 7^4
@@ -140,7 +142,7 @@ def test_criterion_6_oracle_equivalence_grid():
         mismatches = 0
         # the exact values do not depend on p: one oracle pass per signature
         # gives H(sig; j) for every j <= 50
-        exact_upto = {sig: oracle.mhs_exact_upto(sig, 50) for sig in _signatures()}
+        exact_upto = {sig: mhs_exact_upto(sig, 50) for sig in _signatures()}
         for p in (7, 11, 13, 53):
             # the kernel covers n < p
             n_hi = min(50, p - 1)

@@ -21,9 +21,7 @@ from supercong.kernels import pykernels
 from supercong.padic import PAdic, congruent_mod
 from supercong.primes import primes_in_range, smallest_prime_factors
 
-
-def _inv(p, N):
-    return pykernels.inverse_table(p - 1, p, p**N)
+from exact import embed, inv_table
 
 
 # first Bernoulli numbers by the defining recurrence (frozen exact values)
@@ -37,13 +35,6 @@ _EXACT = {
     10: Fraction(5, 66),
     12: Fraction(-691, 2730),
 }
-
-
-def _embed(q, p, digits=8):
-    q = Fraction(q)
-    if q == 0:
-        return PAdic.zero(p)
-    return PAdic.from_rational(q, p=p, digits=digits)
 
 
 def bernoulli_poly(n, x, p, N):
@@ -75,7 +66,7 @@ class TestTable:
             if n > 0 and n % (p - 1) == 0:
                 continue
             got = bernoulli(n, p, 6)
-            assert congruent_mod(got, _embed(want, p), 6)
+            assert congruent_mod(got, embed(want, p), 6)
 
     def test_large_index_beyond_witness_limit(self):
         # B_50 = 495057205241079648212477525/66 reduced mod p (no exact check)
@@ -83,12 +74,12 @@ class TestTable:
         assert 50 > _EXACT_WITNESS_LIMIT
         got = bernoulli(50, p, 6)
         assert got.aprec == 6
-        want = _embed(Fraction(495057205241079648212477525, 66), p)
+        want = embed(Fraction(495057205241079648212477525, 66), p)
         assert congruent_mod(got, want, 6)
 
     def test_odd_index_is_exact_zero(self):
         assert bernoulli(3, 7, 6).zero_flag
-        assert congruent_mod(bernoulli(1, 7, 6), _embed(Fraction(-1, 2), 7), 6)
+        assert congruent_mod(bernoulli(1, 7, 6), embed(Fraction(-1, 2), 7), 6)
 
     def test_non_integral_index_rejected(self):
         with pytest.raises(BadParameter):
@@ -268,7 +259,7 @@ class TestBernoulliPoly:
                 if any(k % (p - 1) == 0 for k in range(2, n + 1, 2)):
                     continue
                 got = bernoulli_poly(n, Fraction(1, 2), p, 6)
-                want = _embed((Fraction(2) ** (1 - n) - 1) * _EXACT[n], p)
+                want = embed((Fraction(2) ** (1 - n) - 1) * _EXACT[n], p)
                 assert congruent_mod(got, want, 6)
 
     def test_shift_one(self):
@@ -283,7 +274,7 @@ class TestBernoulliPoly:
         p = 11
         for m, n in ((2, 9), (3, 7), (4, 5)):
             power_sum = sum(j**m for j in range(n))
-            lhs = _embed(power_sum, p)
+            lhs = embed(power_sum, p)
             rhs = (
                 bernoulli_poly(m + 1, Fraction(n), p, 6)
                 - bernoulli(m + 1, p, 6)
@@ -296,7 +287,7 @@ class TestFermatQuotient:
     @pytest.mark.parametrize("a", [2, 3, 5])
     def test_definition(self, p, a):
         got = fermat_quotient(a, p, 6)
-        want = _embed(Fraction(a ** (p - 1) - 1, p), p)
+        want = embed(Fraction(a ** (p - 1) - 1, p), p)
         assert congruent_mod(got, want, 6)
 
     def test_requires_unit(self):
@@ -310,26 +301,26 @@ class TestXConstant:
         want = Fraction(-1, 30) / 4 - Fraction(5, 66) / 20
         assert want == Fraction(-2, 165)
         assert (-2 * pow(165, -1, 49)) % 49 == 38
-        for x in (x_constant(7, 6), x_harmonic(7, 6, _inv(7, 6))):
+        for x in (x_constant(7, 6), x_harmonic(7, 6, inv_table(7, 6))):
             assert x.lift(2) % 49 == 38
 
     @pytest.mark.parametrize("p", [11, 13, 97, 101])
     def test_methods_agree(self, p):
         xb = x_constant(p, 6)
-        xh = x_harmonic(p, 6, _inv(p, 6))
+        xh = x_harmonic(p, 6, inv_table(p, 6))
         assert xh.aprec == 2  # harmonic route is pinned mod p^2
         assert congruent_mod(xb, xh, 2)
 
     @pytest.mark.parametrize("p", [11, 13, 97, 101])
     def test_harmonic_route_reads_any_table_depth(self, p):
         # the caller's table mod p^N serves every N >= 3 with the same value
-        x4, x6, x8 = (x_harmonic(p, N, _inv(p, N)) for N in (4, 6, 8))
+        x4, x6, x8 = (x_harmonic(p, N, inv_table(p, N)) for N in (4, 6, 8))
         assert x4 == x6 == x8
 
     def test_guards(self):
         with pytest.raises(BadParameter):
             x_constant(5, 6)
         with pytest.raises(BadParameter):
-            x_harmonic(5, 6, _inv(5, 6))
+            x_harmonic(5, 6, inv_table(5, 6))
         with pytest.raises(BadParameter):
-            x_harmonic(7, 2, _inv(7, 2))
+            x_harmonic(7, 2, inv_table(7, 2))

@@ -16,23 +16,7 @@ from supercong.errors import BadParameter
 from supercong.padic import PAdic, congruent_mod
 from supercong.primes import primes_in_range
 
-
-def _embed(q, p, digits=8):
-    q = Fraction(q)
-    if q == 0:
-        return PAdic.zero(p)
-    return PAdic.from_rational(q, p=p, digits=digits)
-
-
-def _inv(p, N):
-    return kernels.inverse_table(p - 1, p, p**N)
-
-
-def _central_exact(lo, hi, denom):
-    return sum(
-        (Fraction(math.comb(2 * k, k) ** 2, k * denom**k) for k in range(lo, hi + 1)),
-        Fraction(0),
-    )
+from exact import central_exact, embed, inv_table
 
 
 class TestCentralBinom:
@@ -56,10 +40,10 @@ class TestCentralBinom:
         e = ctx.digits
         for k in range(1, p):
             got = central(k, k)
-            assert congruent_mod(got, _embed(_central_exact(k, k, 16), p), e)
+            assert congruent_mod(got, embed(central_exact(k, k, 16), p), e)
         for lo in (1, (p + 1) // 2):
             got = ctx.central(lo, p - 1)
-            assert congruent_mod(got, _embed(_central_exact(lo, p - 1, 16), p), e)
+            assert congruent_mod(got, embed(central_exact(lo, p - 1, 16), p), e)
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_valuation_one_in_upper_half(self, p):
@@ -76,24 +60,24 @@ class TestSSum:
     @pytest.mark.parametrize("p", [7, 11, 13])
     @pytest.mark.parametrize("a", [Fraction(-1, 2), Fraction(1, 3), Fraction(5)])
     def test_matches_oracle(self, p, a):
-        (got,) = s_sum(_embed(a, p, 6), (p - 1,), p, 6, _inv(p, 6))
-        want = _embed(oracle.s_sum_exact(a, p - 1), p)
+        (got,) = s_sum(embed(a, p, 6), (p - 1,), p, 6, inv_table(p, 6))
+        want = embed(oracle.s_sum_exact(a, p - 1), p)
         assert congruent_mod(got, want, min(6, got.aprec))
 
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_short_a_reads_deeper_table(self, p):
         # a known to 3 digits; the table mod p^6 is read at modulus p^3 as is
         a = Fraction(-1, 3)
-        (got,) = s_sum(_embed(a, p, 3), (p - 1,), p, 6, _inv(p, 6))
+        (got,) = s_sum(embed(a, p, 3), (p - 1,), p, 6, inv_table(p, 6))
         assert got.aprec == 3
-        assert congruent_mod(got, _embed(oracle.s_sum_exact(a, p - 1), p), 3)
+        assert congruent_mod(got, embed(oracle.s_sum_exact(a, p - 1), p), 3)
 
     @pytest.mark.parametrize("a", [Fraction(-1, 2), Fraction(5), Fraction(0)])
     def test_endpoints_from_one_pass(self, a, monkeypatch):
         # several endpoints give the single-endpoint values from one pass
-        p, N, inv = 13, 6, _inv(13, 6)
+        p, N, inv = 13, 6, inv_table(13, 6)
         ends = (0, 1, 6, 12, 4)
-        x = _embed(a, p, N)
+        x = embed(a, p, N)
         single = tuple(s_sum(x, (k,), p, N, inv)[0] for k in ends)
         calls = []
 
@@ -109,12 +93,12 @@ class TestSSum:
             s_sum(x, (1, 13), p, N, inv)
 
     def test_trivial_cases(self):
-        assert s_sum(PAdic.zero(7), (6,), 7, 6, _inv(7, 6))[0].zero_flag
-        assert s_sum(_embed(1, 7, 6), (0,), 7, 6, _inv(7, 6))[0].zero_flag
+        assert s_sum(PAdic.zero(7), (6,), 7, 6, inv_table(7, 6))[0].zero_flag
+        assert s_sum(embed(1, 7, 6), (0,), 7, 6, inv_table(7, 6))[0].zero_flag
         with pytest.raises(BadParameter):
-            s_sum(_embed(Fraction(1, 7), 7, 6), (6,), 7, 6, _inv(7, 6))
+            s_sum(embed(Fraction(1, 7), 7, 6), (6,), 7, 6, inv_table(7, 6))
         with pytest.raises(BadParameter):
-            s_sum(_embed(1, 7, 6), (7,), 7, 6, _inv(7, 6))
+            s_sum(embed(1, 7, 6), (7,), 7, 6, inv_table(7, 6))
 
 
 class TestReducePoint:
@@ -173,7 +157,7 @@ class TestProductScanCrossCheck:
         for j in range(2, top + 1):
             den = den * j * j % m4
         for k in range(1, top + 1):
-            exact = _embed(
+            exact = embed(
                 oracle.binom_exact(pt + k - 1, top) * oracle.binom_exact(-pt - k - 1, top), p
             )
             assert den % p != 0, f"k={k}"
@@ -216,7 +200,7 @@ class TestProductScanCrossCheck:
             exact = oracle.binom_exact(pt + bad_k - 1, top) * oracle.binom_exact(
                 -pt - bad_k - 1, top
             )
-            assert congruent_mod(lhs, _embed(exact, p), 4)
+            assert congruent_mod(lhs, embed(exact, p), 4)
             want = PAdic.from_int_exact(_closed_form(inv, T, p, bad_k, half), p=p, aprec=4)
             assert congruent_mod(rhs, want, 4)
             assert not congruent_mod(lhs, rhs, 4)
@@ -280,7 +264,7 @@ def _scan_against_oracle(ctx, a, half):
     inv = ctx.inv()
     first = None
     for k in range(1, top + 1):
-        exact = _embed(
+        exact = embed(
             oracle.binom_exact(pt + k - 1, top) * oracle.binom_exact(-pt - k - 1, top), p
         )
         closed = PAdic.from_int_exact(_closed_form(inv, T, p, k, half), p=p, aprec=4)
@@ -321,7 +305,7 @@ class TestLem23AsPolynomials:
         # with a true inverse table every coefficient of the step identity
         # vanishes, so a row costs O(1) at every prime below 1000
         for p in primes_in_range(7, 997):
-            inv = _inv(p, 4)
+            inv = inv_table(p, 4)
             for half in (False, True):
                 assert Lem23Scan(p, half, inv).steps is None, (p, half)
 
@@ -331,7 +315,7 @@ class TestLem23AsPolynomials:
         m3 = p**3
         # p | tau(tau+1) at tau = 0, p^2, -1, p-1 and 2p-1 mod p^3
         taus = [rng.randrange(m3) for _ in range(4)] + [0, p * p, m3 - 1, p - 1, 2 * p - 1]
-        inv = _inv(p, 4)
+        inv = inv_table(p, 4)
         for half in (False, True):
             scan = Lem23Scan(p, half, inv)
             for tau in taus:
@@ -344,7 +328,7 @@ class TestLem23AsPolynomials:
         firsts = set()
         for index in sorted({1, 3, 5, (p - 1) // 2, p - 2, p - 1}):
             for skew in (p, p * p):
-                inv = _inv(p, 4)
+                inv = inv_table(p, 4)
                 inv[index] += skew
                 for half in (False, True):
                     scan = Lem23Scan(p, half, inv)

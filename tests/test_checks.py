@@ -3,10 +3,11 @@
 import multiprocessing
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from supercong import checks, kernels, oracle
+from supercong import bernoulli, checks, kernels, oracle
 from supercong.kernels import pykernels
 from supercong.binomial import s_sum
 from supercong.checks import (
@@ -290,27 +291,76 @@ class TestSweep:
         assert rows and all(r.status == "fail" for r in rows)
         assert sorted({r.prime for r in rows}) == primes
 
-    def test_pool_clamped_to_prime_count(self, monkeypatch):
-        asked = []
+    @staticmethod
+    def _in_process_pool(monkeypatch):
+        """Replace multiprocessing.Pool by a fake that runs each apply_async
+        call at once, in this process; return the log of what sweep asks of
+        it: ("pool", processes), ("submit", prime), ("close",), ("join",)
+        and ("terminate",)."""
+        log = []
 
         class InProcessPool:
             def __init__(self, processes):
-                asked.append(processes)
+                log.append(("pool", processes))
 
-            def __enter__(self):
-                return self
+            def apply_async(self, fn, args):
+                log.append(("submit", args[0][0]))
+                result = fn(*args)
+                return SimpleNamespace(get=lambda: result)
 
-            def __exit__(self, *exc):
-                return False
+            def close(self):
+                log.append(("close",))
 
-            def imap(self, fn, work):
-                return map(fn, work)
+            def join(self):
+                log.append(("join",))
+
+            def terminate(self):
+                log.append(("terminate",))
 
         monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        return log
+
+    def test_pool_clamped_to_prime_count(self, monkeypatch):
+        log = self._in_process_pool(monkeypatch)
         ids = ["eq-1-1", "lem-bridge"]
         rows = sweep(ids, [7, 11, 13], jobs=64)
-        assert asked == [3]
+        assert log[0] == ("pool", 3)
         assert rows == sweep(ids, [7, 11, 13], jobs=1)
+
+    @pytest.mark.parametrize("stop", ["fail_fast", "closed_stdout"])
+    def test_stopped_pool_closes_after_primes_in_flight(self, monkeypatch, stop):
+        log = self._in_process_pool(monkeypatch)
+        primes = primes_in_range(7, 83)
+        assert len(primes) == 20
+
+        def on_prime(p, chunk):
+            if stop == "closed_stdout":
+                raise BrokenPipeError
+            return True
+
+        if stop == "closed_stdout":
+            with pytest.raises(BrokenPipeError):
+                sweep(["eq-1-1"], primes, jobs=2, on_prime=on_prime)
+        else:
+            assert sweep(["eq-1-1"], primes, jobs=2, on_prime=on_prime) is None
+        submitted = [entry[1] for entry in log if entry[0] == "submit"]
+        # two primes a process in flight, and the next one handed in as the
+        # first chunk comes back
+        assert submitted == primes[: len(submitted)]
+        assert len(submitted) <= 2 * 2 + 1
+        assert ("terminate",) not in log
+        assert log[-2:] == [("close",), ("join",)]
+
+    def test_interrupted_pool_terminates(self, monkeypatch):
+        log = self._in_process_pool(monkeypatch)
+
+        def on_prime(p, chunk):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            sweep(["eq-1-1"], [7, 11, 13], jobs=2, on_prime=on_prime)
+        assert ("terminate",) in log
+        assert ("close",) not in log
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_on_prime_sees_each_sorted_chunk_in_prime_order(self, jobs):
@@ -693,7 +743,10 @@ class TestExceptionalPrimes:
     sides, -(21/2) H_{p-1} and its tail of the 16^k sum, have valuation 3;
     at p = 7 they do too, as 7 divides 21.  At the other primes H_{p-1} is
     p^2 times a unit.  1093 and 3511 are the Wieferich primes: q_2 = 0
-    mod p, and with it known-ii's H((p-1)/2) at a = 1.
+    mod p, and with it known-ii's H((p-1)/2) at a = 1.  Since H_{p-1} =
+    -p^2 B_{p-3}/3 mod p^3, B_{p-3} = 0 mod p at 16843, by the power sums of
+    bernoulli() and by the harmonic route PrimeContext takes above
+    X_TABLE_LIMIT alike.
     """
 
     @pytest.mark.parametrize("p, v", [(7, 3), (11, 2), (13, 2), (101, 2), (16843, 3)])
@@ -710,3 +763,11 @@ class TestExceptionalPrimes:
         assert e == 1
         zero = PAdic.zero(p)
         assert [congruent_mod(z, zero, 1) for z in (lhs, rhs)] == [wieferich] * 2
+
+    def test_b_pm3_vanishes_at_16843_by_both_routes(self):
+        p = 16843
+        assert p > checks.X_TABLE_LIMIT
+        power_sums = bernoulli.bernoulli(p - 3, p, 1)
+        harmonic = PrimeContext(p).b_pm3()
+        zero = PAdic.zero(p)
+        assert [congruent_mod(b, zero, 1) for b in (power_sums, harmonic)] == [True, True]

@@ -1,4 +1,4 @@
-"""Multiple harmonic sums and the weighted-sum kernel vs the exact oracle."""
+"""Multiple harmonic sums and the weighted-sum kernel vs the exact references."""
 
 from fractions import Fraction
 
@@ -6,62 +6,61 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from supercong import kernels, oracle
+from supercong import kernels
 from supercong.errors import BadParameter
 from supercong.harmonic import mhs
 from supercong.padic import PAdic, congruent_mod
 
-
-def _embed(q: Fraction, p: int, digits: int) -> PAdic:
-    if q == 0:
-        return PAdic.zero(p)
-    return PAdic.from_rational(q, p=p, digits=digits)
-
-
-def _inv(p: int, N: int) -> list[int]:
-    return kernels.inverse_table(p - 1, p, p**N)
+from exact import (
+    embed,
+    harmonic_exact,
+    inv_table,
+    mhs_exact,
+    odd_harmonic_exact,
+    weighted_sum_exact,
+)
 
 
 class TestSignature:
     def test_validation(self):
         with pytest.raises(BadParameter):
-            mhs((), (5,), 7, 6, _inv(7, 6))
+            mhs((), (5,), 7, 6, inv_table(7, 6))
         with pytest.raises(BadParameter):
-            mhs((1, 0), (5,), 7, 6, _inv(7, 6))
+            mhs((1, 0), (5,), 7, 6, inv_table(7, 6))
 
 
 class TestMhsValues:
     # frozen exact values, computed by brute-force rational summation
     def test_h6_exact(self):
-        assert oracle.harmonic_exact(6) == Fraction(49, 20)
-        (x,) = mhs((1,), (6,), 7, 6, _inv(7, 6))
+        assert harmonic_exact(6) == Fraction(49, 20)
+        (x,) = mhs((1,), (6,), 7, 6, inv_table(7, 6))
         assert x.valuation == 2
-        assert congruent_mod(x, _embed(Fraction(49, 20), 7, 8), 6)
+        assert congruent_mod(x, embed(Fraction(49, 20), 7, 8), 6)
 
     def test_depth2_value(self):
         # H(1,2;4) = sum_{j<k<=4} 1/(j k^2) = 1/4 + (1+1/2)/9 + (1+1/2+1/3)/16
-        expect = oracle.mhs_exact((1, 2), 4)
+        expect = mhs_exact((1, 2), 4)
         assert expect == Fraction(1, 4) + Fraction(3, 2, _normalize=True) / 9 + Fraction(11, 6) / 16
-        (got,) = mhs((1, 2), (4,), 11, 6, _inv(11, 6))
-        assert congruent_mod(got, _embed(expect, 11, 6), 6)
+        (got,) = mhs((1, 2), (4,), 11, 6, inv_table(11, 6))
+        assert congruent_mod(got, embed(expect, 11, 6), 6)
 
     def test_alternating_value(self):
-        expect = oracle.mhs_exact((-2,), 5)
+        expect = mhs_exact((-2,), 5)
         assert expect == sum(Fraction((-1) ** k, k * k) for k in range(1, 6))
-        (got,) = mhs((-2,), (5,), 7, 6, _inv(7, 6))
-        assert congruent_mod(got, _embed(expect, 7, 6), 6)
+        (got,) = mhs((-2,), (5,), 7, 6, inv_table(7, 6))
+        assert congruent_mod(got, embed(expect, 7, 6), 6)
 
     def test_short_range_is_zero(self):
-        assert mhs((1, 2), (1,), 7, 6, _inv(7, 6))[0].zero_flag
+        assert mhs((1, 2), (1,), 7, 6, inv_table(7, 6))[0].zero_flag
 
     def test_range_from_p_raises(self):
         # n = p would divide by p; the modular kernel covers only n < p
         with pytest.raises(BadParameter):
-            mhs((1,), (7,), 7, 4, _inv(7, 4))
+            mhs((1,), (7,), 7, 4, inv_table(7, 4))
 
     def test_range_cap(self):
         with pytest.raises(BadParameter):
-            mhs((1,), (49,), 7, 4, _inv(7, 4))
+            mhs((1,), (49,), 7, 4, inv_table(7, 4))
 
     def test_endpoints_from_one_pass(self, monkeypatch):
         # several endpoints give one value per endpoint, each equal to the
@@ -72,7 +71,7 @@ class TestMhsValues:
             calls.append(args[1])
             return _kernel(*args)
 
-        p, N, inv = 13, 5, _inv(13, 5)
+        p, N, inv = 13, 5, inv_table(13, 5)
         ends = (0, 1, 6, 3, 12)
         for exps in ((1,), (1, -3), (2, 1, 1)):
             single = [mhs(exps, (k,), p, N, inv)[0] for k in ends]
@@ -97,9 +96,9 @@ class TestOracleEquivalence:
     @settings(max_examples=150, deadline=None)
     @given(sig=_sigs, n=st.integers(min_value=1, max_value=30), p=st.sampled_from([7, 11, 13]))
     def test_mhs_matches_oracle(self, sig, n, p):
-        (got,) = mhs(tuple(sig), (min(n, p - 1),), p, 5, _inv(p, 5))
-        expect = oracle.mhs_exact(tuple(sig), min(n, p - 1))
-        want = _embed(expect, p, 7)
+        (got,) = mhs(tuple(sig), (min(n, p - 1),), p, 5, inv_table(p, 5))
+        expect = mhs_exact(tuple(sig), min(n, p - 1))
+        want = embed(expect, p, 7)
         if want.zero_flag:
             assert got.zero_flag or congruent_mod(got, want, got.aprec)
         else:
@@ -110,12 +109,12 @@ class TestOracleEquivalence:
     def test_odd_harmonic_matches_oracle(self, r, k):
         # sum_{j<=k} 1/(2j-1)^r = H(r; 2k-1) - H(r; k-1) / 2^r
         p = 13
-        inv = _inv(p, 5)
+        inv = inv_table(p, 5)
         (got,) = mhs((r,), (2 * k - 1,), p, 5, inv)
         if k > 1:
             got = got - mhs((r,), (k - 1,), p, 5, inv)[0].scale(Fraction(1, 2**r))
-        expect = oracle.odd_harmonic_exact(r, k)
-        assert congruent_mod(got, _embed(expect, p, 7), 5)
+        expect = odd_harmonic_exact(r, k)
+        assert congruent_mod(got, embed(expect, p, 7), 5)
 
 
 class TestNestedSum:
@@ -140,12 +139,12 @@ class TestNestedSum:
             outer, signed, None if c == 1 else c, factors, n, p, m,
             kernels.inverse_table(2 * n, p, m),
         )[n]
-        total = oracle.weighted_sum_exact(outer, signed, c, factors, n)
-        assert congruent_mod(PAdic.from_int_exact(got, p=p, aprec=N), _embed(total, p, 7), N)
+        total = weighted_sum_exact(outer, signed, c, factors, n)
+        assert congruent_mod(PAdic.from_int_exact(got, p=p, aprec=N), embed(total, p, 7), N)
 
     def test_h2k_equals_split_odd_plus_half_harmonic(self):
         # H_{2k} = O_k + H_k/2 with O_k the odd-reciprocal prefix
         for k in range(1, 8):
-            lhs = oracle.harmonic_exact(2 * k)
-            rhs = oracle.odd_harmonic_exact(1, k) + oracle.harmonic_exact(k) / 2
+            lhs = harmonic_exact(2 * k)
+            rhs = odd_harmonic_exact(1, k) + harmonic_exact(k) / 2
             assert lhs == rhs

@@ -8,13 +8,14 @@ their unreduced prefix sums at k = 0..n, so a sum up to n is entry [n] mod m.
 """
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 from supercong import kernels, oracle
 from supercong.bernoulli import _scaled
 from supercong.kernels import pykernels
+
+from exact import central_exact, mhs_exact, mhs_exact_upto, weighted_sum_exact
 
 PRIMES = [7, 101, 1553, 10007]
 DIGITS = 6
@@ -87,14 +88,6 @@ def _direct_central(lo, hi, m):
         if k >= lo:
             total += central**2 * pow(k * pow(16, k, m), -1, m)
     return total % m
-
-
-def _central_exact(lo, hi, c=16):
-    """sum_{k=lo}^{hi} binom(2k,k)^2 / (k c^k) as an exact rational."""
-    return sum(
-        (Fraction(comb(2 * k, k) ** 2, k * c**k) for k in range(max(lo, 1), hi + 1)),
-        Fraction(0),
-    )
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -174,7 +167,7 @@ def test_large_modulus_near_limit():
     m = p**4
     n = 200
     got = pykernels.mhs_sum((3, 1), n, p, m, pykernels.inverse_table(n, p, m))[n] % m
-    assert got == _residue(oracle.mhs_exact((3, 1), n), m)
+    assert got == _residue(mhs_exact((3, 1), n), m)
 
 
 def test_dispatcher_routes_oversized_moduli():
@@ -206,13 +199,13 @@ class TestSumsAgainstOracle:
     @pytest.mark.parametrize("a", [1, -1, 2, -2, 3, -3])
     def test_mhs_depth_one(self, a, n):
         got = pykernels.mhs_sum((a,), n, self.P, self.M, self.INV)[n] % self.M
-        assert got == _residue(oracle.mhs_exact((a,), n), self.M)
+        assert got == _residue(mhs_exact((a,), n), self.M)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 6, 12])
     @pytest.mark.parametrize("exps", [(1, -3), (-2, 2), (2, 1), (1, 1, 1), (2, -1, 3)])
     def test_mhs_deeper(self, exps, n):
         got = pykernels.mhs_sum(exps, n, self.P, self.M, self.INV)[n] % self.M
-        assert got == _residue(oracle.mhs_exact(exps, n), self.M)
+        assert got == _residue(mhs_exact(exps, n), self.M)
 
     @pytest.mark.parametrize("a", [Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(5)])
     @pytest.mark.parametrize("t", [0, 1, -2])
@@ -236,7 +229,7 @@ class TestSumsAgainstOracle:
         got = sum(
             (prefix[k] - prefix[k - 1]) * pow(w, k, m) for k in range(max(lo, 1), hi + 1)
         )
-        assert got % m == _residue(_central_exact(lo, hi, c), m)
+        assert got % m == _residue(central_exact(lo, hi, c), m)
 
     @pytest.mark.parametrize("n", [0, 1, 6, 12])
     @pytest.mark.parametrize("a", [-1, 1, 2, 3])
@@ -274,7 +267,7 @@ class TestPrefixLists:
     def test_mhs_sum_every_entry(self, exps):
         n = self.P - 1
         got = pykernels.mhs_sum(exps, n, self.P, self.M, self.INV)
-        want = [_residue(q, self.M) for q in oracle.mhs_exact_upto(exps, n)]
+        want = [_residue(q, self.M) for q in mhs_exact_upto(exps, n)]
         assert self._reduced(got) == want
 
     @pytest.mark.parametrize(
@@ -287,7 +280,7 @@ class TestPrefixLists:
             outer, False, None, factors, n, self.P, self.M, self.INV
         )
         want = [
-            _residue(oracle.weighted_sum_exact(outer, False, 1, factors, k), self.M)
+            _residue(weighted_sum_exact(outer, False, 1, factors, k), self.M)
             for k in range(n + 1)
         ]
         assert self._reduced(got) == want
@@ -304,11 +297,11 @@ class TestPrefixLists:
         # entry k - entry (lo-1) is the sum from lo to k, for every k >= lo
         hi = self.P - 1
         got = pykernels.central_sum(hi, self.P, self.M, self.INV)
-        want = [_residue(_central_exact(1, k), self.M) for k in range(hi + 1)]
+        want = [_residue(central_exact(1, k), self.M) for k in range(hi + 1)]
         assert self._reduced(got) == want
         for k in range(lo, hi + 1):
             part = (got[k] - got[lo - 1]) % self.M
-            assert part == _residue(_central_exact(lo, k), self.M)
+            assert part == _residue(central_exact(lo, k), self.M)
 
     @pytest.mark.parametrize("n", [0, 1, 6, 12])
     def test_one_entry_per_k(self, n):
@@ -369,7 +362,7 @@ class TestWeightedSumAgainstOracle:
         got = pykernels.weighted_sum(
             outer, signed, None if c == 1 else c, factors, n, self.P, self.M, inv
         )[n] % self.M
-        want = oracle.weighted_sum_exact(outer, signed, c, factors, n)
+        want = weighted_sum_exact(outer, signed, c, factors, n)
         assert got == _residue(want, self.M)
 
     @pytest.mark.parametrize("n", [9, 10])

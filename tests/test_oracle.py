@@ -1,4 +1,4 @@
-"""Exact-rational oracle self-consistency."""
+"""Self-consistency of the exact references: supercong.oracle and exact.py."""
 
 from fractions import Fraction
 from itertools import product
@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercong import oracle
+
+from exact import harmonic_exact, mhs_exact, mhs_exact_upto, odd_harmonic_exact
 
 # the acceptance grid's signatures: depth <= 3, sum of |a_i| <= 4
 GRID_SIGS = [
@@ -21,39 +23,39 @@ GRID_SIGS = [
 
 class TestBasics:
     def test_harmonic_values(self):
-        assert oracle.harmonic_exact(1) == 1
-        assert oracle.harmonic_exact(4) == Fraction(25, 12)
-        assert oracle.harmonic_exact(6) == Fraction(49, 20)
+        assert harmonic_exact(1) == 1
+        assert harmonic_exact(4) == Fraction(25, 12)
+        assert harmonic_exact(6) == Fraction(49, 20)
 
     def test_mhs_depth1_equals_power_sum(self):
         for n in (1, 5, 10):
-            assert oracle.mhs_exact((2,), n) == sum(
+            assert mhs_exact((2,), n) == sum(
                 Fraction(1, k * k) for k in range(1, n + 1)
             )
 
     def test_mhs_alternating(self):
-        assert oracle.mhs_exact((-1,), 3) == Fraction(-1) + Fraction(1, 2) - Fraction(1, 3)
+        assert mhs_exact((-1,), 3) == Fraction(-1) + Fraction(1, 2) - Fraction(1, 3)
 
     def test_mhs_strict_ordering(self):
         # depth > n gives the empty sum
-        assert oracle.mhs_exact((1, 1, 1), 2) == 0
+        assert mhs_exact((1, 1, 1), 2) == 0
 
     def test_mhs_range_cap(self):
         with pytest.raises(ValueError):
-            oracle.mhs_exact((1,), 201)
+            mhs_exact((1,), 201)
         with pytest.raises(ValueError):
-            oracle.mhs_exact_upto((1,), 201)
+            mhs_exact_upto((1,), 201)
 
     def test_mhs_upto_matches_mhs_exact_on_grid(self):
         for sig in GRID_SIGS:
-            upto = oracle.mhs_exact_upto(sig, 12)
+            upto = mhs_exact_upto(sig, 12)
             assert len(upto) == 13
             for n in (0, 1, 2, 3, 7, 12):
-                assert upto[n] == oracle.mhs_exact(sig, n)
+                assert upto[n] == mhs_exact(sig, n)
 
     def test_odd_harmonic(self):
-        assert oracle.odd_harmonic_exact(1, 3) == 1 + Fraction(1, 3) + Fraction(1, 5)
-        assert oracle.odd_harmonic_exact(2, 2) == 1 + Fraction(1, 9)
+        assert odd_harmonic_exact(1, 3) == 1 + Fraction(1, 3) + Fraction(1, 5)
+        assert odd_harmonic_exact(2, 2) == 1 + Fraction(1, 9)
 
     def test_binom(self):
         assert oracle.binom_exact(Fraction(5), 2) == 10
