@@ -8,8 +8,9 @@ one pass, and s_sum reads the sum at each endpoint of a tuple from it.
 
 Lemma 2.3 compares a product B(k) with a closed form at every k of a range;
 both sides, and each step from k-1 to k, are polynomials in tau (t = tau
-mod p^3) whose coefficients depend only on p.  Lem23Scan builds them once
-per prime and range, and then reads the scan at each sample's tau in O(1).
+mod p^3) whose coefficients depend only on p.  Lem23Scan builds the sides
+once per prime and range and checks the steps at a few points of tau; a
+sample's row is then read at its tau in O(1) when the steps hold.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, compress, islice, repeat
+from itertools import accumulate, compress, repeat, tee
 from operator import add, mod, mul, sub
 
 from . import kernels
@@ -77,8 +78,8 @@ def reduce_point(a: Fraction, p: int, N: int) -> ReducedPoint:
 
 
 def _closed_form(p: int, half_range: bool, top: int, m: int, inv: list[int]):
-    """X_1, X_2, X_3 with rhs_k / p^j = sum_r tau^r X_r[k-1] mod m, each as a
-    function that returns a new iterator over k = 1..top, unreduced.
+    """[X_1, X_2, X_3] with rhs_k / p^j = sum_r tau^r X_r[k-1] mod m, each a
+    list over k = 1..top reduced mod m.
 
     With i = 1/k, O_r(k) = sum_{l<=k} 1/(2l-1)^r and H(k) = sum_{l<=k} 1/l,
     the half range (m = p^3) has
@@ -87,8 +88,6 @@ def _closed_form(p: int, half_range: bool, top: int, m: int, inv: list[int]):
     and the full range (m = p^2), where rhs_k / p^2 = tau(tau+1)(D - 2pF tau)
     with D = i^2 (1 + 2pH(k) - p i) and F = i^3, has
         X_1 = D,  X_2 = D - 2pF,  X_3 = -2pF.
-    Each list kept is as long as the range and counts toward the prime's
-    peak memory, so the full range keeps no X_2: it is X_1 + X_3.
     """
     # the table's entries as they are, congruent to 1/k mod m
     i = inv[1 : top + 1]
@@ -103,41 +102,11 @@ def _closed_form(p: int, half_range: bool, top: int, m: int, inv: list[int]):
         x2 = map(mul, map(mul, i, repeat(-p)), map(add, map(mul, i, u), o2x4p))
         x2 = list(map(mod, x2, repeat(m)))
         x3 = list(map(mod, map(mul, map(mul, map(mul, i, i), i), repeat(p * p)), repeat(m)))
-        return lambda: iter(x1), lambda: iter(x2), lambda: iter(x3)
+        return [x1, x2, x3]
     inner = map(sub, map(mul, accumulate(i), repeat(2 * p)), map(mul, i, repeat(p)))
     x1 = list(map(mod, map(mul, map(mul, i, i), map(add, inner, repeat(1))), repeat(m)))
     x3 = list(map(mod, map(mul, map(mul, map(mul, i, i), i), repeat(-2 * p)), repeat(m)))
-    return lambda: iter(x1), lambda: map(add, x1, x3), lambda: iter(x3)
-
-
-def _step_identity(xs, p: int, half_range: bool, top: int):
-    """Iterators over S_1, S_2, ... at k = 2..top, unreduced.
-
-    The step rhs_k dens_k - rhs_{k-1} nums_k, with dens_k = (T+k-1-top)(T+k)
-    and nums_k = (T+k-1)(T+k+top) quadratic in T = p tau, is
-    sum_{r=1}^{5} tau^r S_r[k], S_r = sum_{a+b=r} X_a[k-1] d_b - X_a[k-2] n_b
-    for d_b and n_b the coefficients of tau^b in dens_k and nums_k.  On the
-    full range d_2 = n_2 = p^2 = 0 mod p^2, so only S_1..S_4 are made there.
-    """
-    # fresh iterators over d_b and n_b at k = 2..top, b = 0, 1, 2
-    dens = (
-        lambda: map(mul, range(1 - top, 0), range(2, top + 1)),
-        lambda: range(p * (3 - top), p * top, 2 * p),
-        lambda: repeat(p * p),
-    )
-    nums = (
-        lambda: map(mul, range(1, top), range(top + 2, 2 * top + 1)),
-        lambda: range(p * (top + 3), 3 * p * top, 2 * p),
-        lambda: repeat(p * p),
-    )
-    deg = 2 if half_range else 1
-    for r in range(1, 4 + deg):
-        s = repeat(0)
-        for a in range(max(1, r - deg), min(3, r) + 1):
-            x, b = xs[a - 1], r - a
-            step = map(sub, map(mul, islice(x(), 1, None), dens[b]()), map(mul, x(), nums[b]()))
-            s = map(add, s, step)
-        yield s
+    return [x1, list(map(mod, map(add, x1, x3), repeat(m))), x3]
 
 
 def _poly(coeffs: tuple[int, ...], tau: int, m: int) -> int:
@@ -164,33 +133,32 @@ class Lem23Scan:
     (T+k+1+top) holds, and the first k where this fails is the first
     mismatch.
 
-    Each of these is a polynomial in tau whose coefficients depend only on
-    the prime, so they are built once: rhs_k / p^j from the coefficients
-    of _closed_form, the steps from the coefficient lists S_r of
-    _step_identity, and B(1) top!^2 / p^j from the factors of B(1),
-    carried as a series in T up to T^2 (T^3 = 0 mod p^3): the direct side
-    reads no inverse table.  When every S_r vanishes mod m, no step fails
-    at any tau; only rhs_1 and rhs_top are kept, and a call costs O(1).
-    Otherwise the closed-form lists and the S_r are kept, and a call scans
-    the steps at its tau, sum_r tau^r S_r[k], by Horner's rule.
+    rhs_k / p^j = sum_r tau^r X_r[k-1] comes from the lists of _closed_form,
+    and B(1) top!^2 / p^j from the factors of B(1), carried as a series in
+    T up to T^2 (T^3 = 0 mod p^3): the direct side reads no inverse table.
+    Each step is tau times a polynomial in tau of degree at most 4, or 3
+    on the full range, where the tau^2 coefficient p^2 of the quadratic
+    factors is 0 mod p^2.  Such a polynomial vanishes mod m at every tau
+    exactly when it does at one point more than its degree, given points
+    whose differences are units (their Vandermonde matrix is then
+    invertible mod m): tau = 1..5 are, and are units, for p >= 7
+    (checks.MIN_PRIME).  So the build scans the steps there; when none
+    fails, no step fails at any tau, the lists are dropped and a call
+    costs O(1), as with a true inverse table.  Otherwise a call scans the
+    steps at its own tau.
     """
 
-    __slots__ = ("p", "top", "m", "b1", "first", "last", "closed", "steps")
+    __slots__ = ("p", "top", "m", "b1", "first", "last", "closed")
 
     def __init__(self, p: int, half_range: bool, inv: list[int]):
         top = (p - 1) // 2 if half_range else p - 1
         m = p**3 if half_range else p**2
         self.p, self.top, self.m = p, top, m
-        xs = _closed_form(p, half_range, top, m, inv)
-        self.first = tuple(next(x()) for x in xs)
-        self.last = tuple(next(islice(x(), top - 1, None)) for x in xs)
-        self.closed = self.steps = None
-        # the S_r are streamed, and kept only if one of them does not vanish
-        if any(any(map(mod, s, repeat(m))) for s in _step_identity(xs, p, half_range, top)):
-            self.closed = [list(x()) for x in xs]
-            self.steps = [
-                list(map(mod, s, repeat(m))) for s in _step_identity(xs, p, half_range, top)
-            ]
+        self.closed = _closed_form(p, half_range, top, m, inv)
+        self.first = tuple(x[0] for x in self.closed)
+        self.last = tuple(x[-1] for x in self.closed)
+        if not any(map(self._first_step_failure, range(1, 6 if half_range else 5))):
+            self.closed = None
 
         # B(1) top!^2 / p = tau prod_{i=1}^{top-1} (T-i) prod_{i=0}^{top-1} (-T-2-i)
         # on the half range; on the full range B(1) top!^2 / p^2 is
@@ -210,28 +178,35 @@ class Lem23Scan:
         f = pow(math.factorial(top), -2, m)
         self.b1 = tuple(c * f % m for c in poly)
 
+    def _first_step_failure(self, tau: int) -> int | None:
+        """The first k in 2..top where rhs_k (T+k-1-top)(T+k) differs from
+        rhs_{k-1} (T+k-1)(T+k+top) mod m at this tau, or None."""
+        top, m = self.top, self.m
+        T = self.p * tau % m
+        x1, x2, x3 = self.closed
+        v = map(add, map(mul, map(add, map(mul, x3, repeat(tau)), x2), repeat(tau)), x1)
+        prev, rhs = tee(map(mod, map(mul, v, repeat(tau)), repeat(m)))
+        next(rhs)
+        dens = map(mul, range(T + 1 - top, T), range(T + 2, T + top + 1))
+        nums = map(mul, range(T + 1, T + top), range(T + top + 2, T + 2 * top + 1))
+        steps = map(sub, map(mul, rhs, dens), map(mul, prev, nums))
+        return next(compress(range(2, top + 1), map(mod, steps, repeat(m))), None)
+
     def __call__(self, tau: int) -> tuple[int | None, int, int]:
         p, top, m = self.p, self.top, self.m
         lhs = _poly(self.b1, tau, m)
         rhs = _poly(self.first, tau, m)
-        if lhs != rhs:
-            k = 1
-        elif self.steps is None:
-            k = None
+        k = 1 if lhs != rhs else None
+        if k is None and self.closed is not None:
+            k = self._first_step_failure(tau)
+        if k is None:
             lhs = rhs = _poly(self.last, tau, m)
-        else:
-            v = self.steps[-1]
-            for s in reversed(self.steps[:-1]):
-                v = map(add, map(mul, v, repeat(tau)), s)
-            v = map(mod, map(mul, v, repeat(tau)), repeat(m))
-            k = next(compress(range(2, top + 1), v), None)
-            rhs = _poly(tuple(x[-1 if k is None else k - 1] for x in self.closed), tau, m)
-            lhs = rhs
-            if k is not None:
-                # B(k) from B(k-1) = rhs_{k-1}
-                T = p * tau % m
-                prev = _poly(tuple(x[k - 2] for x in self.closed), tau, m)
-                num = prev * (T + k - 1) * (T + k + top)
-                lhs = num * pow((T + k - 1 - top) * (T + k), -1, m) % m
+        elif k > 1:
+            rhs = _poly(tuple(x[k - 1] for x in self.closed), tau, m)
+            # B(k) from B(k-1) = rhs_{k-1}
+            T = p * tau % m
+            prev = _poly(tuple(x[k - 2] for x in self.closed), tau, m)
+            num = prev * (T + k - 1) * (T + k + top)
+            lhs = num * pow((T + k - 1 - top) * (T + k), -1, m) % m
         scale = p**4 // m
         return k, lhs * scale, rhs * scale

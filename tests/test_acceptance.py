@@ -12,11 +12,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
-import pytest
-
 from supercong import kernels
 from supercong.bernoulli import x_constant, x_harmonic
-from supercong.checks import DEFAULT_A_SAMPLES, registry, sweep
+from supercong.checks import registry, sweep
 from supercong.cli import RunConfig, main
 from supercong.harmonic import mhs
 from supercong.padic import PAdic, congruent_mod

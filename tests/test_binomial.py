@@ -301,13 +301,25 @@ class TestLem23AsPolynomials:
     and gives the rows of the scan that built the closed form and stepped
     through it for each sample on its own."""
 
-    def test_step_identity_holds_coefficientwise(self):
-        # with a true inverse table every coefficient of the step identity
-        # vanishes, so a row costs O(1) at every prime below 1000
+    def test_true_table_keeps_no_closed_form_lists(self):
+        # with a true inverse table every step holds at the build's points
+        # of tau, so the lists are dropped and a row costs O(1) at every
+        # prime below 1000
         for p in primes_in_range(7, 997):
             inv = inv_table(p, 4)
             for half in (False, True):
-                assert Lem23Scan(p, half, inv).steps is None, (p, half)
+                assert Lem23Scan(p, half, inv).closed is None, (p, half)
+
+    def test_build_scans_one_point_more_than_the_degree(self, monkeypatch):
+        # a step is tau times a polynomial of degree 4 in tau (3 on the full
+        # range), so it holds at every tau only if it holds at 5 (4) points
+        seen = []
+        monkeypatch.setattr(Lem23Scan, "_first_step_failure", lambda _, tau: seen.append(tau))
+        inv = inv_table(13, 4)
+        for half, points in ((True, [1, 2, 3, 4, 5]), (False, [1, 2, 3, 4])):
+            seen.clear()
+            assert Lem23Scan(13, half, inv).closed is None
+            assert seen == points, half
 
     @pytest.mark.parametrize("p", [7, 11, 13, 101, 499, 997])
     def test_matches_recurrence_scan(self, p):
