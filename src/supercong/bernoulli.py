@@ -17,10 +17,8 @@ tests' independent cross-check.
 
 The constant X = B_{p-3}/(p-3) - B_{2p-4}/(4p-8) has two independent
 routes: x_constant, from those two Bernoulli numbers (full N digits), and
-x_harmonic, from the harmonic sum H(2; p-1) over the caller's inverse
-table (O(p), 2 digits), which suffices wherever X carries a p^2 or p^3
-prefactor.  x_from_h2 is that route for a caller that already holds
-H(2; p-1).
+x_from_h2, from the harmonic sum H(2; p-1) the caller holds (2 digits),
+which suffices wherever X carries a p^2 or p^3 prefactor.
 """
 
 from __future__ import annotations
@@ -37,9 +35,9 @@ from .primes import smallest_prime_factors
 __all__ = [
     "bernoulli",
     "fermat_quotient",
+    "mhs",  # unused here; perfbench's self-test expects the tracer to rebind it
     "x_constant",
     "x_from_h2",
-    "x_harmonic",
 ]
 
 _X_APREC_HARMONIC = 2  # H(2;p-1) = -4pX holds mod p^3, so X is pinned mod p^2
@@ -157,17 +155,6 @@ def x_constant(p: int, N: int) -> PAdic:
     return bernoulli(p - 3, p, N).scale(Fraction(1, p - 3)) - bernoulli(
         2 * p - 4, p, N
     ).scale(Fraction(1, 4 * p - 8))
-
-
-def x_harmonic(p: int, N: int, inv: list[int]) -> PAdic:
-    """X = -H(2; p-1)/(4p) mod p^2, O(p).
-
-    inv is the caller's inverse table mod p**N covering 1..p-1;
-    H(2; p-1) = -4pX holds mod p^3, so N >= 3 is required.
-    """
-    if p <= 5 or N < _X_APREC_HARMONIC + 1:
-        raise BadParameter("x_harmonic requires p > 5 and N >= 3")
-    return x_from_h2(mhs((2,), (p - 1,), p, N, inv)[0])
 
 
 def x_from_h2(h2: PAdic) -> PAdic:

@@ -225,12 +225,12 @@ def _load_cache(path: str, digits: int, t_sign: str) -> dict[tuple, tuple]:
     (check, p, frozenset of params); the file is then ready for appends.
 
     The file is a header line (stamp, digits and t-sign), then the rows as
-    --format jsonl prints them.  A file under another header, or of rows
-    from before the file held JSONL, is started again with one line on
-    stderr.  A last line with no newline (a run killed as it wrote) is cut
-    off.  Anything else that does not parse is an I/O error and leaves the
-    file as it is, and so does a missing directory, found here so that no
-    sweep runs whose rows could not be saved.
+    --format jsonl prints them.  A file under another header is started
+    again with one line on stderr.  A last line with no newline (a run
+    killed as it wrote) is cut off.  Anything else that does not parse, a
+    file of rows from before the file held JSONL included, is an I/O error
+    and leaves the file as it is, and so does a missing directory, found
+    here so that no sweep runs whose rows could not be saved.
     """
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
@@ -249,11 +249,7 @@ def _load_cache(path: str, digits: int, t_sign: str) -> dict[tuple, tuple]:
                     rows[d["check"], d["p"], params] = (
                         d["status"], d["lhs"], d["rhs"], d["modulus"], d.get("note", "")
                     )
-            elif first.keys() == header.keys() or all(
-                # every row of a file from before the cache held JSONL rows
-                row.keys() >= {"check", "lhs", "modulus", "p", "params", "rhs", "status"}
-                for row in first.values()
-            ):
+            elif first.keys() == header.keys():
                 print(
                     f"cache: ignoring {path}, written by another version or catalog,"
                     f" or at another --digits or t-sign; starting it again as {header}",
@@ -261,7 +257,7 @@ def _load_cache(path: str, digits: int, t_sign: str) -> dict[tuple, tuple]:
                 )
                 end = 0
             else:
-                raise ValueError("neither a header nor an object of cached rows")
+                raise ValueError("the first line is not a header")
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise OSError(f"corrupt cache file {path}: {exc!r}") from exc
         fh.truncate(end)

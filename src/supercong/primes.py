@@ -1,12 +1,10 @@
-"""Prime enumeration via a simple segmented sieve, and smallest prime factors."""
+"""Primes in a range, by one sieve over it, and smallest prime factors."""
 
 from __future__ import annotations
 
 import math
 
 __all__ = ["primes_in_range", "smallest_prime_factors"]
-
-_SEGMENT = 1 << 16
 
 
 def _small_primes(limit: int) -> list[int]:
@@ -23,20 +21,12 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     if hi < 2 or hi < lo:
         return []
     lo = max(lo, 2)
-    base = _small_primes(int(hi**0.5) + 1)
-    out: list[int] = []
-    start = lo
-    while start <= hi:
-        end = min(start + _SEGMENT - 1, hi)
-        seg = bytearray([1]) * (end - start + 1)
-        for q in base:
-            first = max(q * q, (start + q - 1) // q * q)
-            if first > end:
-                continue
-            seg[first - start :: q] = bytearray(len(range(first, end + 1, q)))
-        out.extend(start + i for i, flag in enumerate(seg) if flag)
-        start = end + 1
-    return out
+    # a byte per integer: the returned list, ~36 bytes a prime, outweighs it
+    sieve = bytearray([1]) * (hi - lo + 1)
+    for q in _small_primes(math.isqrt(hi)):
+        first = max(q * q, -(-lo // q) * q)
+        sieve[first - lo :: q] = bytearray(len(range(first, hi + 1, q)))
+    return [lo + i for i, flag in enumerate(sieve) if flag]
 
 
 def smallest_prime_factors(n: int) -> list[int]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from supercong import kernels
-from supercong.bernoulli import x_constant, x_harmonic
+from supercong.bernoulli import x_constant, x_from_h2
 from supercong.checks import registry, sweep
 from supercong.cli import RunConfig, main
 from supercong.harmonic import mhs
@@ -100,7 +100,7 @@ def test_criterion_4_spot_values_p7():
     with criterion(4, "spot values at p = 7") as v:
         # X = -2/165 = 38 mod 49 by both routes
         inv = kernels.inverse_table(6, 7, 7**6)
-        for x in (x_constant(7, 6), x_harmonic(7, 6, inv)):
+        for x in (x_constant(7, 6), x_from_h2(mhs((2,), (6,), 7, 6, inv)[0])):
             assert x.lift(2) % 49 == 38
         # H_6 = 49/20, valuation 2
         assert harmonic_exact(6) == Fraction(49, 20)

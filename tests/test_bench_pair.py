@@ -1,6 +1,7 @@
 """tools/bench_pair.py measures the working tree from a clean copy."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -70,3 +71,40 @@ def test_bad_input_exits_2_before_any_run(monkeypatch, capsys, argv):
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
     assert _bench_files() == before
+
+
+def test_claim_rule_on_a_synthetic_record(tmp_path, monkeypatch, capsys):
+    # ten pairs of made-up runs; the parent's wall_s spreads 1.00..1.09
+    parent = [1.0 + i / 100 for i in range(10)]
+    runs = {
+        # won 9 of 10, median 0.2 below the parent's against a spread of 0.045
+        "wall_s": [x - 0.2 for x in parent[:9]] + [parent[9] + 1],
+        # won 8 of 10 by as much
+        "cpu_s": [x - 0.2 for x in parent[:8]] + [x + 1 for x in parent[8:]],
+        # won all 10, by less than the parent's spread
+        "peak_rss_mb": [x - 0.01 for x in parent],
+        # ties count for neither side
+        "setup_s": parent,
+    }
+    results = {
+        "parent": iter([{name: x for name in runs} for x in parent]),
+        "change": iter([dict(zip(runs, values)) for values in zip(*runs.values())]),
+    }
+    bench_pair = _bench_pair()
+    monkeypatch.setattr(bench_pair, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pair, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pair, "extract", lambda rev, dest: dest.mkdir())
+    monkeypatch.setattr(bench_pair, "copy_worktree", lambda dest: dest.mkdir())
+    monkeypatch.setattr(bench_pair, "run_once", lambda tree, *args: next(results[tree.name]))
+    assert bench_pair.main(["--workload", "catalog-small", "--pairs", "10"]) == 0
+    (record,) = json.loads((tmp_path / "BENCH_catalog-small.json").read_text())
+    got = {name: (m["change_won"], m["claim_holds"]) for name, m in record["metrics"].items()}
+    assert got == {
+        "wall_s": (9, True),
+        "cpu_s": (8, False),
+        "peak_rss_mb": (10, False),
+        "setup_s": (0, False),
+    }
+    err = capsys.readouterr().err
+    assert "change won 9 of 10; claim rule holds" in err
+    assert err.count("claim rule fails") == 3

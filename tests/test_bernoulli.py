@@ -13,10 +13,11 @@ from supercong.bernoulli import (
     bernoulli,
     fermat_quotient,
     x_constant,
-    x_harmonic,
+    x_from_h2,
 )
 from supercong.checks import DEFAULT_A_SAMPLES, PrimeContext, _evaluate, registry, sweep
 from supercong.errors import BadParameter
+from supercong.harmonic import mhs
 from supercong.kernels import pykernels
 from supercong.padic import PAdic, congruent_mod
 from supercong.primes import primes_in_range, smallest_prime_factors
@@ -295,32 +296,33 @@ class TestFermatQuotient:
             fermat_quotient(14, 7, 6)
 
 
+def _x_harmonic(p, N):
+    """X = -H(2; p-1)/(4p) mod p^2, the route PrimeContext.x takes."""
+    return x_from_h2(mhs((2,), (p - 1,), p, N, inv_table(p, N))[0])
+
+
 class TestXConstant:
     def test_spot_value_p7(self):
         # X = B_4/4 - B_10/(4*7-8) = -1/120 - 1/264 = -2/165; -2/165 = 38 mod 49
         want = Fraction(-1, 30) / 4 - Fraction(5, 66) / 20
         assert want == Fraction(-2, 165)
         assert (-2 * pow(165, -1, 49)) % 49 == 38
-        for x in (x_constant(7, 6), x_harmonic(7, 6, inv_table(7, 6))):
+        for x in (x_constant(7, 6), _x_harmonic(7, 6)):
             assert x.lift(2) % 49 == 38
 
     @pytest.mark.parametrize("p", [11, 13, 97, 101])
     def test_methods_agree(self, p):
         xb = x_constant(p, 6)
-        xh = x_harmonic(p, 6, inv_table(p, 6))
+        xh = _x_harmonic(p, 6)
         assert xh.aprec == 2  # harmonic route is pinned mod p^2
         assert congruent_mod(xb, xh, 2)
 
     @pytest.mark.parametrize("p", [11, 13, 97, 101])
     def test_harmonic_route_reads_any_table_depth(self, p):
         # the caller's table mod p^N serves every N >= 3 with the same value
-        x4, x6, x8 = (x_harmonic(p, N, inv_table(p, N)) for N in (4, 6, 8))
+        x4, x6, x8 = (_x_harmonic(p, N) for N in (4, 6, 8))
         assert x4 == x6 == x8
 
     def test_guards(self):
         with pytest.raises(BadParameter):
             x_constant(5, 6)
-        with pytest.raises(BadParameter):
-            x_harmonic(5, 6, inv_table(5, 6))
-        with pytest.raises(BadParameter):
-            x_harmonic(7, 2, inv_table(7, 2))

@@ -284,12 +284,21 @@ class TestCache:
         assert code == 0
         assert "# evaluations: 1" in out  # different digits -> recompute
 
-    @pytest.mark.parametrize(
-        "text", ["{not json", "[1, 2]", '{"k": {"check": "lem-bridge"}}', "\udcff"]
-    )
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1, 2]", '{"k": {"check": "lem-bridge"}}', "\udcff",
+        # one object of complete rows, as the cache was before it held JSONL
+        pytest.param(json.dumps({
+            f"lem-bridge|{p}||6|minus": {
+                "check": "lem-bridge", "p": p, "params": [], "status": "fail",
+                "lhs": "stale", "rhs": "stale", "modulus": f"{p}^1", "note": "",
+            }
+            for p in (7, 11, 13)
+        }), id="pre-jsonl-rows"),
+    ])
     def test_corrupt_cache_is_io_error(self, tmp_path, text):
         cache = tmp_path / "cache.json"
         cache.write_text(text, encoding="utf-8", errors="surrogateescape")
+        before = cache.read_bytes()
         proc = _run_cli(
             "verify", "--checks", "lem-bridge", "--primes", "7..11", "--jobs", "1",
             "--cache", str(cache),
@@ -298,6 +307,7 @@ class TestCache:
         assert proc.stderr.startswith("error: corrupt cache file")
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+        assert cache.read_bytes() == before
 
     def test_missing_cache_directory_is_io_error_before_sweep(self, tmp_path, monkeypatch):
         cache = tmp_path / "absent" / "x.json"
@@ -626,22 +636,6 @@ class TestStaleCache:
         code, _, err = self._rerun(cache, capsys)
         assert code == 0
         assert "# evaluations: 3" in err
-
-    def test_old_format_file_is_ignored(self, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        _, want = _run(RunConfig(**self.BASE))
-        old = {
-            f"lem-bridge|{p}||6|minus": {
-                "check": "lem-bridge", "p": p, "params": [], "status": "fail",
-                "lhs": "stale", "rhs": "stale", "modulus": f"{p}^1", "note": "",
-            }
-            for p in (7, 11, 13)
-        }
-        cache.write_text(json.dumps(old), encoding="utf-8")
-        code, out, err = self._rerun(str(cache), capsys)
-        assert (code, out) == (0, want)
-        assert "# evaluations: 3" in err
-        assert "stale" not in cache.read_text(encoding="utf-8")
 
 
 class TestRowCounts:

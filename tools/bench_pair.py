@@ -21,9 +21,12 @@ hash of its src/ that perfbench/run.py records, so that a record made from
 an uncommitted working tree still names the code it measured), the seeds,
 seconds and pair counts, each side's median and quartiles of every
 end-to-end metric over the kept pairs, for each metric the number of
-pairs in which the change read lower (ties count for neither side), and
-whether either copy's src/ held a `__pycache__` after the runs.  A summary
-goes to stderr.  An unknown workload or malformed seeds exit with status 2
+pairs in which the change read lower (ties count for neither side) and
+whether a gain may be claimed, and whether either copy's src/ held a
+`__pycache__` after the runs.  A gain may be claimed when the change read
+lower in at least 9 of every 10 kept pairs and its median is below the
+parent's by more than the parent's interquartile spread.  A summary goes
+to stderr.  An unknown workload or malformed seeds exit with status 2
 before any tree is extracted.  Uses the standard library only.
 """
 
@@ -112,6 +115,20 @@ def summary(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def compare(before: list[float], after: list[float]) -> dict:
+    """Both sides' summary of one lower-is-better metric over the kept pairs,
+    the pairs the change won, and whether the claim rule holds."""
+    parent, change = summary(before), summary(after)
+    won = sum(a < b for a, b in zip(after, before))
+    return {
+        "parent": parent,
+        "change": change,
+        "change_won": won,
+        "claim_holds": 10 * won >= 9 * len(before)
+        and parent["median"] - change["median"] > parent["q3"] - parent["q1"],
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=WORKLOADS)
@@ -156,13 +173,8 @@ def main(argv: list[str] | None = None) -> int:
     metrics = {}
     if kept:
         for name in sides["parent"][0]:
-            before = [run[name] for run in sides["parent"]]
-            after = [run[name] for run in sides["change"]]
-            metrics[name] = {
-                "parent": summary(before),
-                "change": summary(after),
-                "change_won": sum(a < b for a, b in zip(after, before)),
-            }
+            metrics[name] = compare([run[name] for run in sides["parent"]],
+                                    [run[name] for run in sides["change"]])
     record = {
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "workload": args.workload,
@@ -186,7 +198,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{name}: parent {m['parent']['median']:.4g} [{m['parent']['q1']:.4g}, "
               f"{m['parent']['q3']:.4g}] -> change {m['change']['median']:.4g} "
               f"[{m['change']['q1']:.4g}, {m['change']['q3']:.4g}], change won "
-              f"{m['change_won']} of {kept}", file=sys.stderr)
+              f"{m['change_won']} of {kept}; claim rule "
+              f"{'holds' if m['claim_holds'] else 'fails'}", file=sys.stderr)
     return 0 if kept else 1
 
 
